@@ -8,7 +8,7 @@
 //! workspace builds with no external crates.
 
 use kremlin_bench::timer::Group;
-use kremlin_hcpa::{BaselineProfiler, HcpaConfig, Profiler};
+use kremlin_hcpa::{HcpaConfig, Profiler, SeedProfiler};
 use kremlin_interp::{run, run_with_hook, MachineConfig};
 
 const SRC: &str = "float a[256]; float b[256];\n\
@@ -33,7 +33,7 @@ fn main() {
     });
 
     g.bench("hcpa_profiling_seed_baseline", || {
-        let mut p = BaselineProfiler::new(&unit.module, HcpaConfig::default());
+        let mut p = SeedProfiler::new(&unit.module, HcpaConfig::default());
         run_with_hook(&unit.module, &mut p, MachineConfig::default()).expect("runs");
         p.finish()
     });

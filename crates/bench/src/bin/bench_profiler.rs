@@ -10,30 +10,20 @@
 //! * `serial_optimized_ms` — the overhauled single-pass profiler
 //!   (packed `(tag, time)` shadow slots, last-page cache, bulk
 //!   gather/write, O(1) work accrual);
-//! * per-shard pass times for 3-way depth-sharded collection
-//!   ([`kremlin_hcpa::parallel`]) plus the stitch cost;
-//! * the record-once/replay-many configuration: one `record` pass that
-//!   captures the event trace, then per-shard `profile_trace` replays of
-//!   that shared trace — interpretation happens once, so each replay
-//!   shard is cheaper than an execute-per-shard pass;
-//! * the decode-once configuration: one `DecodedTrace::decode` pass
-//!   materializes the varint stream into a shared arena (and yields a
-//!   per-depth cost histogram for free), then per-shard
-//!   `profile_decoded` replays at `plan_shards_weighted`'s cost-balanced
-//!   boundaries — zero varint work per shard, flatter shard walls.
+//! * 3-way depth-sharded collection ([`kremlin_hcpa::parallel`]): one
+//!   `record` pass captures the event trace, one `DecodedTrace::decode`
+//!   pass materializes it into a shared arena (and yields a per-depth
+//!   cost histogram for free), then per-shard `profile_decoded` replays
+//!   at `plan_shards_weighted`'s cost-balanced boundaries, plus the
+//!   stitch cost.
 //!
 //! **Sharded wall-clock methodology**: each shard is an independent
-//! interpreter+profiler pass; on a machine with ≥ `jobs` cores they run
+//! replay of the shared arena; on a machine with ≥ `jobs` cores they run
 //! concurrently and the elapsed time is the slowest shard plus the stitch
-//! — the *critical path*. This container exposes a single core (recorded
-//! as `host_cores`), where concurrent threads cannot beat a serial pass,
-//! so each shard pass is timed individually and
-//! `sharded_critical_path_ms = max(shard) + stitch` is reported as the
-//! multi-core wall clock; `sharded_1core_total_ms` (the sum) is recorded
-//! alongside for transparency. The depth hint for shard planning comes
-//! from the serial pass, mirroring `ParallelConfig::depth_hint`; with no
-//! hint the discovery pre-pass costs `interp_only_ms` once, off the
-//! steady-state critical path.
+//! — the *critical path*. Each shard pass is timed on its own, so
+//! `decoded_replay_sharded_critical_path_ms = max(shard) + stitch` is a
+//! *modeled* multi-core wall clock (`host_cores` records the machine).
+//! Record and decode are one-time costs per trace, reported separately.
 //!
 //! The stitched profile is asserted bit-identical to the serial profile
 //! before any number is reported, so the speedup is never of a wrong
@@ -52,8 +42,7 @@
 
 use kremlin_bench::timer::bench;
 use kremlin_hcpa::{
-    parallel::{plan_shards, plan_shards_weighted, shard_plan_cost},
-    profile_decoded, profile_trace, profile_unit, profile_unit_seed, profile_unit_with_machine,
+    plan_shards_weighted, profile_decoded, profile_unit, profile_unit_seed, shard_plan_cost,
     HcpaConfig, ParallelismProfile,
 };
 use kremlin_interp::trace::DecodedTrace;
@@ -107,10 +96,7 @@ struct Row {
     interp_only_ms: f64,
     serial_seed_ms: f64,
     serial_optimized_ms: f64,
-    shard_ms: Vec<f64>,
-    stitch_ms: f64,
     record_ms: f64,
-    replay_shard_ms: Vec<f64>,
     decode_ms: f64,
     decoded_shard_ms: Vec<f64>,
     decoded_stitch_ms: f64,
@@ -129,38 +115,8 @@ struct Row {
 }
 
 impl Row {
-    fn critical_path_ms(&self) -> f64 {
-        self.shard_ms.iter().copied().fold(0.0, f64::max) + self.stitch_ms
-    }
-
-    fn one_core_total_ms(&self) -> f64 {
-        self.shard_ms.iter().sum::<f64>() + self.stitch_ms
-    }
-
-    fn sharded_speedup(&self) -> f64 {
-        self.serial_seed_ms / self.critical_path_ms()
-    }
-
     fn serial_speedup(&self) -> f64 {
         self.serial_seed_ms / self.serial_optimized_ms
-    }
-
-    /// Steady-state replay wall clock: the trace already exists (recorded
-    /// once, amortized across replays), shard workers replay it
-    /// concurrently, and the elapsed time is the slowest replay plus the
-    /// stitch — symmetric with `critical_path_ms` for execute-per-shard.
-    fn replay_critical_path_ms(&self) -> f64 {
-        self.replay_shard_ms.iter().copied().fold(0.0, f64::max) + self.stitch_ms
-    }
-
-    /// Cold-start replay wall clock: one recording pass plus the replay
-    /// critical path, for callers with no trace on disk yet.
-    fn record_plus_replay_ms(&self) -> f64 {
-        self.record_ms + self.replay_critical_path_ms()
-    }
-
-    fn replay_sharded_speedup(&self) -> f64 {
-        self.serial_seed_ms / self.replay_critical_path_ms()
     }
 
     /// Steady-state decoded-replay wall clock: the arena already exists
@@ -220,46 +176,14 @@ fn measure(name: &str, warmup: usize, iters: usize) -> Row {
     let config = HcpaConfig::default();
     let machine = MachineConfig::default();
 
-    // One serial pass for ground truth: profile to compare against, depth
-    // for shard planning.
+    // One serial pass for ground truth.
     let serial = profile_unit(&unit, config).expect("serial profile");
-    let shards = plan_shards(serial.stats.max_depth, config.window, JOBS);
-    assert_eq!(shards.len(), JOBS, "{name}: expected a full {JOBS}-way split");
-
-    // Correctness gate: the stitched sharded profile must be bit-identical
-    // to the serial one before its speed is worth reporting.
-    let slices: Vec<ParallelismProfile> = shards
-        .iter()
-        .map(|s| {
-            let cfg = HcpaConfig { window: s.window, min_depth: s.min_depth, ..config };
-            profile_unit_with_machine(&unit, cfg, machine).expect("shard profile").profile
-        })
-        .collect();
-    let stitched = ParallelismProfile::stitch(&slices, shards[0].window);
-    assert!(
-        stitched.identical_stats(&serial.profile),
-        "{name}: stitched profile differs from serial"
-    );
-
-    // Correctness gate for the replay path: shard profiles replayed from
-    // one recorded trace must stitch to the same bit-identical profile.
     let trace = record(&unit.module, machine).expect("record");
-    let replay_slices: Vec<ParallelismProfile> = shards
-        .iter()
-        .map(|s| {
-            let cfg = HcpaConfig { window: s.window, min_depth: s.min_depth, ..config };
-            profile_trace(&unit, &trace, cfg).expect("replay shard profile").profile
-        })
-        .collect();
-    let replay_stitched = ParallelismProfile::stitch(&replay_slices, shards[0].window);
-    assert!(
-        replay_stitched.identical_stats(&serial.profile),
-        "{name}: replay-sharded stitched profile differs from serial"
-    );
 
-    // Correctness gate for the decode-once path: shard profiles replayed
-    // from the shared decoded arena at the cost-balanced boundaries must
-    // stitch to the same bit-identical profile.
+    // Correctness gate: shard profiles replayed from the shared decoded
+    // arena at the cost-balanced boundaries must stitch to a profile
+    // bit-identical to the serial one before their speed is worth
+    // reporting.
     let decoded = DecodedTrace::decode(&trace, &unit.module).expect("decode");
     let per_depth_cost = shard_plan_cost(&decoded);
     let wshards = plan_shards_weighted(&per_depth_cost, config.window, JOBS);
@@ -295,30 +219,8 @@ fn measure(name: &str, warmup: usize, iters: usize) -> Row {
         profile_unit_seed(&unit, config, machine).expect("seed profile")
     });
     let opt = bench("opt", warmup, iters, || profile_unit(&unit, config).expect("profile"));
-    let shard_ms: Vec<f64> = shards
-        .iter()
-        .map(|s| {
-            let cfg = HcpaConfig { window: s.window, min_depth: s.min_depth, ..config };
-            bench("shard", warmup, iters, || {
-                profile_unit_with_machine(&unit, cfg, machine).expect("shard profile")
-            })
-            .median_ms()
-        })
-        .collect();
-    let stitch =
-        bench("stitch", warmup, iters, || ParallelismProfile::stitch(&slices, shards[0].window));
     let record_pass =
         bench("record", warmup, iters, || record(&unit.module, machine).expect("record"));
-    let replay_shard_ms: Vec<f64> = shards
-        .iter()
-        .map(|s| {
-            let cfg = HcpaConfig { window: s.window, min_depth: s.min_depth, ..config };
-            bench("replay-shard", warmup, iters, || {
-                profile_trace(&unit, &trace, cfg).expect("replay shard profile")
-            })
-            .median_ms()
-        })
-        .collect();
     let decode_pass = bench("decode", warmup, iters, || {
         DecodedTrace::decode(&trace, &unit.module).expect("decode")
     });
@@ -341,10 +243,7 @@ fn measure(name: &str, warmup: usize, iters: usize) -> Row {
         interp_only_ms: interp.median_ms(),
         serial_seed_ms: seed.median_ms(),
         serial_optimized_ms: opt.median_ms(),
-        shard_ms,
-        stitch_ms: stitch.median_ms(),
         record_ms: record_pass.median_ms(),
-        replay_shard_ms,
         decode_ms: decode_pass.median_ms(),
         decoded_shard_ms,
         decoded_stitch_ms: decoded_stitch.median_ms(),
@@ -373,57 +272,28 @@ fn main() {
         args.workloads.iter().map(|n| measure(n, args.warmup, args.iters)).collect();
 
     println!(
-        "{:<4} {:>10} {:>9} {:>9} {:>14} {:>9} {:>9} {:>10} {:>10} {:>8} {:>8}",
-        "",
-        "seed(ms)",
-        "opt(ms)",
-        "crit(ms)",
-        "shards(ms)",
-        "opt-spd",
-        "shard-spd",
-        "replay(ms)",
-        "replay-spd",
-        "dec(ms)",
-        "dec-spd"
+        "{:<4} {:>10} {:>9} {:>9} {:>14} {:>9} {:>8}",
+        "", "seed(ms)", "opt(ms)", "opt-spd", "shards(ms)", "dec(ms)", "dec-spd"
     );
     for r in &rows {
         println!(
-            "{:<4} {:>10.1} {:>9.1} {:>9.1} {:>14} {:>8.2}x {:>8.2}x {:>10.1} {:>9.2}x {:>8.1} {:>7.2}x",
+            "{:<4} {:>10.1} {:>9.1} {:>8.2}x {:>14} {:>9.1} {:>7.2}x",
             r.name,
             r.serial_seed_ms,
             r.serial_optimized_ms,
-            r.critical_path_ms(),
-            r.shard_ms.iter().map(|x| format!("{x:.0}")).collect::<Vec<_>>().join("/"),
             r.serial_speedup(),
-            r.sharded_speedup(),
-            r.replay_critical_path_ms(),
-            r.replay_sharded_speedup(),
+            r.decoded_shard_ms.iter().map(|x| format!("{x:.0}")).collect::<Vec<_>>().join("/"),
             r.decoded_critical_path_ms(),
             r.decoded_sharded_speedup(),
         );
     }
 
-    let min_sharded = rows.iter().map(Row::sharded_speedup).fold(f64::INFINITY, f64::min);
-    let geomean_sharded =
-        (rows.iter().map(|r| r.sharded_speedup().ln()).sum::<f64>() / rows.len() as f64).exp();
-    let min_replay = rows.iter().map(Row::replay_sharded_speedup).fold(f64::INFINITY, f64::min);
-    let geomean_replay = (rows.iter().map(|r| r.replay_sharded_speedup().ln()).sum::<f64>()
-        / rows.len() as f64)
-        .exp();
     let min_decoded = rows.iter().map(Row::decoded_sharded_speedup).fold(f64::INFINITY, f64::min);
     let geomean_decoded = (rows.iter().map(|r| r.decoded_sharded_speedup().ln()).sum::<f64>()
         / rows.len() as f64)
         .exp();
     println!(
-        "\nsharded speedup vs pre-optimization serial: min {min_sharded:.2}x, \
-         geomean {geomean_sharded:.2}x (critical path; host has {host_cores} core(s))"
-    );
-    println!(
-        "record-once/replay-many: min {min_replay:.2}x, geomean {geomean_replay:.2}x \
-         (steady-state replay critical path; record pass amortized across replays)"
-    );
-    println!(
-        "decode-once arena + weighted shards: min {min_decoded:.2}x, geomean {geomean_decoded:.2}x \
+        "\ndecode-once arena + weighted shards: min {min_decoded:.2}x, geomean {geomean_decoded:.2}x \
          (decode pass amortized like record); shard imbalance max/mean: {}",
         rows.iter()
             .map(|r| format!("{} {:.2}x", r.name, r.decoded_imbalance()))
@@ -440,28 +310,19 @@ fn main() {
     ));
     out.push_str(
         "  \"methodology\": \"Baseline is the frozen pre-optimization profiler \
-         (kremlin_hcpa::seed). Shard passes are timed individually; \
-         sharded_critical_path_ms = max(shard_pass_ms) + stitch_ms is the wall clock on a \
-         machine with >= jobs cores (this host is single-core, so concurrent threads cannot \
-         be timed directly); sharded_1core_total_ms is the serialized sum. The record-once/replay-many \
-         configuration records the event trace once (record_ms) and replays it into each \
-         depth shard without re-interpreting; replay_sharded_critical_path_ms = \
-         max(replay_shard_pass_ms) + stitch_ms is the steady-state wall clock once a trace \
-         exists (symmetric with the execute-per-shard critical path, whose depth-discovery \
-         pre-pass is likewise off the steady state), and record_plus_replay_ms adds the \
-         one-time recording cost. The decode-once configuration decodes the varint stream \
-         into a shared arena once (decode_ms, amortized across replays exactly like \
-         record_ms) whose per-depth histogram (per_depth_cost) drives an exact DP \
-         cost-balanced shard plan; decoded_replay_sharded_critical_path_ms = \
-         max(decoded_replay_shard_pass_ms) + decoded_stitch_ms is its steady-state wall \
-         clock, decode_plus_replay_ms adds the one-time decode, and decoded_shard_imbalance \
-         is max/mean of the decoded shard walls (1.0 = perfectly flat plan). All three \
-         stitched profiles (execute-per-shard, replay-per-shard, decoded-replay-per-shard) \
-         are asserted bit-identical to the serial profile before timing. \
-         shadow_bytes_sharded_total sums the per-shard shadow footprints under the weighted \
-         plan; the former shadow_bytes_packed field was dropped because slot packing changes \
-         locality, not size, so it was byte-identical to shadow_bytes_baseline on every \
-         workload. Medians over the timed iterations. Timing passes run with kremlin_obs \
+         (kremlin_hcpa::seed). The event trace is recorded once (record_ms) and decoded once \
+         into a shared arena (decode_ms); both are one-time costs amortized across replays. \
+         The decode pass's per-depth histogram (per_depth_cost) drives an exact DP \
+         cost-balanced shard plan, and every shard replays the shared arena. Shard passes are \
+         timed one at a time, so decoded_replay_sharded_critical_path_ms = \
+         max(decoded_replay_shard_pass_ms) + decoded_stitch_ms is a modeled wall clock for a \
+         machine with >= jobs cores; decode_plus_replay_ms adds the one-time decode, and \
+         decoded_shard_imbalance is max/mean of the decoded shard walls (1.0 = perfectly flat \
+         plan). The stitched profile is asserted bit-identical to the serial profile before \
+         timing. shadow_bytes_sharded_total sums the per-shard shadow footprints under the \
+         weighted plan; the former shadow_bytes_packed field was dropped because slot packing \
+         changes locality, not size, so it was byte-identical to shadow_bytes_baseline on \
+         every workload. Medians over the timed iterations. Timing passes run with kremlin_obs \
          disabled; each workload's 'metrics' object is a kremlin-metrics-v1 snapshot from a \
          separate non-timed record/decode/decoded-replay/plan pipeline pass (so the \
          trace.record.*, trace.decode.*, and trace.replay.* counters are live).\",\n",
@@ -480,28 +341,9 @@ fn main() {
             json_f(r.serial_optimized_ms)
         ));
         out.push_str(&format!(
-            "     \"shard_pass_ms\": [{}], \"stitch_ms\": {},\n",
-            r.shard_ms.iter().map(|x| json_f(*x)).collect::<Vec<_>>().join(", "),
-            json_f(r.stitch_ms)
-        ));
-        out.push_str(&format!(
-            "     \"sharded_critical_path_ms\": {}, \"sharded_1core_total_ms\": {},\n",
-            json_f(r.critical_path_ms()),
-            json_f(r.one_core_total_ms())
-        ));
-        out.push_str(&format!(
-            "     \"record_ms\": {}, \"replay_shard_pass_ms\": [{}],\n",
-            json_f(r.record_ms),
-            r.replay_shard_ms.iter().map(|x| json_f(*x)).collect::<Vec<_>>().join(", ")
-        ));
-        out.push_str(&format!(
-            "     \"replay_sharded_critical_path_ms\": {}, \"record_plus_replay_ms\": {},\n",
-            json_f(r.replay_critical_path_ms()),
-            json_f(r.record_plus_replay_ms())
-        ));
-        out.push_str(&format!(
-            "     \"decode_ms\": {}, \"decoded_replay_shard_pass_ms\": [{}], \
+            "     \"record_ms\": {}, \"decode_ms\": {}, \"decoded_replay_shard_pass_ms\": [{}], \
              \"decoded_stitch_ms\": {},\n",
+            json_f(r.record_ms),
             json_f(r.decode_ms),
             r.decoded_shard_ms.iter().map(|x| json_f(*x)).collect::<Vec<_>>().join(", "),
             json_f(r.decoded_stitch_ms)
@@ -525,14 +367,9 @@ fn main() {
             r.trace_events, r.trace_bytes
         ));
         out.push_str(&format!(
-            "     \"speedup_serial_optimized\": {}, \"speedup_sharded_critical_path\": {},\n",
-            json_f(r.serial_speedup()),
-            json_f(r.sharded_speedup())
-        ));
-        out.push_str(&format!(
-            "     \"speedup_replay_sharded_critical_path\": {}, \
+            "     \"speedup_serial_optimized\": {}, \
              \"speedup_decoded_replay_sharded_critical_path\": {},\n",
-            json_f(r.replay_sharded_speedup()),
+            json_f(r.serial_speedup()),
             json_f(r.decoded_sharded_speedup())
         ));
         out.push_str(&format!(
@@ -548,14 +385,8 @@ fn main() {
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"summary\": {{\"min_sharded_speedup\": {}, \"geomean_sharded_speedup\": {}, \
-         \"min_replay_sharded_speedup\": {}, \"geomean_replay_sharded_speedup\": {}, \
-         \"min_decoded_replay_sharded_speedup\": {}, \
+        "  \"summary\": {{\"min_decoded_replay_sharded_speedup\": {}, \
          \"geomean_decoded_replay_sharded_speedup\": {}}}\n",
-        json_f(min_sharded),
-        json_f(geomean_sharded),
-        json_f(min_replay),
-        json_f(geomean_replay),
         json_f(min_decoded),
         json_f(geomean_decoded)
     ));

@@ -7,8 +7,6 @@
 //! milliseconds:
 //!
 //! * **speedups** (`speedup_serial_optimized`,
-//!   `speedup_sharded_critical_path`,
-//!   `speedup_replay_sharded_critical_path`,
 //!   `speedup_decoded_replay_sharded_critical_path`) are dimensionless
 //!   ratios of two passes on the *same* host — a fresh value may not drop
 //!   more than `Tolerance::speedup_drop` below the baseline
@@ -141,14 +139,9 @@ pub fn check(baseline: &str, fresh: &str, tol: Tolerance) -> Result<GateReport, 
         // shares the band: it is the same kind of same-host ratio with
         // the same observed jitter, and the failure mode it guards —
         // the decode-once arena or the weighted planner silently
-        // degrading toward the streaming path's cost — shows up as an
+        // degrading toward a serial pass's cost — shows up as an
         // absolute drop well past 0.35.
-        for key in [
-            "speedup_serial_optimized",
-            "speedup_sharded_critical_path",
-            "speedup_replay_sharded_critical_path",
-            "speedup_decoded_replay_sharded_critical_path",
-        ] {
+        for key in ["speedup_serial_optimized", "speedup_decoded_replay_sharded_critical_path"] {
             if let (Some(b), Some(n)) = (num(bw, key), num(nw, key)) {
                 if n < b - tol.speedup_drop {
                     violation(format!(
@@ -196,7 +189,6 @@ mod tests {
         format!(
             r#"{{"bench":"profiler","workloads":[{{"name":"{name}","instr_events":{instr},
                "shadow_bytes_baseline":{shadow},"speedup_serial_optimized":{spd},
-               "speedup_sharded_critical_path":{spd},
                "metrics":{{"schema":"kremlin-metrics-v1","counters":{{{counters}}}}}}}]}}"#
         )
     }
@@ -218,20 +210,6 @@ mod tests {
         let r = check(&base, &bad, Tolerance::default()).unwrap();
         assert!(!r.passed());
         assert!(r.violations.iter().any(|v| v.contains("regressed")), "{:?}", r.violations);
-    }
-
-    #[test]
-    fn replay_sharded_speedup_is_gated_too() {
-        let mk = |spd: f64| {
-            format!(
-                r#"{{"workloads":[{{"name":"bt","instr_events":5,
-                   "speedup_replay_sharded_critical_path":{spd}}}]}}"#
-            )
-        };
-        let base = mk(2.1);
-        assert!(check(&base, &mk(1.8), Tolerance::default()).unwrap().passed());
-        let r = check(&base, &mk(1.5), Tolerance::default()).unwrap();
-        assert!(r.violations.iter().any(|v| v.contains("replay_sharded")), "{:?}", r.violations);
     }
 
     #[test]

@@ -38,7 +38,11 @@ fn synthetically_regressed_run_fails() {
     // Collapse every sharded speedup to 0.1x — far below any tolerance.
     let mut regressed = String::new();
     for line in baseline.lines() {
-        regressed.push_str(&replace_number(line, "speedup_sharded_critical_path", "0.1"));
+        regressed.push_str(&replace_number(
+            line,
+            "speedup_decoded_replay_sharded_critical_path",
+            "0.1",
+        ));
         regressed.push('\n');
     }
     let fresh = write_temp("regressed.json", &regressed);

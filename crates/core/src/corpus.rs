@@ -8,8 +8,8 @@
 //!    any auxiliary pinned labels);
 //! 2. **Dynamic** — the hot loop's measured self-parallelism from the
 //!    HCPA profile, which must land in the spec's class-derived band;
-//! 3. **Replay** — decoded-arena and streaming replay shards of the
-//!    recorded trace must reproduce the live profile bit-identically;
+//! 3. **Replay** — depth-sharded replay of the recorded trace must
+//!    reproduce the live profile bit-identically;
 //! 4. **Enumeration** — the exhaustive iteration-space oracle
 //!    (`crate::oracle`) re-runs the program concretely and refutes any
 //!    dependence verdict the observed address overlaps contradict.
@@ -23,7 +23,6 @@
 //! program that exhibits them.
 
 use crate::{Kremlin, KremlinError};
-use kremlin_hcpa::ReplayStrategy;
 use kremlin_interp::MachineConfig;
 use kremlin_workloads::rng::XorShift;
 use kremlin_workloads::scenario::{corpus, ScenarioClass, ScenarioSpec};
@@ -95,10 +94,10 @@ impl OracleReport {
 
 /// Runs the four oracles on one spec.
 ///
-/// Pipeline: lower → compile (+ IR verify) → record the execution once →
-/// profile by serial replay (the reference) → replay depth-sharded via
-/// the decoded arena and via streaming workers, demanding bit-identical
-/// stats → compare the static verdict and measured SP against the spec.
+/// Pipeline: lower → compile (+ IR verify) → profile the live execution
+/// (the reference) → record the execution once and replay it
+/// depth-sharded, demanding bit-identical stats → compare the static
+/// verdict and measured SP against the spec.
 ///
 /// # Errors
 ///
@@ -141,9 +140,9 @@ pub fn run_oracles(spec: &ScenarioSpec) -> Result<OracleReport, KremlinError> {
         }
     }
 
-    // Oracle 2: dynamic self-parallelism from the recorded execution.
+    // Oracle 2: dynamic self-parallelism from the live execution.
     let tool = Kremlin::new();
-    let (analysis, trace) = tool.analyze_recorded(&source, &name, 1)?;
+    let analysis = tool.analyze(&source, &name)?;
     let hot_region = analysis.region(&expect.hot)?;
     let self_p = analysis
         .profile()
@@ -191,33 +190,17 @@ pub fn run_oracles(spec: &ScenarioSpec) -> Result<OracleReport, KremlinError> {
         }
     }
 
-    // Oracle 3: replay-shard bit-identity, decoded and streaming.
-    let mut replay_identical = true;
-    for (label, strategy) in
-        [("decoded", ReplayStrategy::Decoded), ("streaming", ReplayStrategy::Streaming)]
-    {
-        let mut sharded_tool = Kremlin::new();
-        sharded_tool.replay_strategy = strategy;
-        match sharded_tool.analyze_trace(&trace, 3) {
-            Ok(replayed) => {
-                if !replayed.profile().identical_stats(analysis.profile()) {
-                    replay_identical = false;
-                    disagreements.push(Disagreement {
-                        code: "C005",
-                        detail: format!(
-                            "{label} sharded replay (jobs=3) produced a different profile"
-                        ),
-                    });
-                }
-            }
-            Err(e) => {
-                replay_identical = false;
-                disagreements.push(Disagreement {
-                    code: "C005",
-                    detail: format!("{label} sharded replay failed outright: {e}"),
-                });
-            }
-        }
+    // Oracle 3: a recorded trace replayed in depth shards must
+    // reproduce the live profile bit-for-bit.
+    let (replay_identical, replay_detail) = match tool.analyze_recorded(&source, &name, 3) {
+        Ok((replayed, _)) => (
+            replayed.profile().identical_stats(analysis.profile()),
+            "sharded replay (jobs=3) produced a different profile".to_owned(),
+        ),
+        Err(e) => (false, format!("sharded replay failed outright: {e}")),
+    };
+    if !replay_identical {
+        disagreements.push(Disagreement { code: "C005", detail: replay_detail });
     }
 
     // Oracle 4: exhaustive iteration-space enumeration. Run the program

@@ -131,10 +131,6 @@ pub struct Kremlin {
     pub hcpa: HcpaConfig,
     /// Interpreter limits (fuel, stack, call depth).
     pub machine: MachineConfig,
-    /// How sharded trace replay consumes the trace: the decode-once
-    /// arena by default, or streaming varint decode per worker
-    /// (`kremlin replay --streaming`) for traces too big to materialize.
-    pub replay_strategy: kremlin_hcpa::ReplayStrategy,
 }
 
 impl Kremlin {
@@ -156,46 +152,12 @@ impl Kremlin {
         Ok(Analysis::from_parts(Arc::new(unit), Arc::new(outcome)))
     }
 
-    /// Like [`Kremlin::analyze`], but collects the profile with
-    /// depth-sharded parallel HCPA: `jobs` profiling passes with disjoint
-    /// (one-depth-overlapping) tracked depth ranges run on worker threads
-    /// and are stitched into one profile (paper §4.2's depth-range flag,
-    /// "facilitating parallel data collection").
-    ///
-    /// The stitched per-region statistics are bit-identical to
-    /// [`Kremlin::analyze`]'s; only the embedded dictionary is
-    /// shard-scoped, so prefer `analyze` when the simulator must replay
-    /// exact per-instance critical paths.
-    ///
-    /// # Errors
-    ///
-    /// As [`Kremlin::analyze`].
-    pub fn analyze_parallel(
-        &self,
-        src: &str,
-        name: &str,
-        jobs: usize,
-    ) -> Result<Analysis, KremlinError> {
-        let unit = kremlin_ir::compile(src, name)?;
-        let outcome = kremlin_hcpa::profile_unit_parallel(
-            &unit,
-            kremlin_hcpa::ParallelConfig {
-                jobs,
-                depth_hint: None,
-                strategy: self.replay_strategy,
-                hcpa: self.hcpa,
-                machine: self.machine,
-            },
-        )?;
-        Ok(Analysis::from_parts(Arc::new(unit), Arc::new(outcome)))
-    }
-
-    /// Like [`Kremlin::analyze`] (or [`Kremlin::analyze_parallel`] when
-    /// `jobs > 1`), but via the record-once/replay-many path: the program
-    /// executes exactly once while its event stream is recorded, the
-    /// profile is produced by replaying that trace, and the trace — with
-    /// the source embedded so it is self-contained — is returned for
-    /// saving. This is the `kremlin --save-trace` path.
+    /// Like [`Kremlin::analyze`], but via the record-once/replay-many
+    /// path: the program executes exactly once while its event stream is
+    /// recorded, the profile is produced by replaying that trace
+    /// (depth-sharded across `jobs` worker threads), and the trace —
+    /// with the source embedded so it is self-contained — is returned
+    /// for saving. This is the `kremlin --save-trace` path.
     ///
     /// # Errors
     ///
@@ -209,29 +171,15 @@ impl Kremlin {
         let unit = kremlin_ir::compile(src, name)?;
         let mut trace = kremlin_interp::trace::record(&unit.module, self.machine)?;
         trace.source = src.to_owned();
-        let outcome = if jobs > 1 {
-            kremlin_hcpa::profile_trace_parallel(
-                &unit,
-                &trace,
-                kremlin_hcpa::ParallelConfig {
-                    jobs,
-                    depth_hint: None,
-                    strategy: self.replay_strategy,
-                    hcpa: self.hcpa,
-                    machine: self.machine,
-                },
-            )
-        } else {
-            kremlin_hcpa::profile_trace(&unit, &trace, self.hcpa)
-        }
-        .expect("a freshly recorded trace replays against its own module");
+        let outcome = kremlin_hcpa::profile_trace_parallel(&unit, &trace, self.parallel(jobs))
+            .expect("a freshly recorded trace replays against its own module");
         Ok((Analysis::from_parts(Arc::new(unit), Arc::new(outcome)), trace))
     }
 
     /// Profiles a previously recorded trace without executing anything:
     /// recompiles the trace's embedded source and replays the event
-    /// stream into the profiler — sharded across `jobs` worker threads
-    /// when `jobs > 1`. This is the `kremlin replay` path.
+    /// stream into the profiler, depth-sharded across `jobs` worker
+    /// threads. This is the library form of `kremlin replay`.
     ///
     /// # Errors
     ///
@@ -244,22 +192,14 @@ impl Kremlin {
         jobs: usize,
     ) -> Result<Analysis, KremlinError> {
         let unit = kremlin_ir::compile(&trace.source, &trace.source_name)?;
-        let outcome = if jobs > 1 {
-            kremlin_hcpa::profile_trace_parallel(
-                &unit,
-                trace,
-                kremlin_hcpa::ParallelConfig {
-                    jobs,
-                    depth_hint: None,
-                    strategy: self.replay_strategy,
-                    hcpa: self.hcpa,
-                    machine: self.machine,
-                },
-            )?
-        } else {
-            kremlin_hcpa::profile_trace(&unit, trace, self.hcpa)?
-        };
+        let outcome = kremlin_hcpa::profile_trace_parallel(&unit, trace, self.parallel(jobs))?;
         Ok(Analysis::from_parts(Arc::new(unit), Arc::new(outcome)))
+    }
+
+    /// The sharded-replay configuration for `jobs` workers under this
+    /// tool's HCPA settings.
+    fn parallel(&self, jobs: usize) -> kremlin_hcpa::ParallelConfig {
+        kremlin_hcpa::ParallelConfig { jobs, hcpa: self.hcpa, ..Default::default() }
     }
 
     /// Analyzes the same program over several inputs (here: several runs)
@@ -397,21 +337,6 @@ mod tests {
         // Evaluating the plan beats serial.
         let eval = analysis.evaluate(&plan);
         assert!(eval.speedup > 1.2, "{eval:?}");
-    }
-
-    #[test]
-    fn parallel_analysis_matches_serial() {
-        let serial = Kremlin::new().analyze(DEMO, "demo.kc").unwrap();
-        let parallel = Kremlin::new().analyze_parallel(DEMO, "demo.kc", 3).unwrap();
-        assert!(
-            parallel.profile().identical_stats(serial.profile()),
-            "sharded analysis must reproduce the serial profile"
-        );
-        assert_eq!(
-            parallel.plan_openmp().regions(),
-            serial.plan_openmp().regions(),
-            "planning must not depend on how the profile was collected"
-        );
     }
 
     #[test]

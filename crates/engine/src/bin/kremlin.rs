@@ -22,9 +22,6 @@
 //!   --window=<n>                  HCPA depth window (§4.2's flag)
 //!   --jobs=<n>                    depth-sharded parallel collection with
 //!                                 n worker threads (§4.2; alias --depth-shards)
-//!   --streaming                   sharded replay decodes the varint stream in
-//!                                 every worker instead of using the shared
-//!                                 decode-once arena (for oversized traces)
 //!   --no-break-deps               disable induction/reduction breaking
 //!   --save-profile=<path>         write the parallelism profile
 //!   --load-profile=<path>         plan from a saved profile (skips execution)
@@ -51,8 +48,7 @@
 
 use kremlin::persist::{load_profile, load_trace, save_profile, save_trace};
 use kremlin::{
-    CilkPlanner, HcpaConfig, Kremlin, OpenMpPlanner, Personality, SelfPFilterPlanner,
-    WorkOnlyPlanner,
+    CilkPlanner, Kremlin, OpenMpPlanner, Personality, SelfPFilterPlanner, WorkOnlyPlanner,
 };
 use kremlin_engine::serve::{ServeConfig, Server};
 use kremlin_engine::{Engine, EngineConfig};
@@ -103,7 +99,6 @@ struct Options {
     verify_ir: bool,
     metrics: MetricsMode,
     trace: Option<String>,
-    streaming: bool,
 }
 
 fn usage() -> &'static str {
@@ -115,7 +110,7 @@ fn usage() -> &'static str {
      \x20              [--metrics[=json|pretty]] [--trace FILE]\n\
      \x20      kremlin analyze <program.kc> [--json] [--verify-ir]\n\
      \x20      kremlin record <program.kc> [-o FILE] [--metrics[=json|pretty]]\n\
-     \x20      kremlin replay <trace-file> [--jobs=N] [--streaming] [--personality=...]\n\
+     \x20      kremlin replay <trace-file> [--jobs=N] [--personality=...]\n\
      \x20              [--evaluate] [--metrics[=json|pretty]]\n\
      \x20      kremlin corpus [--list] [--emit-golden] [--emit DIR] [--golden FILE]\n\
      \x20              [--filter CLASS]\n\
@@ -146,7 +141,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
         verify_ir: false,
         metrics: MetricsMode::Off,
         trace: None,
-        streaming: false,
     };
     let bad = |msg: String| CliError::Usage(format!("{msg}\n{}", usage()));
     let mut i = 0;
@@ -175,8 +169,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             if o.jobs == 0 {
                 return Err(bad("--jobs must be at least 1".into()));
             }
-        } else if a == "--streaming" {
-            o.streaming = true;
         } else if a == "--no-break-deps" {
             o.break_deps = false;
         } else if let Some(v) = a.strip_prefix("--save-profile=") {
@@ -292,8 +284,6 @@ fn parse_sub_args(
             o.personality = v.to_owned();
         } else if a == "--evaluate" {
             o.evaluate = true;
-        } else if a == "--streaming" {
-            o.streaming = true;
         } else if allow_out && a == "-o" {
             let Some(v) = args.get(i) else {
                 return Err(bad("-o requires a file argument".into()));
@@ -416,17 +406,8 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
     if trace.source.is_empty() {
         return Err(fail(format!("{path}: trace has no embedded source to recompile")));
     }
-    // The decoded default goes through the engine (and its artifact
-    // cache); the streaming fallback replays varints per worker and has
-    // nothing cacheable, so it keeps the direct path.
-    let analysis = if o.streaming {
-        let mut tool = Kremlin::new();
-        tool.replay_strategy = kremlin::hcpa::ReplayStrategy::Streaming;
-        tool.analyze_trace(&trace, o.jobs).map_err(fail)?
-    } else {
-        let engine = Engine::with_tool(Kremlin::new());
-        engine.analyze_trace(&trace, o.jobs).map_err(fail)?.analysis
-    };
+    let engine = Engine::with_tool(Kremlin::new());
+    let analysis = engine.analyze_trace(&trace, o.jobs).map_err(fail)?.analysis;
     eprintln!(
         "[kremlin] replayed {} events: exit={} instrs={} dynamic-regions={} max-depth={}",
         trace.events(),
@@ -816,10 +797,6 @@ fn run() -> Result<(), CliError> {
         tool.hcpa.window = w;
     }
     tool.hcpa.break_carried_deps = o.break_deps;
-    if o.streaming {
-        tool.replay_strategy = kremlin::hcpa::ReplayStrategy::Streaming;
-    }
-    let _ = HcpaConfig::default();
 
     if o.jobs > 1 && o.runs > 1 {
         return Err(CliError::Usage(format!("--jobs and --runs cannot be combined\n{}", usage())));
@@ -844,8 +821,6 @@ fn run() -> Result<(), CliError> {
         Ok(analysis)
     } else if o.runs > 1 {
         tool.analyze_runs(&src, &name, o.runs)
-    } else if o.streaming {
-        tool.analyze_parallel(&src, &name, o.jobs)
     } else {
         // The common one-shot path is a thin client of the session
         // engine: same staged pipeline (and cache keys) the `serve`

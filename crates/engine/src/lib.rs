@@ -29,7 +29,7 @@ pub mod serve;
 
 use std::sync::Arc;
 
-use kremlin::hcpa::{self, ParallelConfig, ReplayStrategy};
+use kremlin::hcpa::{self, ParallelConfig};
 use kremlin::interp::trace::{self, DecodedTrace, Trace};
 use kremlin::{Analysis, CompiledUnit, Kremlin, KremlinError, ProfileOutcome};
 
@@ -180,27 +180,12 @@ impl Engine {
         Ok((artifact.into_decoded(), hit))
     }
 
-    /// The per-depth cost histogram for a decoded arena — the weighted
-    /// shard planner's input — cached so repeat requests skip the arena
-    /// scan.
-    pub fn depth_cost(&self, decoded: &Arc<DecodedTrace>) -> (Arc<Vec<u64>>, bool) {
-        let key = ArtifactKey::DepthCost { module_fp: decoded.fingerprint() };
-        let decoded = Arc::clone(decoded);
-        let (artifact, hit) = self
-            .cache
-            .get_or_build(key, || {
-                Ok::<_, KremlinError>(Artifact::DepthCost(Arc::new(decoded.per_depth_cost())))
-            })
-            .expect("depth-cost builder is infallible");
-        (artifact.into_depth_cost(), hit)
-    }
-
     /// Stage 4 — profile: replays the decoded arena through HCPA,
     /// sharded across `jobs` workers via
-    /// [`kremlin::hcpa::parallel::profile_decoded_parallel`] when `jobs >
-    /// 1`. The profile is cached by module fingerprint plus profiling
-    /// config; `jobs` is deliberately *not* part of the key because
-    /// sharded stitching is bit-identical to the serial replay.
+    /// [`kremlin::hcpa::parallel::profile_decoded_parallel`]. The profile
+    /// is cached by module fingerprint plus profiling config; `jobs` is
+    /// deliberately *not* part of the key because sharded stitching is
+    /// bit-identical to the serial replay.
     ///
     /// # Errors
     ///
@@ -220,21 +205,8 @@ impl Engine {
         };
         let (unit, decoded) = (Arc::clone(unit), Arc::clone(decoded));
         let (artifact, hit) = self.cache.get_or_build(key, || {
-            let outcome = if jobs > 1 {
-                hcpa::parallel::profile_decoded_parallel(
-                    &unit,
-                    &decoded,
-                    ParallelConfig {
-                        jobs,
-                        depth_hint: None,
-                        strategy: ReplayStrategy::Decoded,
-                        hcpa: hcpa_cfg,
-                        machine: self.config.tool.machine,
-                    },
-                )?
-            } else {
-                hcpa::profile_decoded(&unit, &decoded, hcpa_cfg)?
-            };
+            let config = ParallelConfig { jobs, hcpa: hcpa_cfg, ..ParallelConfig::default() };
+            let outcome = hcpa::profile_decoded_parallel(&unit, &decoded, config)?;
             Ok::<_, KremlinError>(Artifact::Profile(Arc::new(outcome)))
         })?;
         Ok((artifact.into_profile(), hit))

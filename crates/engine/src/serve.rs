@@ -19,12 +19,13 @@
 //! | `GET /v1/metrics`  | live `kremlin-metrics-v1` snapshot             |
 
 use std::collections::{HashSet, VecDeque};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 use kremlin::interp::Trace;
 use kremlin::planner::{
@@ -145,18 +146,9 @@ impl Server {
                     }
                     let Ok(stream) = stream else { continue };
                     kremlin_obs::counter!("serve.accepted").incr();
-                    if let Err(mut rejected) = queue.try_push(stream) {
+                    if let Err(rejected) = queue.try_push(stream) {
                         kremlin_obs::counter!("serve.rejected").incr();
-                        let body = protocol::error_response(
-                            "server saturated: job queue is full, retry shortly",
-                        );
-                        let _ = write_response(
-                            &mut rejected,
-                            429,
-                            "application/json",
-                            body.as_bytes(),
-                            &[("Retry-After", "1")],
-                        );
+                        reject_saturated(rejected);
                     }
                 }
             })
@@ -194,6 +186,27 @@ impl Server {
             let _ = w.join();
         }
     }
+}
+
+/// Answers `429` on a connection the full queue turned away, then drains
+/// the client's request before closing: closing a socket with unread
+/// bytes resets the connection, and the client would lose the answer.
+/// The daemon binds loopback only, so an honest client's request is
+/// already in flight; the 100 ms bound keeps a silent one from stalling
+/// the accept loop.
+fn reject_saturated(mut stream: TcpStream) {
+    let body = protocol::error_response("server saturated: job queue is full, retry shortly");
+    let _ = write_response(
+        &mut stream,
+        429,
+        "application/json",
+        body.as_bytes(),
+        &[("Retry-After", "1")],
+    );
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let mut sink = [0u8; 4096];
+    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
 
 /// One prepared response.

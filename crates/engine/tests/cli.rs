@@ -101,6 +101,23 @@ fn usage_errors_exit_2_and_print_usage() {
     // No arguments at all.
     let out = kremlin().output().expect("runs");
     assert_eq!(out.status.code(), Some(2));
+
+    // Removed options are unknown, in the main mode and in `replay`.
+    for args in [&["x.kc", "--streaming"][..], &["replay", "x.ktrace", "--streaming"]] {
+        let out = kremlin().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"), "{args:?}");
+    }
+}
+
+#[test]
+fn jobs_do_not_change_a_one_depth_window_plan() {
+    let src = write_temp("demo_window1.kc", DEMO);
+    let serial = kremlin().arg(&src).arg("--window=1").output().expect("runs");
+    assert!(serial.status.success(), "stderr: {}", String::from_utf8_lossy(&serial.stderr));
+    let sharded = kremlin().arg(&src).arg("--window=1").arg("--jobs=2").output().expect("runs");
+    assert!(sharded.status.success(), "stderr: {}", String::from_utf8_lossy(&sharded.stderr));
+    assert_eq!(String::from_utf8_lossy(&sharded.stdout), String::from_utf8_lossy(&serial.stdout));
 }
 
 #[test]

@@ -49,14 +49,14 @@ pub mod shadow;
 
 pub use cost::CostModel;
 pub use parallel::{
-    plan_shards, plan_shards_weighted, profile_decoded_parallel, profile_trace_parallel,
-    profile_unit_parallel, shard_plan_cost, ParallelConfig, ReplayStrategy, ShardSpec,
+    plan_shards_weighted, profile_decoded_parallel, profile_trace_parallel, shard_plan_cost,
+    ParallelConfig, ReplayStrategy, ShardSpec,
 };
 pub use profile::{ParallelismProfile, RegionStats};
-pub use profiler::{BaselineProfiler, HcpaConfig, Profiler, ProfilerCore, ProfilerStats};
+pub use profiler::{HcpaConfig, Profiler, ProfilerStats};
 pub use seed::{profile_unit_seed, SeedProfiler};
 
-use kremlin_interp::trace::{DecodedTrace, Trace, TraceError};
+use kremlin_interp::trace::{DecodedTrace, TraceError};
 use kremlin_interp::{InterpError, MachineConfig, RunResult};
 use kremlin_ir::CompiledUnit;
 
@@ -106,41 +106,14 @@ pub fn profile_unit_with_machine(
     Ok(ProfileOutcome { profile, stats, run })
 }
 
-/// Profiles a *recorded* execution: replays `trace` into the HCPA
-/// profiler instead of re-interpreting the program. The replayed event
-/// stream is observably identical to live execution, so the outcome is
+/// Profiles a *recorded* execution: replays the [`DecodedTrace`] arena
+/// into the HCPA profiler instead of re-interpreting the program, with
+/// zero varint work per event. The replayed event stream is observably
+/// identical to live execution, so the outcome is
 /// [`identical_stats`](ParallelismProfile::identical_stats) to
-/// [`profile_unit`] with the same `config` — this is the trace-consuming
-/// entry point the record-once/replay-many workflow builds on.
-///
-/// # Errors
-///
-/// [`TraceError::ModuleMismatch`] when the trace was not recorded from
-/// `unit`'s module; [`TraceError::Corrupt`] for damaged event streams.
-pub fn profile_trace(
-    unit: &CompiledUnit,
-    trace: &Trace,
-    config: HcpaConfig,
-) -> Result<ProfileOutcome, TraceError> {
-    let _span = kremlin_obs::span("shadow");
-    let mut profiler = Profiler::new(&unit.module, config);
-    let run = kremlin_interp::trace::replay(trace, &unit.module, &mut profiler)?;
-    let (dict, stats) = profiler.finish();
-    let _build = kremlin_obs::span("profile.build");
-    let mut profile =
-        ParallelismProfile::build(&unit.module.regions, dict, &unit.reduction_loops());
-    profile.set_source_name(&unit.module.source_name);
-    Ok(ProfileOutcome { profile, stats, run })
-}
-
-/// [`profile_trace`] over an already-decoded trace: replays the
-/// [`DecodedTrace`] arena into the HCPA profiler with zero varint work
-/// per event. The fired event sequence is bit-identical to the
-/// streaming path, so the outcome is
-/// [`identical_stats`](ParallelismProfile::identical_stats) to both
-/// [`profile_trace`] and [`profile_unit`] with the same `config` — this
-/// is what decode-once sharded collection
-/// ([`profile_decoded_parallel`]) runs per worker.
+/// [`profile_unit`] with the same `config` — this is what every
+/// depth-shard worker of [`profile_decoded_parallel`] runs, and what a
+/// one-shard (or `jobs = 1`) [`profile_trace_parallel`] runs alone.
 ///
 /// # Errors
 ///
@@ -162,45 +135,6 @@ pub fn profile_decoded(
     Ok(ProfileOutcome { profile, stats, run })
 }
 
-/// Profiles `unit` in depth slices of the given `window` and stitches the
-/// results — the paper's §4.2 workflow for bounding shadow-state cost and
-/// collecting deep programs in (potentially parallel) pieces.
-///
-/// Records the execution once, then replays `ceil(max_depth /
-/// (window-1))` depth slices over the shared trace. The returned profile
-/// is planning-ready; see [`ParallelismProfile::stitch`] for the
-/// simulator caveat.
-///
-/// # Errors
-///
-/// Propagates interpreter failures from the recording pass.
-///
-/// # Panics
-///
-/// Panics if `window < 2`.
-pub fn profile_unit_sliced(
-    unit: &CompiledUnit,
-    window: usize,
-) -> Result<ProfileOutcome, InterpError> {
-    assert!(window >= 2, "window must cover a region and its children");
-    let stride = window - 1;
-    let trace = kremlin_interp::trace::record(&unit.module, MachineConfig::default())?;
-    let slice = |lo: usize| {
-        profile_trace(unit, &trace, HcpaConfig { window, min_depth: lo, ..HcpaConfig::default() })
-            .expect("a freshly recorded trace replays")
-    };
-    let first = slice(0);
-    let max_depth = first.stats.max_depth;
-    let mut slices = vec![first.profile.clone()];
-    let mut lo = stride;
-    while lo < max_depth {
-        slices.push(slice(lo).profile);
-        lo += stride;
-    }
-    let stitched = ParallelismProfile::stitch(&slices, window);
-    Ok(ProfileOutcome { profile: stitched, stats: first.stats, run: first.run })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,43 +150,6 @@ mod tests {
         let out = profile_unit(&unit, HcpaConfig::default()).unwrap();
         assert_eq!(plain.exit, out.run.exit, "profiling must not change semantics");
         assert_eq!(plain.instrs_executed, out.run.instrs_executed);
-    }
-
-    #[test]
-    fn sliced_profiling_matches_full_window() {
-        // Deeply nested program: main > L > body > L > body > f > L > body
-        let unit = kremlin_ir::compile(
-            "float acc[16];\n\
-             float work(float x) { float s = 0.0; for (int k = 0; k < 6; k++) { s += sqrt(x + (float) k); } return s; }\n\
-             int main() {\n\
-               for (int i = 0; i < 6; i++) {\n\
-                 for (int j = 0; j < 6; j++) {\n\
-                   acc[j] += work((float) (i * j));\n\
-                 }\n\
-               }\n\
-               return (int) acc[3];\n\
-             }",
-            "deep.kc",
-        )
-        .unwrap();
-        let full = profile_unit(&unit, HcpaConfig::default()).unwrap();
-        let sliced = profile_unit_sliced(&unit, 3).unwrap();
-        assert!(full.stats.max_depth > 3, "program must exceed one slice");
-        for s in full.profile.iter() {
-            let t = sliced
-                .profile
-                .stats(s.region)
-                .unwrap_or_else(|| panic!("{} missing from stitched profile", s.label));
-            assert_eq!(s.total_work, t.total_work, "{}", s.label);
-            assert_eq!(s.instances, t.instances, "{}", s.label);
-            assert!(
-                (s.self_p - t.self_p).abs() < 1e-6,
-                "{}: SP {} (full) vs {} (stitched)",
-                s.label,
-                s.self_p,
-                t.self_p
-            );
-        }
     }
 
     #[test]

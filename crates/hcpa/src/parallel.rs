@@ -5,37 +5,33 @@
 //! independent of every other range, the profile can be collected as K
 //! passes with disjoint ranges and stitched. This module turns that into
 //! a first-class API — and, unlike instrumented native re-execution,
-//! pays for the program's execution **once**: [`profile_unit_parallel`]
-//! records the event stream with [`kremlin_interp::trace::record`], then
-//! [`profile_trace_parallel`] decodes the shared trace **once** into a
-//! [`DecodedTrace`] arena, replays the decoded buffers into K
-//! depth-shard profilers (one per `std::thread` worker, zero varint
-//! work each), and stitches the slices with
-//! [`ParallelismProfile::stitch_at`]. Replay also makes the
-//! depth-discovery pre-pass free: the recorder tracks the maximum
-//! nesting depth as it goes, and the decode pass accumulates the
-//! per-depth cost histogram that [`plan_shards_weighted`] balances
-//! shard boundaries with — uniform strides leave the shallowest shard
-//! well above the mean on skewed workloads, and the max shard wall *is*
-//! the critical path. [`ReplayStrategy::Streaming`] keeps the
-//! decode-per-worker path for traces too large to materialize.
+//! pays for the program's execution **once**: a recorded trace is the
+//! input, [`profile_trace_parallel`] decodes it **once** into a
+//! [`DecodedTrace`] arena, and [`profile_decoded_parallel`] replays the
+//! decoded buffers into K depth-shard profilers (one per `std::thread`
+//! worker, zero varint work each) and stitches the slices with
+//! [`ParallelismProfile::stitch_at`]. The decode pass also makes depth
+//! discovery free: it accumulates the per-depth cost histogram that
+//! [`plan_shards_weighted`] balances shard boundaries with — uniform
+//! strides leave the shallowest shard well above the mean on skewed
+//! workloads, and the max shard wall *is* the critical path.
 //!
 //! Shard ranges overlap by exactly one depth (each shard's window is
 //! one more than the depth span it owns): a region's self-parallelism
 //! needs the availability times of both the region's depth *and its
-//! children's*, so the shard that owns depth `d` also tracks `d + 1`. With ranges planned this way the stitched profile is
+//! children's*, so the shard that owns depth `d` also tracks `d + 1`.
+//! With ranges planned this way the stitched profile is
 //! **bit-identical** to a single full-window pass
 //! ([`ParallelismProfile::identical_stats`]) whenever the depth estimate
-//! covers the real nesting depth — which the recorded trace's own
-//! [`max_depth`](kremlin_interp::trace::Trace::max_depth) guarantees
-//! when no hint is supplied.
+//! covers the real nesting depth — which the decoded trace's own
+//! histogram guarantees when no hint is supplied.
 
 use crate::profile::ParallelismProfile;
 use crate::profiler::HcpaConfig;
-use crate::{profile_decoded, profile_trace, ProfileOutcome};
+use crate::{profile_decoded, ProfileOutcome};
 use kremlin_interp::trace::{DecodedTrace, Trace, TraceError};
-use kremlin_interp::{ExecHook, InterpError, MachineConfig, RetCtx};
-use kremlin_ir::{CompiledUnit, FuncId, RegionId};
+use kremlin_interp::MachineConfig;
+use kremlin_ir::CompiledUnit;
 use std::time::Instant;
 
 /// One shard's tracked depth range.
@@ -43,13 +39,15 @@ use std::time::Instant;
 pub struct ShardSpec {
     /// First tracked depth.
     pub min_depth: usize,
-    /// Number of tracked depths. One more than the planning stride: each
-    /// shard also tracks the first depth of the next shard's range, so
-    /// every region's children are observed by the region's own shard.
+    /// Number of tracked depths. One more than the depth span the shard
+    /// owns: each shard also tracks the first depth of the next shard's
+    /// range, so every region's children are observed by the region's
+    /// own shard.
     pub window: usize,
 }
 
-/// How shard workers consume the shared trace.
+/// How shard workers consume the shared trace. The decode-once arena is
+/// the only strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplayStrategy {
     /// Decode the varint stream **once** into a shared
@@ -58,12 +56,6 @@ pub enum ReplayStrategy {
     /// from the per-depth histogram the decode pass produces for free.
     #[default]
     Decoded,
-    /// Every worker runs the streaming varint decoder over the raw
-    /// trace bytes (the pre-arena behavior): K× redundant decode work,
-    /// but no materialized arena — the right trade for traces too large
-    /// to hold decoded in memory. Shards use the uniform planner (the
-    /// histogram only exists after a decode pass).
-    Streaming,
 }
 
 /// Configuration for depth-sharded collection.
@@ -74,19 +66,20 @@ pub struct ParallelConfig {
     /// Maximum region nesting depth of the program, if known (e.g.
     /// `ProfilerStats::max_depth` from an earlier run). Sharding splits
     /// this range rather than the nominal window, so shallow programs
-    /// don't leave most shards idle. When `None`, an uninstrumented
-    /// discovery pass measures it. An *underestimate* trades the
+    /// don't leave most shards idle. When `None`, the decoded trace's
+    /// per-depth histogram supplies it. An *underestimate* trades the
     /// bit-identity guarantee for speed (depths beyond the estimate fall
     /// into the last shard's range untracked).
     pub depth_hint: Option<usize>,
-    /// How workers consume the shared trace (decode-once arena by
-    /// default; streaming for traces too big to materialize).
+    /// How workers consume the shared trace (the decode-once arena, the
+    /// only [`ReplayStrategy`]).
     pub strategy: ReplayStrategy,
     /// The profiling configuration of the equivalent serial pass. Its
     /// `window` is the total tracked-depth budget; `min_depth` must be 0
     /// (sharding owns the depth ranges).
     pub hcpa: HcpaConfig,
-    /// Interpreter limits for every pass.
+    /// Interpreter limits. Sharded collection replays a recording and
+    /// never interprets, so it does not read them.
     pub machine: MachineConfig,
 }
 
@@ -100,29 +93,6 @@ impl Default for ParallelConfig {
             machine: MachineConfig::default(),
         }
     }
-}
-
-/// Plans shard depth ranges: `depth` nesting levels, at most `window`
-/// of them tracked (matching the serial pass's clamp), split across at
-/// most `jobs` shards of one stride each, every shard overlapping the
-/// next by one depth.
-///
-/// Returns fewer than `jobs` shards when there aren't enough tracked
-/// depths to go around; at least one shard is always returned.
-#[must_use]
-pub fn plan_shards(depth: usize, window: usize, jobs: usize) -> Vec<ShardSpec> {
-    let eff = depth.clamp(1, window.max(1));
-    let jobs = jobs.max(1);
-    let stride = eff.div_ceil(jobs);
-    let mut shards = Vec::new();
-    for k in 0..jobs {
-        let min_depth = k * stride;
-        if min_depth >= eff {
-            break;
-        }
-        shards.push(ShardSpec { min_depth, window: (stride + 1).min(window - min_depth) });
-    }
-    shards
 }
 
 /// How many per-level instruction updates one region instance costs in
@@ -162,23 +132,22 @@ pub fn shard_plan_cost(decoded: &DecodedTrace) -> Vec<u64> {
 /// histograms): an exact dynamic-programming linear partition of the
 /// contiguous depth range into at most `jobs` chunks minimizing the
 /// **maximum** shard cost — the replay critical path — instead of
-/// [`plan_shards`]'s uniform strides.
+/// uniform strides.
 ///
 /// A shard owning depths `[a, b)` also tracks the overlap depth `b`
 /// (the one-depth-overlap invariant that makes stitching bit-identical),
 /// so its cost in the optimization is `cost[a..=b]`, not `cost[a..b]`:
 /// the planner charges each shard for the overlap work it really does.
 ///
-/// Falls back to the uniform [`plan_shards`] when no histogram is
-/// available (empty or all-zero `per_depth_cost`); like the uniform
-/// planner, returns fewer than `jobs` shards when there aren't enough
-/// depths, and at least one shard always.
+/// Returns one full-window shard when no histogram is available (empty
+/// or all-zero `per_depth_cost`), and fewer than `jobs` shards when
+/// there aren't enough depths: at least one shard always.
 #[must_use]
 pub fn plan_shards_weighted(per_depth_cost: &[u64], window: usize, jobs: usize) -> Vec<ShardSpec> {
     let eff = per_depth_cost.len().min(window.max(1));
     let cost = &per_depth_cost[..eff];
     if eff == 0 || cost.iter().all(|&c| c == 0) {
-        return plan_shards(per_depth_cost.len(), window, jobs);
+        return vec![ShardSpec { min_depth: 0, window }];
     }
     let chunks = jobs.max(1).min(eff);
 
@@ -225,100 +194,54 @@ pub fn plan_shards_weighted(per_depth_cost: &[u64], window: usize, jobs: usize) 
     for (k, &min_depth) in starts.iter().enumerate() {
         let end = starts.get(k + 1).copied().unwrap_or(eff);
         // One more than the owned span: the overlap depth, clipped by the
-        // serial clamp exactly like the uniform planner's last shard.
+        // serial clamp.
         shards.push(ShardSpec { min_depth, window: (end - min_depth + 1).min(window - min_depth) });
     }
     shards
 }
 
-/// Counts region nesting depth without any shadow-state tracking: the
-/// discovery pre-pass that sizes shard ranges.
-#[derive(Debug, Default)]
-struct DepthProbe {
-    depth: usize,
-    max: usize,
-}
-
-impl DepthProbe {
-    #[inline]
-    fn enter(&mut self) {
-        self.depth += 1;
-        self.max = self.max.max(self.depth);
-    }
-}
-
-impl ExecHook for DepthProbe {
-    fn on_function_enter(&mut self, _func: FuncId, _region: RegionId) {
-        self.enter();
-    }
-
-    fn on_return(&mut self, _ctx: &RetCtx) {
-        self.depth -= 1;
-    }
-
-    fn on_region_enter(&mut self, _region: RegionId) {
-        self.enter();
-    }
-
-    fn on_region_exit(&mut self, _region: RegionId) {
-        self.depth -= 1;
-    }
-}
-
-/// Measures the maximum region nesting depth of `unit` with a plain
-/// (shadow-free) execution.
+/// Profiles a recorded trace with depth-sharded parallel collection,
+/// without any execution at all: decodes the shared immutable `trace`
+/// **once** into a [`DecodedTrace`] arena and hands it to
+/// [`profile_decoded_parallel`], whatever `config.jobs` is. This is the
+/// one path by which a recording reaches the profiler — `kremlin replay
+/// FILE --jobs N` and `--save-trace` run it.
 ///
 /// # Errors
 ///
-/// Propagates interpreter failures.
-pub fn discover_depth(unit: &CompiledUnit, machine: MachineConfig) -> Result<usize, InterpError> {
-    let mut probe = DepthProbe::default();
-    kremlin_interp::run_with_hook(&unit.module, &mut probe, machine)?;
-    Ok(probe.max)
+/// [`TraceError::ModuleMismatch`] when the trace was not recorded from
+/// `unit`'s module; [`TraceError::Corrupt`] for damaged event streams.
+///
+/// # Panics
+///
+/// Panics if `config.hcpa.min_depth != 0`.
+pub fn profile_trace_parallel(
+    unit: &CompiledUnit,
+    trace: &Trace,
+    config: ParallelConfig,
+) -> Result<ProfileOutcome, TraceError> {
+    if !trace.matches(&unit.module) {
+        return Err(TraceError::ModuleMismatch);
+    }
+    let decoded = DecodedTrace::decode(trace, &unit.module)?;
+    profile_decoded_parallel(unit, &decoded, config)
 }
 
-/// Profiles `unit` with depth-sharded parallel collection: **one**
-/// recorded execution, replayed into K depth-shard profilers (disjoint,
-/// one-depth-overlapping tracked ranges), each on its own thread,
-/// stitched into one profile.
+/// [`profile_trace_parallel`] over an already-decoded trace: plans
+/// cost-balanced shard boundaries from the arena's per-depth histogram,
+/// replays the shared decoded buffers into K depth-shard profilers (one
+/// per worker thread, disjoint one-depth-overlapping tracked ranges),
+/// and stitches them into one profile. Use this directly to amortize one
+/// decode across many profiling configurations.
 ///
 /// The stitched profile's per-region statistics are bit-identical to a
 /// single serial pass with `config.hcpa` (see
 /// [`ParallelismProfile::identical_stats`]); the returned stats
-/// aggregate shadow footprint across shards. Like
-/// [`crate::profile_unit_sliced`], the embedded dictionary is the
-/// shard-0 dictionary — run an unsliced profile when the simulator is
-/// needed.
-///
-/// # Errors
-///
-/// Propagates interpreter failures from the recording pass.
-///
-/// # Panics
-///
-/// Panics if `config.hcpa.min_depth != 0` or `config.hcpa.window < 2`.
-pub fn profile_unit_parallel(
-    unit: &CompiledUnit,
-    config: ParallelConfig,
-) -> Result<ProfileOutcome, InterpError> {
-    assert_eq!(config.hcpa.min_depth, 0, "sharding owns the depth ranges");
-    assert!(config.hcpa.window >= 2, "window must cover a region and its children");
-    let trace = kremlin_interp::trace::record(&unit.module, config.machine)?;
-    Ok(profile_trace_parallel(unit, &trace, config)
-        .expect("a freshly recorded trace replays against its own module"))
-}
-
-/// [`profile_unit_parallel`] over an already-recorded trace: replays the
-/// shared immutable `trace` into K depth-shard profilers without any
-/// execution at all. This is what `kremlin replay FILE --jobs N` runs.
-///
-/// With the default [`ReplayStrategy::Decoded`], the varint stream is
-/// decoded **once** into a shared [`DecodedTrace`] arena; workers replay
-/// the decoded buffers with zero varint work, and shard boundaries come
-/// from [`plan_shards_weighted`] over the per-depth cost histogram the
-/// decode pass produced for free. [`ReplayStrategy::Streaming`] keeps
-/// the pre-arena behavior (every worker streams the raw bytes, uniform
-/// [`plan_shards`] boundaries) for traces too large to materialize.
+/// aggregate shadow footprint across shards, and the embedded dictionary
+/// is the shard-0 dictionary (see [`ParallelismProfile::stitch_at`]).
+/// With `jobs <= 1`, a window too small to split (`window < 2`), or a
+/// plan of one shard, this is the serial [`profile_decoded`] pass, so
+/// `jobs` never changes the result.
 ///
 /// When metrics are enabled, each worker additionally publishes its own
 /// counter set under a `shard.N.` prefix: `events` (events replayed),
@@ -328,80 +251,34 @@ pub fn profile_unit_parallel(
 /// # Errors
 ///
 /// [`TraceError::ModuleMismatch`] when the trace was not recorded from
-/// `unit`'s module; [`TraceError::Corrupt`] for damaged event streams.
-///
-/// # Panics
-///
-/// Panics if `config.hcpa.min_depth != 0` or `config.hcpa.window < 2`.
-pub fn profile_trace_parallel(
-    unit: &CompiledUnit,
-    trace: &Trace,
-    config: ParallelConfig,
-) -> Result<ProfileOutcome, TraceError> {
-    assert_eq!(config.hcpa.min_depth, 0, "sharding owns the depth ranges");
-    assert!(config.hcpa.window >= 2, "window must cover a region and its children");
-    if !trace.matches(&unit.module) {
-        return Err(TraceError::ModuleMismatch);
-    }
-    match config.strategy {
-        ReplayStrategy::Decoded if config.jobs > 1 => {
-            let decoded = DecodedTrace::decode(trace, &unit.module)?;
-            profile_decoded_parallel(unit, &decoded, config)
-        }
-        _ => profile_trace_parallel_streaming(unit, trace, config),
-    }
-}
-
-/// The [`ReplayStrategy::Streaming`] body of [`profile_trace_parallel`]:
-/// uniform shard planning, every worker runs the varint decoder itself.
-fn profile_trace_parallel_streaming(
-    unit: &CompiledUnit,
-    trace: &Trace,
-    config: ParallelConfig,
-) -> Result<ProfileOutcome, TraceError> {
-    let depth = config.depth_hint.unwrap_or_else(|| trace.max_depth());
-    let shards = plan_shards(depth, config.hcpa.window, config.jobs);
-    if shards.len() <= 1 {
-        return profile_trace(unit, trace, config.hcpa);
-    }
-    run_shards(&shards, trace.events(), config, |shard_cfg| profile_trace(unit, trace, shard_cfg))
-}
-
-/// [`profile_trace_parallel`] over an already-decoded trace: plans
-/// cost-balanced shard boundaries from the arena's per-depth histogram
-/// and replays the shared decoded buffers into K depth-shard profilers.
-/// Use this directly to amortize one decode across many profiling
-/// configurations; [`profile_trace_parallel`] calls it after decoding.
-///
-/// # Errors
-///
-/// [`TraceError::ModuleMismatch`] when the trace was not recorded from
 /// `unit`'s module.
 ///
 /// # Panics
 ///
-/// Panics if `config.hcpa.min_depth != 0` or `config.hcpa.window < 2`.
+/// Panics if `config.hcpa.min_depth != 0`.
 pub fn profile_decoded_parallel(
     unit: &CompiledUnit,
     decoded: &DecodedTrace,
     config: ParallelConfig,
 ) -> Result<ProfileOutcome, TraceError> {
     assert_eq!(config.hcpa.min_depth, 0, "sharding owns the depth ranges");
-    assert!(config.hcpa.window >= 2, "window must cover a region and its children");
     if !decoded.matches(&unit.module) {
         return Err(TraceError::ModuleMismatch);
+    }
+    // A window below 2 cannot cover a region and its children, so there
+    // is nothing to split.
+    if config.jobs <= 1 || config.hcpa.window < 2 {
+        return profile_decoded(unit, decoded, config.hcpa);
     }
     let cost = shard_plan_cost(decoded);
     // A depth hint keeps its documented meaning: it truncates the
     // planning domain (an underestimate trades bit-identity for speed).
     let dom = config.depth_hint.unwrap_or(cost.len()).min(cost.len());
     let shards = plan_shards_weighted(&cost[..dom], config.hcpa.window, config.jobs);
-    if shards.len() <= 1 || config.jobs <= 1 {
+    if shards.len() <= 1 {
         return profile_decoded(unit, decoded, config.hcpa);
     }
-    run_shards(&shards, decoded.events(), config, |shard_cfg| {
-        profile_decoded(unit, decoded, shard_cfg)
-    })
+    run_shards(unit, decoded, &shards, config.hcpa)
 }
 
 /// Per-worker metric handles, resolved **once** before the worker
@@ -432,34 +309,27 @@ impl ShardMetrics {
     }
 }
 
-/// Spawns one worker per shard, collects the slices, aggregates shadow
-/// stats, and stitches at the planned boundaries. `profile_shard` runs
-/// on the worker thread with that shard's depth range installed;
-/// `trace_events` is the shared trace's total event count (every shard
-/// replays the whole stream).
-fn run_shards<F>(
+/// Spawns one worker per shard, each replaying the whole shared arena
+/// with its shard's depth range installed, then collects the slices,
+/// aggregates shadow stats, and stitches at the planned boundaries.
+fn run_shards(
+    unit: &CompiledUnit,
+    decoded: &DecodedTrace,
     shards: &[ShardSpec],
-    trace_events: u64,
-    config: ParallelConfig,
-    profile_shard: F,
-) -> Result<ProfileOutcome, TraceError>
-where
-    F: Fn(HcpaConfig) -> Result<ProfileOutcome, TraceError> + Sync,
-{
+    config: HcpaConfig,
+) -> Result<ProfileOutcome, TraceError> {
     let mut outcomes: Vec<Option<Result<ProfileOutcome, TraceError>>> = Vec::new();
     outcomes.resize_with(shards.len(), || None);
     let metrics_on = kremlin_obs::metrics_enabled();
     std::thread::scope(|scope| {
         for (k, (shard, slot)) in shards.iter().zip(outcomes.iter_mut()).enumerate() {
-            let hcpa =
-                HcpaConfig { window: shard.window, min_depth: shard.min_depth, ..config.hcpa };
+            let hcpa = HcpaConfig { window: shard.window, min_depth: shard.min_depth, ..config };
             let metrics = metrics_on.then(|| ShardMetrics::resolve(k));
-            let profile_shard = &profile_shard;
             scope.spawn(move || {
                 let started = Instant::now();
-                let res = profile_shard(hcpa);
+                let res = profile_decoded(unit, decoded, hcpa);
                 if let (Some(m), Ok(o)) = (&metrics, &res) {
-                    m.publish(trace_events, o, started);
+                    m.publish(decoded.events(), o, started);
                 }
                 *slot = Some(res);
             });
@@ -509,38 +379,6 @@ mod tests {
           }\n\
           return (int) acc[3];\n\
         }";
-
-    #[test]
-    fn shard_plans_cover_the_depth_range_with_overlap() {
-        // 8 depths, 3 shards: stride 3.
-        assert_eq!(
-            plan_shards(8, 24, 3),
-            vec![
-                ShardSpec { min_depth: 0, window: 4 },
-                ShardSpec { min_depth: 3, window: 4 },
-                ShardSpec { min_depth: 6, window: 4 },
-            ]
-        );
-        // Depth beyond the window: shards split the window, the last one
-        // clipped to the serial clamp.
-        assert_eq!(
-            plan_shards(30, 8, 2),
-            vec![ShardSpec { min_depth: 0, window: 5 }, ShardSpec { min_depth: 4, window: 4 },]
-        );
-        // More workers than depths: surplus shards dropped.
-        assert_eq!(plan_shards(2, 24, 4).len(), 2);
-        assert_eq!(plan_shards(1, 24, 4).len(), 1);
-        // Degenerate inputs.
-        assert_eq!(plan_shards(0, 24, 3), vec![ShardSpec { min_depth: 0, window: 2 }]);
-        assert_eq!(plan_shards(5, 24, 1), vec![ShardSpec { min_depth: 0, window: 6 }]);
-        // Every consecutive pair overlaps by exactly one depth.
-        for (depth, window, jobs) in [(8, 24, 3), (30, 8, 2), (24, 24, 5), (7, 24, 7)] {
-            let shards = plan_shards(depth, window, jobs);
-            for w in shards.windows(2) {
-                assert_eq!(w[0].min_depth + w[0].window, w[1].min_depth + 1, "{shards:?}");
-            }
-        }
-    }
 
     /// Cost a shard really pays: the histogram over its full tracked
     /// range (owned span plus the overlap depth).
@@ -630,7 +468,11 @@ mod tests {
     fn weighted_plan_flattens_a_skewed_histogram() {
         // Suffix-sum-shaped skew: uniform strides overload shard 0.
         let cost: &[u64] = &[90, 60, 40, 12, 8, 4, 2, 1, 1];
-        let uniform = plan_shards(cost.len(), 24, 3);
+        let uniform = [
+            ShardSpec { min_depth: 0, window: 4 },
+            ShardSpec { min_depth: 3, window: 4 },
+            ShardSpec { min_depth: 6, window: 4 },
+        ];
         let weighted = plan_shards_weighted(cost, 24, 3);
         let max = |plan: &[ShardSpec]| plan.iter().map(|s| shard_cost(cost, s)).max().unwrap();
         assert!(
@@ -668,60 +510,38 @@ mod tests {
     }
 
     #[test]
-    fn weighted_plan_falls_back_to_uniform_without_a_histogram() {
-        assert_eq!(plan_shards_weighted(&[], 24, 3), plan_shards(0, 24, 3));
-        assert_eq!(plan_shards_weighted(&[0, 0, 0, 0, 0, 0, 0, 0], 24, 3), plan_shards(8, 24, 3));
-        assert_eq!(plan_shards_weighted(&[0; 30], 8, 2), plan_shards(30, 8, 2));
+    fn weighted_plan_without_a_histogram_is_one_full_window_shard() {
+        let whole = vec![ShardSpec { min_depth: 0, window: 24 }];
+        assert_eq!(plan_shards_weighted(&[], 24, 3), whole);
+        assert_eq!(plan_shards_weighted(&[0; 8], 24, 3), whole);
+        assert_eq!(
+            plan_shards_weighted(&[0; 30], 8, 2),
+            vec![ShardSpec { min_depth: 0, window: 8 }]
+        );
     }
 
     #[test]
-    fn decoded_and_streaming_strategies_are_bit_identical() {
+    fn recorded_trace_knows_the_profiled_depth() {
         let unit = kremlin_ir::compile(DEEP_SRC, "deep.kc").unwrap();
         let serial = profile_unit(&unit, HcpaConfig::default()).unwrap();
         let trace = kremlin_interp::trace::record(&unit.module, MachineConfig::default()).unwrap();
-        for jobs in [2, 3] {
-            let decoded = profile_trace_parallel(
-                &unit,
-                &trace,
-                ParallelConfig { jobs, ..ParallelConfig::default() },
-            )
-            .unwrap();
-            let streaming = profile_trace_parallel(
-                &unit,
-                &trace,
-                ParallelConfig {
-                    jobs,
-                    strategy: ReplayStrategy::Streaming,
-                    ..ParallelConfig::default()
-                },
-            )
-            .unwrap();
-            assert!(decoded.profile.identical_stats(&serial.profile), "decoded {jobs}-way");
-            assert!(streaming.profile.identical_stats(&serial.profile), "streaming {jobs}-way");
-            assert_eq!(decoded.run, serial.run);
-        }
-        // The pre-decoded entry point matches too, amortizing one decode.
-        let arena = kremlin_interp::trace::DecodedTrace::decode(&trace, &unit.module).unwrap();
-        let out = profile_decoded_parallel(&unit, &arena, ParallelConfig::default()).unwrap();
-        assert!(out.profile.identical_stats(&serial.profile));
-    }
-
-    #[test]
-    fn depth_discovery_matches_profiler_max_depth() {
-        let unit = kremlin_ir::compile(DEEP_SRC, "deep.kc").unwrap();
-        let depth = discover_depth(&unit, MachineConfig::default()).unwrap();
-        let serial = profile_unit(&unit, HcpaConfig::default()).unwrap();
-        assert_eq!(depth, serial.stats.max_depth);
+        assert_eq!(trace.max_depth(), serial.stats.max_depth);
     }
 
     #[test]
     fn sharded_profile_is_bit_identical_to_serial() {
         let unit = kremlin_ir::compile(DEEP_SRC, "deep.kc").unwrap();
         let serial = profile_unit(&unit, HcpaConfig::default()).unwrap();
-        for jobs in [2, 3, 4] {
-            let sharded =
-                profile_unit_parallel(&unit, ParallelConfig { jobs, ..ParallelConfig::default() })
-                    .unwrap();
+        let trace = kremlin_interp::trace::record(&unit.module, MachineConfig::default()).unwrap();
+        let decoded = DecodedTrace::decode(&trace, &unit.module).unwrap();
+        // `max_depth` jobs is one depth per shard: the many-slice stitch.
+        for jobs in [2, 3, 4, serial.stats.max_depth] {
+            let sharded = profile_decoded_parallel(
+                &unit,
+                &decoded,
+                ParallelConfig { jobs, ..ParallelConfig::default() },
+            )
+            .unwrap();
             assert!(
                 sharded.profile.identical_stats(&serial.profile),
                 "{jobs}-way sharded profile differs from serial"
@@ -733,11 +553,13 @@ mod tests {
     }
 
     #[test]
-    fn depth_hint_skips_discovery_and_still_matches() {
+    fn depth_hint_still_matches_serial() {
         let unit = kremlin_ir::compile(DEEP_SRC, "deep.kc").unwrap();
         let serial = profile_unit(&unit, HcpaConfig::default()).unwrap();
-        let sharded = profile_unit_parallel(
+        let trace = kremlin_interp::trace::record(&unit.module, MachineConfig::default()).unwrap();
+        let sharded = profile_trace_parallel(
             &unit,
+            &trace,
             ParallelConfig {
                 jobs: 3,
                 depth_hint: Some(serial.stats.max_depth),
@@ -746,14 +568,6 @@ mod tests {
         )
         .unwrap();
         assert!(sharded.profile.identical_stats(&serial.profile));
-    }
-
-    #[test]
-    fn recorded_trace_knows_the_discovery_depth() {
-        let unit = kremlin_ir::compile(DEEP_SRC, "deep.kc").unwrap();
-        let depth = discover_depth(&unit, MachineConfig::default()).unwrap();
-        let trace = kremlin_interp::trace::record(&unit.module, MachineConfig::default()).unwrap();
-        assert_eq!(trace.max_depth(), depth);
     }
 
     #[test]
@@ -788,12 +602,23 @@ mod tests {
 
     #[test]
     fn single_shard_falls_back_to_serial() {
-        let unit = kremlin_ir::compile("int main() { return 7; }", "t.kc").unwrap();
-        let out =
-            profile_unit_parallel(&unit, ParallelConfig { jobs: 4, ..ParallelConfig::default() })
-                .unwrap();
-        assert_eq!(out.run.exit, 7);
-        let serial = profile_unit(&unit, HcpaConfig::default()).unwrap();
-        assert!(out.profile.identical_stats(&serial.profile));
+        // A flat program plans one shard, and a window below 2 cannot be
+        // split at all: either way `jobs` must not change the result.
+        let flat = kremlin_ir::compile("int main() { return 7; }", "t.kc").unwrap();
+        let deep = kremlin_ir::compile(DEEP_SRC, "deep.kc").unwrap();
+        for (unit, window) in [(&flat, HcpaConfig::default().window), (&deep, 0), (&deep, 1)] {
+            let hcpa = HcpaConfig { window, ..HcpaConfig::default() };
+            let trace =
+                kremlin_interp::trace::record(&unit.module, MachineConfig::default()).unwrap();
+            let out = profile_trace_parallel(
+                unit,
+                &trace,
+                ParallelConfig { jobs: 4, hcpa, ..ParallelConfig::default() },
+            )
+            .unwrap();
+            let serial = profile_unit(unit, hcpa).unwrap();
+            assert!(out.profile.identical_stats(&serial.profile), "window {window}");
+            assert_eq!(out.run, serial.run, "window {window}");
+        }
     }
 }

@@ -80,7 +80,7 @@ pub struct ParallelismProfile {
     stats: Vec<Option<RegionStats>>,
     /// Per region, per nesting depth, the exact integer accumulators the
     /// stats were derived from. A region called from several places
-    /// appears at several depths; [`ParallelismProfile::stitch`] uses this
+    /// appears at several depths; [`ParallelismProfile::stitch_at`] uses this
     /// to take each depth's numbers from the depth-range run that tracked
     /// it.
     depth_accs: Vec<BTreeMap<usize, DepthAcc>>,
@@ -304,18 +304,20 @@ impl ParallelismProfile {
     /// depth-range flag "facilitat[es] parallel data collection for the
     /// HCPA").
     ///
-    /// `slices[k]` must be the profile of a run with
-    /// `min_depth = k * (window - 1)` and the given `window` (the last
-    /// slice's window may be clipped). Slicing only affects *timing*
-    /// state: every slice observes the same region instances at the same
-    /// depths, but an instance's cp (and so sp/tp) is only valid in the
-    /// slice whose range covers both the instance's depth and its
-    /// children's. Stitching therefore recombines the per-`(region,
-    /// depth)` accumulators, taking each depth `d` from its owning slice
-    /// `d / (window - 1)` — a region called at several depths (say, a
-    /// function invoked at top level *and* deep inside a loop nest) gets
-    /// each call site's instances from the slice that tracked them. The
-    /// result is bit-identical to a full-window run
+    /// `starts[k]` is the first depth *owned* by slice `k` (`starts[0]`
+    /// must be 0, strictly increasing); slice `k` must be the profile of a
+    /// run with `min_depth = starts[k]` whose window also covers the next
+    /// slice's first depth (the one-depth overlap of
+    /// [`crate::parallel::plan_shards_weighted`]'s plans). Slicing only
+    /// affects *timing* state: every slice observes the same region
+    /// instances at the same depths, but an instance's cp (and so sp/tp)
+    /// is only valid in the slice whose range covers both the instance's
+    /// depth and its children's. Stitching therefore recombines the
+    /// per-`(region, depth)` accumulators, taking each depth `d` from the
+    /// last slice whose start is `<= d` — a region called at several
+    /// depths (say, a function invoked at top level *and* deep inside a
+    /// loop nest) gets each call site's instances from the slice that
+    /// tracked them. The result is bit-identical to a full-window run
     /// ([`ParallelismProfile::identical_stats`]).
     ///
     /// Coverage is normalized against slice 0's whole-program work: a
@@ -327,28 +329,6 @@ impl ParallelismProfile {
     /// region graph are correct); the embedded dictionary is the slice-0
     /// dictionary, whose per-entry cp values are only valid inside slice
     /// 0's range — run an unsliced profile when the simulator is needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slices` is empty, `window < 2`, or profiles disagree on
-    /// region count.
-    #[must_use]
-    pub fn stitch(slices: &[ParallelismProfile], window: usize) -> ParallelismProfile {
-        assert!(window >= 2, "window must cover a region and its children");
-        let stride = window - 1;
-        let starts: Vec<usize> = (0..slices.len()).map(|k| k * stride).collect();
-        ParallelismProfile::stitch_at(slices, &starts)
-    }
-
-    /// [`stitch`](ParallelismProfile::stitch) with explicit, possibly
-    /// non-uniform slice boundaries: `starts[k]` is the first depth
-    /// *owned* by slice `k` (`starts[0]` must be 0, strictly
-    /// increasing), and depth `d` is taken from the last slice whose
-    /// start is `<= d`. This is what cost-balanced shard plans
-    /// ([`crate::parallel::plan_shards_weighted`]) stitch with, where
-    /// every shard owns a different number of depths; the uniform-stride
-    /// [`stitch`](ParallelismProfile::stitch) is the special case
-    /// `starts[k] = k * (window - 1)`.
     ///
     /// # Panics
     ///

@@ -20,11 +20,11 @@
 //!
 //! # Hot path
 //!
-//! [`ProfilerCore::on_instr`] runs once per executed instruction and is
+//! [`Profiler::on_instr`] runs once per executed instruction and is
 //! where nearly all profiling time goes. It is structured as a single
 //! **op-major** pass: per-depth region tags and availability times live in
 //! reusable scratch buffers, each operand/memory access is resolved with
-//! one bulk [`RegShadow::gather_max`] / [`MemShadow::gather_max`] call
+//! one bulk [`ShadowRegs::gather_max`] / [`ShadowMemory::gather_max`] call
 //! that amortizes the location lookup across every tracked depth, and the
 //! final times are committed with one bulk `write_run`. Per-region work is
 //! not accumulated per instruction at all: a single global latency counter
@@ -32,15 +32,13 @@
 //! its lifetime (plus call latencies credited at tracked depths, exactly
 //! as the depth-major reference formulation does).
 //!
-//! The profiler is generic over the shadow backend: [`Profiler`] uses the
-//! packed depth-contiguous stores, [`BaselineProfiler`] the
-//! pre-optimization split-array stores (one page lookup per depth),
-//! isolating the layout's contribution. The full pre-optimization
-//! profiler — the `BENCH_profiler.json` baseline — is kept frozen in
-//! [`crate::seed`].
+//! Shadow state lives in the packed depth-contiguous stores of
+//! [`crate::shadow`]. The full pre-optimization profiler — the
+//! `BENCH_profiler.json` baseline and the differential-test reference —
+//! is kept frozen in [`crate::seed`].
 
 use crate::cost::CostModel;
-use crate::shadow::{BaselineMemory, BaselineRegs, MemShadow, RegShadow, ShadowMemory, ShadowRegs};
+use crate::shadow::{ShadowMemory, ShadowRegs};
 use kremlin_compress::{Dictionary, EntryId};
 use kremlin_interp::{CallCtx, ExecHook, InstrCtx, RetCtx};
 use kremlin_ir::instr::InstrKind;
@@ -57,7 +55,7 @@ pub struct HcpaConfig {
     /// First depth tracked. Together with `window` this is the paper's
     /// depth *range*: several runs with disjoint ranges can be collected
     /// (even in parallel, see [`crate::parallel`]) and stitched with
-    /// [`crate::profile::ParallelismProfile::stitch`].
+    /// [`crate::profile::ParallelismProfile::stitch_at`].
     pub min_depth: usize,
     /// Apply the induction/reduction dependence-breaking rule. Disabling
     /// this reproduces plain (non-broken) CPA per level.
@@ -120,9 +118,9 @@ struct CallRecord {
     arg_times: Vec<u64>,
 }
 
-/// HCPA profiler core, generic over the shadow-state backend. Feed it to
-/// [`kremlin_interp::run_with_hook`], then call [`ProfilerCore::finish`].
-pub struct ProfilerCore<'m, R: RegShadow, M: MemShadow> {
+/// The HCPA profiler. Feed it to [`kremlin_interp::run_with_hook`] (or a
+/// trace replay), then call [`Profiler::finish`].
+pub struct Profiler<'m> {
     module: &'m Module,
     config: HcpaConfig,
     dict: Dictionary,
@@ -134,8 +132,8 @@ pub struct ProfilerCore<'m, R: RegShadow, M: MemShadow> {
     cd_stack: Vec<Vec<u64>>,
     /// Retired control-dependence vectors, reused by `on_cd_push`.
     cd_pool: Vec<Vec<u64>>,
-    mem: M,
-    frames: Vec<R>,
+    mem: ShadowMemory,
+    frames: Vec<ShadowRegs>,
     calls: Vec<CallRecord>,
     /// Retired call argument-time buffers, reused by `on_call`.
     call_pool: Vec<Vec<u64>>,
@@ -150,20 +148,10 @@ pub struct ProfilerCore<'m, R: RegShadow, M: MemShadow> {
     ret_scratch: Vec<u64>,
 }
 
-/// The profiler with the optimized packed shadow backend.
-pub type Profiler<'m> = ProfilerCore<'m, ShadowRegs, ShadowMemory>;
-
-/// The optimized hot path over the pre-optimization shadow backend (split
-/// tag/time arrays, one page lookup per depth). Produces bit-identical
-/// profiles to [`Profiler`]; isolates the shadow-layout contribution in
-/// benchmarks and differential tests. (The full pre-optimization profiler
-/// is [`crate::seed::SeedProfiler`].)
-pub type BaselineProfiler<'m> = ProfilerCore<'m, BaselineRegs, BaselineMemory>;
-
-impl<'m, R: RegShadow, M: MemShadow> ProfilerCore<'m, R, M> {
+impl<'m> Profiler<'m> {
     /// Creates a profiler for `module`.
     pub fn new(module: &'m Module, config: HcpaConfig) -> Self {
-        ProfilerCore {
+        Profiler {
             module,
             config,
             dict: Dictionary::new(),
@@ -171,7 +159,7 @@ impl<'m, R: RegShadow, M: MemShadow> ProfilerCore<'m, R, M> {
             region_tags: Vec::new(),
             cd_stack: Vec::new(),
             cd_pool: Vec::new(),
-            mem: M::new(config.window),
+            mem: ShadowMemory::new(config.window),
             frames: Vec::new(),
             calls: Vec::new(),
             call_pool: Vec::new(),
@@ -272,7 +260,7 @@ impl<'m, R: RegShadow, M: MemShadow> ProfilerCore<'m, R, M> {
     }
 }
 
-impl<R: RegShadow, M: MemShadow> ExecHook for ProfilerCore<'_, R, M> {
+impl ExecHook for Profiler<'_> {
     fn on_instr(&mut self, ctx: &InstrCtx<'_>) {
         self.stats.instr_events += 1;
         let lat = self.config.cost.latency(ctx.kind);
@@ -374,7 +362,7 @@ impl<R: RegShadow, M: MemShadow> ExecHook for ProfilerCore<'_, R, M> {
     fn on_function_enter(&mut self, func: FuncId, region: RegionId) {
         self.push_region(region);
         let f = self.module.func(func);
-        self.frames.push(R::new(f.values.len(), self.config.window));
+        self.frames.push(ShadowRegs::new(f.values.len(), self.config.window));
     }
 
     fn on_return(&mut self, ctx: &RetCtx) {
@@ -679,68 +667,5 @@ mod tests {
         let (dict, stats) = p.finish();
         assert!(stats.max_depth > 8);
         assert!(dict.root().is_some());
-    }
-
-    /// One dictionary entry, flattened for comparison: `(static_id, work,
-    /// cp, children)`.
-    type EntryShape = (u32, u64, u64, Vec<(usize, u64)>);
-
-    /// Flattens a dictionary into comparable tuples, in entry order.
-    fn dict_shape(d: &Dictionary) -> Vec<EntryShape> {
-        d.iter()
-            .map(|(_, e)| {
-                (
-                    e.static_id,
-                    e.work,
-                    e.cp,
-                    e.children.iter().map(|(c, n)| (c.index(), *n)).collect(),
-                )
-            })
-            .collect()
-    }
-
-    /// The packed backend must produce bit-identical profiles to the
-    /// pre-optimization baseline backend, config for config.
-    #[test]
-    fn packed_backend_matches_baseline_backend() {
-        let srcs = [
-            "float a[64]; float b[64];\n\
-             int main() {\n\
-               for (int i = 0; i < 64; i++) { a[i] = (float) i; }\n\
-               float s = 0.0;\n\
-               for (int i = 0; i < 64; i++) { if (a[i] > 10.0) { s += a[i]; } else { b[i] = s; } }\n\
-               return (int) s;\n\
-             }",
-            "float m[12][12];\n\
-             float f(float x) { float t = 0.0; for (int h = 0; h < 4; h++) { t += x * 0.5 + (float) h; } return t; }\n\
-             int main() {\n\
-               for (int i = 0; i < 12; i++) { for (int j = 0; j < 12; j++) { m[i][j] = f((float)(i + j)); } }\n\
-               return (int) m[3][4];\n\
-             }",
-        ];
-        for src in srcs {
-            let unit = compile(src, "t.kc").unwrap();
-            for config in [
-                HcpaConfig::default(),
-                HcpaConfig { window: 3, ..HcpaConfig::default() },
-                HcpaConfig { window: 4, min_depth: 2, ..HcpaConfig::default() },
-                HcpaConfig { break_carried_deps: false, ..HcpaConfig::default() },
-            ] {
-                let mut p = Profiler::new(&unit.module, config);
-                run_with_hook(&unit.module, &mut p, MachineConfig::default()).unwrap();
-                let (dict_p, stats_p) = p.finish();
-
-                let mut b = BaselineProfiler::new(&unit.module, config);
-                run_with_hook(&unit.module, &mut b, MachineConfig::default()).unwrap();
-                let (dict_b, stats_b) = b.finish();
-
-                assert_eq!(dict_shape(&dict_p), dict_shape(&dict_b));
-                assert_eq!(dict_p.root().map(|r| r.index()), dict_b.root().map(|r| r.index()));
-                assert_eq!(stats_p.instr_events, stats_b.instr_events);
-                assert_eq!(stats_p.dynamic_regions, stats_b.dynamic_regions);
-                assert_eq!(stats_p.max_depth, stats_b.max_depth);
-                assert_eq!(stats_p.region_min_depth, stats_b.region_min_depth);
-            }
-        }
     }
 }

@@ -472,10 +472,24 @@ mod tests {
                if (s > 10.0) { a[0] = s; } else { a[0] = 0.0; }\n\
                return (int) a[0] % 97;\n\
              }",
+            "float a[64]; float b[64];\n\
+             int main() {\n\
+               for (int i = 0; i < 64; i++) { a[i] = (float) i; }\n\
+               float s = 0.0;\n\
+               for (int i = 0; i < 64; i++) { if (a[i] > 10.0) { s += a[i]; } else { b[i] = s; } }\n\
+               return (int) s;\n\
+             }",
+            "float m[12][12];\n\
+             float f(float x) { float t = 0.0; for (int h = 0; h < 4; h++) { t += x * 0.5 + (float) h; } return t; }\n\
+             int main() {\n\
+               for (int i = 0; i < 12; i++) { for (int j = 0; j < 12; j++) { m[i][j] = f((float)(i + j)); } }\n\
+               return (int) m[3][4];\n\
+             }",
         ];
         let configs = [
             HcpaConfig::default(),
             HcpaConfig { window: 3, ..HcpaConfig::default() },
+            HcpaConfig { window: 4, min_depth: 2, ..HcpaConfig::default() },
             HcpaConfig { window: 4, min_depth: 3, ..HcpaConfig::default() },
             HcpaConfig { break_carried_deps: false, ..HcpaConfig::default() },
         ];

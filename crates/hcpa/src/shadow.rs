@@ -26,14 +26,15 @@
 //!   is a branch-light scan over one contiguous run instead of two
 //!   strided walks over separate tag/time arrays;
 //! * [`ShadowMemory`] resolves the page **once per access** via
-//!   [`MemShadow::gather_max`] / [`MemShadow::write_run`] and keeps a
-//!   one-entry **last-page cache** — loop bodies hit the same page
+//!   [`ShadowMemory::gather_max`] / [`ShadowMemory::write_run`] and keeps
+//!   a one-entry **last-page cache** — loop bodies hit the same page
 //!   repeatedly, so most accesses skip the hash lookup entirely.
 //!
-//! The pre-optimization structures survive as [`BaselineRegs`] /
-//! [`BaselineMemory`] (split tag/time arrays, one page lookup *per
-//! depth*): they are the reference implementation for differential tests
-//! and the baseline that `BENCH_profiler.json` measures speedups against.
+//! Every `depth` argument is *relative* to the profiler's tracked range
+//! (`d - min_depth`); the bulk operations cover relative depths
+//! `0..t.len()` in one call. The frozen pre-optimization stores live in
+//! [`crate::seed`], the reference the differential tests and the
+//! benchmark baseline compare against.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -51,93 +52,6 @@ pub struct Slot {
     pub time: u64,
 }
 
-/// Per-frame shadow register operations, as used by the profiler.
-///
-/// `depth` arguments are *relative* to the profiler's tracked range
-/// (`d - min_depth`); the bulk operations cover relative depths
-/// `0..t.len()` in one call.
-pub trait RegShadow {
-    /// Creates a table for `n_values` SSA values with `window` depth slots.
-    fn new(n_values: usize, window: usize) -> Self;
-
-    /// Availability time of `value` at `depth`, or 0 on tag mismatch or
-    /// out-of-window depth.
-    fn read(&self, value: usize, depth: usize, tag: u64) -> u64;
-
-    /// Records `time` for `value` at `depth` under `tag`.
-    fn write(&mut self, value: usize, depth: usize, tag: u64, time: u64);
-
-    /// Folds `value`'s times into `t`: for each relative depth `i`,
-    /// `t[i] = max(t[i], time at depth i under tags[i])`.
-    ///
-    /// `tags` and `t` have equal length, at most `window`.
-    fn gather_max(&self, value: usize, tags: &[u64], t: &mut [u64]) {
-        for (i, (slot, tag)) in t.iter_mut().zip(tags).enumerate() {
-            *slot = (*slot).max(self.read(value, i, *tag));
-        }
-    }
-
-    /// Writes `t[i]` under `tags[i]` at every relative depth `i`.
-    fn write_run(&mut self, value: usize, tags: &[u64], t: &[u64]) {
-        for (i, (&time, &tag)) in t.iter().zip(tags).enumerate() {
-            self.write(value, i, tag, time);
-        }
-    }
-}
-
-/// Shadow-memory operations, as used by the profiler. Depths are relative,
-/// as in [`RegShadow`].
-pub trait MemShadow {
-    /// Creates an empty shadow memory with `window` depth slots per
-    /// location.
-    fn new(window: usize) -> Self;
-
-    /// Availability time of the value stored at `addr`, observed at
-    /// `depth`, or 0 on tag mismatch, unallocated page, or out-of-window
-    /// depth.
-    fn read(&self, addr: u64, depth: usize, tag: u64) -> u64;
-
-    /// Records `time` for `addr` at `depth` under `tag`, allocating the
-    /// page on first touch.
-    fn write(&mut self, addr: u64, depth: usize, tag: u64, time: u64);
-
-    /// Folds `addr`'s times into `t` (see [`RegShadow::gather_max`]).
-    fn gather_max(&self, addr: u64, tags: &[u64], t: &mut [u64]) {
-        for (i, (slot, tag)) in t.iter_mut().zip(tags).enumerate() {
-            *slot = (*slot).max(self.read(addr, i, *tag));
-        }
-    }
-
-    /// Writes `t[i]` under `tags[i]` at every relative depth `i` of `addr`.
-    fn write_run(&mut self, addr: u64, tags: &[u64], t: &[u64]) {
-        for (i, (&time, &tag)) in t.iter().zip(tags).enumerate() {
-            self.write(addr, i, tag, time);
-        }
-    }
-
-    /// Number of distinct pages ever allocated (historical; never
-    /// decreases).
-    fn pages_allocated(&self) -> u64;
-
-    /// Number of pages currently resident.
-    fn live_pages(&self) -> u64;
-
-    /// Current shadow-memory footprint in bytes, derived from the actual
-    /// slot layout of live pages.
-    fn footprint_bytes(&self) -> u64;
-
-    /// `(hits, misses)` of the store's page-cache, if it keeps one.
-    /// Counts are collected only while `kremlin_obs` metrics are enabled
-    /// at construction time; stores without a cache report `(0, 0)`.
-    fn cache_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Optimized (packed) stores
-// ---------------------------------------------------------------------------
-
 /// A per-frame shadow register table: one depth-contiguous [`Slot`] run
 /// per SSA value.
 #[derive(Debug)]
@@ -147,26 +61,15 @@ pub struct ShadowRegs {
 }
 
 impl ShadowRegs {
-    /// The depth run of `value`: `window` consecutive slots.
-    #[inline]
-    pub fn run(&self, value: usize) -> &[Slot] {
-        &self.slots[value * self.window..(value + 1) * self.window]
-    }
-
-    /// Mutable depth run of `value`.
-    #[inline]
-    pub fn run_mut(&mut self, value: usize) -> &mut [Slot] {
-        &mut self.slots[value * self.window..(value + 1) * self.window]
-    }
-}
-
-impl RegShadow for ShadowRegs {
-    fn new(n_values: usize, window: usize) -> Self {
+    /// Creates a table for `n_values` SSA values with `window` depth slots.
+    pub fn new(n_values: usize, window: usize) -> Self {
         ShadowRegs { window, slots: vec![Slot::default(); n_values * window] }
     }
 
+    /// Availability time of `value` at `depth`, or 0 on tag mismatch or
+    /// out-of-window depth.
     #[inline]
-    fn read(&self, value: usize, depth: usize, tag: u64) -> u64 {
+    pub fn read(&self, value: usize, depth: usize, tag: u64) -> u64 {
         if depth >= self.window {
             return 0;
         }
@@ -178,16 +81,20 @@ impl RegShadow for ShadowRegs {
         }
     }
 
+    /// Records `time` for `value` at `depth` under `tag`.
     #[inline]
-    fn write(&mut self, value: usize, depth: usize, tag: u64, time: u64) {
+    pub fn write(&mut self, value: usize, depth: usize, tag: u64, time: u64) {
         if depth >= self.window {
             return;
         }
         self.slots[value * self.window + depth] = Slot { tag, time };
     }
 
+    /// Folds `value`'s times into `t`: for each relative depth `i`,
+    /// `t[i] = max(t[i], time at depth i under tags[i])`. `tags` and `t`
+    /// have equal length, at most `window`.
     #[inline]
-    fn gather_max(&self, value: usize, tags: &[u64], t: &mut [u64]) {
+    pub fn gather_max(&self, value: usize, tags: &[u64], t: &mut [u64]) {
         let run = &self.slots[value * self.window..];
         for ((slot, &tag), s) in t.iter_mut().zip(tags).zip(run) {
             // Branch-light select: tag mismatch contributes 0.
@@ -196,8 +103,9 @@ impl RegShadow for ShadowRegs {
         }
     }
 
+    /// Writes `t[i]` under `tags[i]` at every relative depth `i`.
     #[inline]
-    fn write_run(&mut self, value: usize, tags: &[u64], t: &[u64]) {
+    pub fn write_run(&mut self, value: usize, tags: &[u64], t: &[u64]) {
         let run = &mut self.slots[value * self.window..];
         for ((&time, &tag), s) in t.iter().zip(tags).zip(run) {
             *s = Slot { tag, time };
@@ -292,10 +200,10 @@ impl ShadowMemory {
         let base = (addr % PAGE_SLOTS) as usize * window;
         &mut page[base..base + window]
     }
-}
 
-impl MemShadow for ShadowMemory {
-    fn new(window: usize) -> Self {
+    /// Creates an empty shadow memory with `window` depth slots per
+    /// location.
+    pub fn new(window: usize) -> Self {
         ShadowMemory {
             window,
             index: HashMap::new(),
@@ -308,8 +216,11 @@ impl MemShadow for ShadowMemory {
         }
     }
 
+    /// Availability time of the value stored at `addr`, observed at
+    /// `depth`, or 0 on tag mismatch, unallocated page, or out-of-window
+    /// depth.
     #[inline]
-    fn read(&self, addr: u64, depth: usize, tag: u64) -> u64 {
+    pub fn read(&self, addr: u64, depth: usize, tag: u64) -> u64 {
         if depth >= self.window {
             return 0;
         }
@@ -322,16 +233,20 @@ impl MemShadow for ShadowMemory {
         }
     }
 
+    /// Records `time` for `addr` at `depth` under `tag`, allocating the
+    /// page on first touch.
     #[inline]
-    fn write(&mut self, addr: u64, depth: usize, tag: u64, time: u64) {
+    pub fn write(&mut self, addr: u64, depth: usize, tag: u64, time: u64) {
         if depth >= self.window {
             return;
         }
         self.run_mut(addr)[depth] = Slot { tag, time };
     }
 
+    /// Folds `addr`'s times into `t` (see [`ShadowRegs::gather_max`]); an
+    /// unallocated page leaves `t` untouched.
     #[inline]
-    fn gather_max(&self, addr: u64, tags: &[u64], t: &mut [u64]) {
+    pub fn gather_max(&self, addr: u64, tags: &[u64], t: &mut [u64]) {
         let Some(run) = self.run(addr) else { return };
         for ((slot, &tag), s) in t.iter_mut().zip(tags).zip(run) {
             let time = if s.tag == tag { s.time } else { 0 };
@@ -339,139 +254,38 @@ impl MemShadow for ShadowMemory {
         }
     }
 
+    /// Writes `t[i]` under `tags[i]` at every relative depth `i` of `addr`.
     #[inline]
-    fn write_run(&mut self, addr: u64, tags: &[u64], t: &[u64]) {
+    pub fn write_run(&mut self, addr: u64, tags: &[u64], t: &[u64]) {
         let run = self.run_mut(addr);
         for ((&time, &tag), s) in t.iter().zip(tags).zip(run) {
             *s = Slot { tag, time };
         }
     }
 
-    fn pages_allocated(&self) -> u64 {
+    /// Number of distinct pages ever allocated (historical; never
+    /// decreases).
+    pub fn pages_allocated(&self) -> u64 {
         self.pages_allocated
     }
 
-    fn live_pages(&self) -> u64 {
+    /// Number of pages currently resident.
+    pub fn live_pages(&self) -> u64 {
         self.pages.len() as u64
     }
 
-    fn footprint_bytes(&self) -> u64 {
+    /// Current shadow-memory footprint in bytes, derived from the actual
+    /// slot layout of live pages.
+    pub fn footprint_bytes(&self) -> u64 {
         // Derived from the actual slot layout rather than a hard-coded
         // per-slot constant.
         self.live_pages() * PAGE_SLOTS * self.window as u64 * std::mem::size_of::<Slot>() as u64
     }
 
-    fn cache_stats(&self) -> (u64, u64) {
+    /// `(hits, misses)` of the last-page cache. Counts are collected only
+    /// while `kremlin_obs` metrics are enabled at construction time.
+    pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache_hits.get(), self.cache_misses.get())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Baseline (pre-optimization) stores
-// ---------------------------------------------------------------------------
-
-/// The pre-optimization shadow register table: split tag/time arrays,
-/// scalar per-depth access. Reference implementation for differential
-/// tests and the benchmark baseline.
-#[derive(Debug)]
-pub struct BaselineRegs {
-    window: usize,
-    tags: Vec<u64>,
-    times: Vec<u64>,
-}
-
-impl RegShadow for BaselineRegs {
-    fn new(n_values: usize, window: usize) -> Self {
-        BaselineRegs { window, tags: vec![0; n_values * window], times: vec![0; n_values * window] }
-    }
-
-    #[inline]
-    fn read(&self, value: usize, depth: usize, tag: u64) -> u64 {
-        if depth >= self.window {
-            return 0;
-        }
-        let i = value * self.window + depth;
-        if self.tags[i] == tag {
-            self.times[i]
-        } else {
-            0
-        }
-    }
-
-    #[inline]
-    fn write(&mut self, value: usize, depth: usize, tag: u64, time: u64) {
-        if depth >= self.window {
-            return;
-        }
-        let i = value * self.window + depth;
-        self.tags[i] = tag;
-        self.times[i] = time;
-    }
-}
-
-/// The pre-optimization shadow memory: a page hash resolved once *per
-/// depth* per access, split tag/time arrays. Reference implementation for
-/// differential tests and the benchmark baseline.
-#[derive(Debug, Default)]
-pub struct BaselineMemory {
-    window: usize,
-    pages: HashMap<u64, BaselinePage>,
-    pages_allocated: u64,
-}
-
-#[derive(Debug)]
-struct BaselinePage {
-    tags: Vec<u64>,
-    times: Vec<u64>,
-}
-
-impl MemShadow for BaselineMemory {
-    fn new(window: usize) -> Self {
-        BaselineMemory { window, pages: HashMap::new(), pages_allocated: 0 }
-    }
-
-    fn read(&self, addr: u64, depth: usize, tag: u64) -> u64 {
-        if depth >= self.window {
-            return 0;
-        }
-        let Some(page) = self.pages.get(&(addr / PAGE_SLOTS)) else { return 0 };
-        let i = (addr % PAGE_SLOTS) as usize * self.window + depth;
-        if page.tags[i] == tag {
-            page.times[i]
-        } else {
-            0
-        }
-    }
-
-    fn write(&mut self, addr: u64, depth: usize, tag: u64, time: u64) {
-        if depth >= self.window {
-            return;
-        }
-        let window = self.window;
-        let pages_allocated = &mut self.pages_allocated;
-        let page = self.pages.entry(addr / PAGE_SLOTS).or_insert_with(|| {
-            *pages_allocated += 1;
-            BaselinePage {
-                tags: vec![0; PAGE_SLOTS as usize * window],
-                times: vec![0; PAGE_SLOTS as usize * window],
-            }
-        });
-        let i = (addr % PAGE_SLOTS) as usize * self.window + depth;
-        page.tags[i] = tag;
-        page.times[i] = time;
-    }
-
-    fn pages_allocated(&self) -> u64 {
-        self.pages_allocated
-    }
-
-    fn live_pages(&self) -> u64 {
-        self.pages.len() as u64
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        // One u64 tag + one u64 time per slot.
-        self.live_pages() * PAGE_SLOTS * self.window as u64 * 16
     }
 }
 
@@ -479,26 +293,22 @@ impl MemShadow for BaselineMemory {
 mod tests {
     use super::*;
 
-    fn check_regs<R: RegShadow>() {
-        let mut r = R::new(4, 8);
+    #[test]
+    fn regs_tag_mismatch_reads_zero() {
+        let mut r = ShadowRegs::new(4, 8);
         r.write(2, 3, 7, 100);
         assert_eq!(r.read(2, 3, 7), 100);
         assert_eq!(r.read(2, 3, 8), 0, "stale tag must read as 0");
         assert_eq!(r.read(2, 4, 7), 0, "other depth untouched");
         // Out-of-window writes are silent.
-        let mut r = R::new(2, 4);
+        let mut r = ShadowRegs::new(2, 4);
         r.write(1, 9, 1, 50);
         assert_eq!(r.read(1, 9, 1), 0);
     }
 
     #[test]
-    fn regs_tag_mismatch_reads_zero() {
-        check_regs::<ShadowRegs>();
-        check_regs::<BaselineRegs>();
-    }
-
-    fn check_memory<M: MemShadow>() {
-        let mut m = M::new(4);
+    fn memory_semantics_hold() {
+        let mut m = ShadowMemory::new(4);
         assert_eq!(m.read(12345, 0, 1), 0);
         assert_eq!(m.pages_allocated(), 0);
         m.write(12345, 0, 1, 42);
@@ -534,12 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_semantics_hold_for_both_stores() {
-        check_memory::<ShadowMemory>();
-        check_memory::<BaselineMemory>();
-    }
-
-    #[test]
     fn footprint_derives_from_slot_layout() {
         let mut m = ShadowMemory::new(4);
         m.write(0, 0, 1, 1);
@@ -572,7 +376,7 @@ mod tests {
     /// clustered so runs repeatedly revisit pages (exercising the
     /// last-page cache) while still spraying across many pages and the
     /// full 64-bit address range.
-    fn check_memory_against_naive_model<M: MemShadow>(seed: u64) {
+    fn check_memory_against_naive_model(seed: u64) {
         const WINDOW: usize = 6;
         // xorshift64*: deterministic, no external crates.
         let mut state = seed;
@@ -590,7 +394,7 @@ mod tests {
         };
 
         let mut model: HashMap<(u64, usize), (u64, u64)> = HashMap::new();
-        let mut mem = M::new(WINDOW);
+        let mut mem = ShadowMemory::new(WINDOW);
         let model_read =
             |model: &HashMap<(u64, usize), (u64, u64)>, a: u64, d: usize, tag: u64| match model
                 .get(&(a, d))
@@ -654,13 +458,8 @@ mod tests {
     #[test]
     fn packed_memory_matches_naive_model_on_random_trace() {
         for seed in [0x9E37_79B9_7F4A_7C15u64, 42, 0xDEAD_BEEF] {
-            check_memory_against_naive_model::<ShadowMemory>(seed);
+            check_memory_against_naive_model(seed);
         }
-    }
-
-    #[test]
-    fn baseline_memory_matches_naive_model_on_random_trace() {
-        check_memory_against_naive_model::<BaselineMemory>(0x9E37_79B9_7F4A_7C15);
     }
 
     #[test]

@@ -678,8 +678,8 @@ fn replay_into<H: ExecHook>(
 /// exactly the traces [`replay`] accepts (it runs the same validating
 /// decode loop). K depth-shard workers replaying a shared
 /// `&DecodedTrace` pay the LEB128/zigzag decode once instead of K times;
-/// for traces too large to materialize, the streaming [`replay`] path
-/// remains the fallback (see [`arena_bytes`](DecodedTrace::arena_bytes)).
+/// [`arena_bytes`](DecodedTrace::arena_bytes) reports what holding the
+/// arena costs.
 ///
 /// Layout: one tag byte and one `u32` payload per event (parallel
 /// arrays), plus side arrays consumed in order by cursors during
@@ -926,9 +926,8 @@ impl DecodedTrace {
         cost
     }
 
-    /// Resident size of the decoded arena in bytes — what deciding
-    /// between this path and streaming [`replay`] should weigh for very
-    /// large traces.
+    /// Resident size of the decoded arena in bytes — what a cache holding
+    /// decoded traces charges for one.
     pub fn arena_bytes(&self) -> usize {
         self.tags.len()
             + self.payloads.len() * 4

@@ -195,8 +195,8 @@ impl Personality for OpenMpPlanner {
             let sa = own.get(a).map(|(_, s)| *s).unwrap_or(0.0);
             let sb = own.get(b).map(|(_, s)| *s).unwrap_or(0.0);
             // Tie-break on the static region id so the plan does not
-            // depend on profile traversal order (which legitimately
-            // differs between the streaming and decoded-replay paths).
+            // depend on profile traversal order (the region graph's hash
+            // sets iterate in a different order in every profile).
             sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
         });
         let mut kept: Vec<RegionId> = Vec::new();

@@ -141,7 +141,19 @@ fn sliced_profiles_plan_identically_to_full_profiles() {
         let w = kremlin_repro::workloads::by_name(name).unwrap();
         let unit = kremlin_repro::ir::compile(w.source, &w.file_name()).unwrap();
         let full = kremlin_repro::hcpa::profile_unit(&unit, Default::default()).unwrap();
-        let sliced = kremlin_repro::hcpa::profile_unit_sliced(&unit, 4).unwrap();
+        // One depth per shard: the most slices the depth range allows.
+        let trace = kremlin_repro::interp::record(&unit.module, Default::default()).unwrap();
+        let decoded =
+            kremlin_repro::interp::trace::DecodedTrace::decode(&trace, &unit.module).unwrap();
+        let sliced = kremlin_repro::hcpa::profile_decoded_parallel(
+            &unit,
+            &decoded,
+            kremlin_repro::hcpa::ParallelConfig {
+                jobs: full.stats.max_depth,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let none = std::collections::HashSet::new();
         let planner = kremlin_repro::planner::OpenMpPlanner::default();
         use kremlin_repro::planner::Personality;

@@ -91,7 +91,6 @@ fn openmp_plans_are_antichains_on_generated_programs() {
 
 #[test]
 fn scenario_classes_compile_verify_and_replay_bit_identically() {
-    use kremlin_repro::hcpa::ReplayStrategy;
     use kremlin_repro::kremlin::Kremlin;
     use kremlin_workloads::scenario::{ScenarioSpec, CLASSES};
 
@@ -114,22 +113,18 @@ fn scenario_classes_compile_verify_and_replay_bit_identically() {
         kremlin_repro::ir::verify::verify_module(&unit.module)
             .unwrap_or_else(|e| panic!("{spec}: fails IR verification: {e}"));
 
-        // Record once, then both replay engines must reproduce the
-        // live profile bit-for-bit under sharding.
-        let (live, trace) = Kremlin::new()
-            .analyze_recorded(&src, &name, 1)
-            .unwrap_or_else(|e| panic!("{spec}: does not record: {e}"));
-        for strategy in [ReplayStrategy::Decoded, ReplayStrategy::Streaming] {
-            let mut tool = Kremlin::new();
-            tool.replay_strategy = strategy;
-            let replayed = tool
-                .analyze_trace(&trace, 3)
-                .unwrap_or_else(|e| panic!("{spec}: {strategy:?} replay fails: {e}"));
-            assert!(
-                replayed.profile().identical_stats(live.profile()),
-                "{spec}: {strategy:?} sharded replay diverges from the live profile"
-            );
-        }
+        // Record once, then sharded replay must reproduce the live
+        // profile bit-for-bit.
+        let tool = Kremlin::new();
+        let live =
+            tool.analyze(&src, &name).unwrap_or_else(|e| panic!("{spec}: does not run: {e}"));
+        let (replayed, _) = tool
+            .analyze_recorded(&src, &name, 3)
+            .unwrap_or_else(|e| panic!("{spec}: sharded replay fails: {e}"));
+        assert!(
+            replayed.profile().identical_stats(live.profile()),
+            "{spec}: sharded replay diverges from the live profile"
+        );
     }
 }
 

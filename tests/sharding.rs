@@ -6,14 +6,14 @@
 //! including the exact per-depth integer accumulators, so a pass here
 //! means the sharded pipeline loses nothing relative to serial HCPA.
 //!
-//! The record-once/replay-many refactor routes every sharded profile
-//! through the trace layer, so the tests below also prove replay
-//! equivalence: profiling from a replayed trace — serial or fanned out
-//! across shard workers — matches live execution exactly.
+//! Every sharded profile is collected by replaying a recorded trace, so
+//! the tests below also prove replay equivalence: profiling from a
+//! replayed trace — serial or fanned out across shard workers — matches
+//! live execution exactly.
 
 use kremlin_repro::hcpa::{
-    profile_decoded_parallel, profile_trace, profile_trace_parallel, profile_unit, HcpaConfig,
-    ParallelConfig, ParallelismProfile, ProfileOutcome, ReplayStrategy,
+    profile_decoded_parallel, profile_trace_parallel, profile_unit, HcpaConfig, ParallelConfig,
+    ParallelismProfile, ProfileOutcome,
 };
 use kremlin_repro::interp::trace::DecodedTrace;
 use kremlin_repro::interp::{record, MachineConfig};
@@ -48,29 +48,35 @@ fn assert_stitched_identical(
     );
 }
 
-/// Every workload, 3-way sharding, depth discovered by the pre-pass — the
-/// default `profile_unit_parallel` path end to end.
+/// Every workload: one recorded trace replayed by 3 shard workers and
+/// stitched is bit-identical to live serial profiling — interpretation
+/// happens once, never per shard, and the depth range comes from the
+/// decoded trace itself.
 #[test]
 fn three_way_sharding_is_bit_identical_on_every_workload() {
     for w in kremlin_repro::workloads::all() {
         let (unit, serial) = serial_and_compiled(&w);
-        let sharded = kremlin_repro::hcpa::profile_unit_parallel(
+        let trace = record(&unit.module, MachineConfig::default()).expect("record");
+        let sharded = profile_trace_parallel(
             &unit,
+            &trace,
             ParallelConfig { jobs: 3, ..ParallelConfig::default() },
         )
-        .expect("sharded profile");
+        .expect("own trace replays sharded");
         assert_stitched_identical(w.name, 3, &serial, &sharded);
     }
 }
 
-/// Every workload, 2-way sharding with an explicit depth hint — the
-/// discovery-free path a caller with a prior run would use.
+/// Every workload, 2-way sharding with an explicit depth hint — the path
+/// a caller with a prior run would use.
 #[test]
 fn two_way_sharding_with_depth_hint_is_bit_identical() {
     for w in kremlin_repro::workloads::all() {
         let (unit, serial) = serial_and_compiled(&w);
-        let sharded = kremlin_repro::hcpa::profile_unit_parallel(
+        let trace = record(&unit.module, MachineConfig::default()).expect("record");
+        let sharded = profile_trace_parallel(
             &unit,
+            &trace,
             ParallelConfig {
                 jobs: 2,
                 depth_hint: Some(serial.stats.max_depth),
@@ -95,56 +101,13 @@ fn serial_replay_matches_live_execution_on_every_workload() {
             "{}: recorded run differs from live run",
             w.name
         );
-        let replayed =
-            profile_trace(&unit, &trace, HcpaConfig::default()).expect("own trace replays");
-        assert_stitched_identical(w.name, 1, &serial, &replayed);
-    }
-}
-
-/// Every workload: the same immutable trace replayed by 3 shard workers
-/// and stitched is bit-identical to serial — interpretation happens once,
-/// never per shard.
-#[test]
-fn sharded_replay_of_one_trace_is_bit_identical_on_every_workload() {
-    for w in kremlin_repro::workloads::all() {
-        let (unit, serial) = serial_and_compiled(&w);
-        let trace = record(&unit.module, MachineConfig::default()).expect("record");
-        let sharded = profile_trace_parallel(
+        let replayed = profile_trace_parallel(
             &unit,
             &trace,
-            ParallelConfig { jobs: 3, ..ParallelConfig::default() },
+            ParallelConfig { jobs: 1, ..ParallelConfig::default() },
         )
-        .expect("own trace replays sharded");
-        assert_stitched_identical(w.name, 3, &serial, &sharded);
-    }
-}
-
-/// Every workload: the decode-once arena strategy and the streaming
-/// strategy over the same trace are both bit-identical to serial — the
-/// two replay paths are interchangeable, shard plan differences
-/// (cost-balanced vs uniform) and all.
-#[test]
-fn decoded_and_streaming_sharded_replay_agree_on_every_workload() {
-    for w in kremlin_repro::workloads::all() {
-        let (unit, serial) = serial_and_compiled(&w);
-        let trace = record(&unit.module, MachineConfig::default()).expect("record");
-        for (strategy, label) in
-            [(ReplayStrategy::Decoded, "decoded"), (ReplayStrategy::Streaming, "streaming")]
-        {
-            let sharded = profile_trace_parallel(
-                &unit,
-                &trace,
-                ParallelConfig { jobs: 3, strategy, ..ParallelConfig::default() },
-            )
-            .unwrap_or_else(|e| panic!("{}: {label} replay fails: {e:?}", w.name));
-            assert_stitched_identical(w.name, 3, &serial, &sharded);
-        }
-        // The pre-decoded entry point (one arena, many profiling runs)
-        // matches too.
-        let arena = DecodedTrace::decode(&trace, &unit.module).expect("decode");
-        let sharded = profile_decoded_parallel(&unit, &arena, ParallelConfig::default())
-            .expect("decoded arena replays sharded");
-        assert_stitched_identical(w.name, 3, &serial, &sharded);
+        .expect("own trace replays");
+        assert_stitched_identical(w.name, 1, &serial, &replayed);
     }
 }
 
@@ -186,6 +149,6 @@ fn one_slice_stitch_is_identity() {
     let w = kremlin_repro::workloads::by_name("is").expect("is workload");
     let (_, serial) = serial_and_compiled(&w);
     let slices = [serial.profile.clone()];
-    let stitched = ParallelismProfile::stitch(&slices, HcpaConfig::default().window);
+    let stitched = ParallelismProfile::stitch_at(&slices, &[0]);
     assert!(stitched.identical_stats(&serial.profile));
 }

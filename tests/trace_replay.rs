@@ -15,13 +15,20 @@
 
 use kremlin_bench::progen;
 use kremlin_bench::XorShift;
-use kremlin_repro::hcpa::{profile_decoded, profile_trace, profile_unit, HcpaConfig};
+use kremlin_repro::hcpa::{
+    profile_decoded, profile_trace_parallel, profile_unit, HcpaConfig, ParallelConfig,
+};
 use kremlin_repro::interp::trace::DecodedTrace;
 use kremlin_repro::interp::{record, MachineConfig, Trace, TraceError};
 use kremlin_repro::ir::compile;
 
 /// Seeds chosen arbitrarily but fixed, so failures reproduce exactly.
 const SEEDS: [u64; 8] = [3, 17, 99, 256, 1021, 4096, 70_001, 987_654_321];
+
+/// Serial (one-shard) replay of a recorded trace.
+fn serial() -> ParallelConfig {
+    ParallelConfig { jobs: 1, ..ParallelConfig::default() }
+}
 
 #[test]
 fn randomized_programs_round_trip_through_trace_bytes() {
@@ -45,7 +52,7 @@ fn randomized_programs_round_trip_through_trace_bytes() {
         assert_eq!(decoded.events(), trace.events(), "seed {seed}: event count changed");
         assert_eq!(decoded.source, src, "seed {seed}: embedded source changed");
 
-        let replayed = profile_trace(&unit, &decoded, HcpaConfig::default())
+        let replayed = profile_trace_parallel(&unit, &decoded, serial())
             .unwrap_or_else(|e| panic!("seed {seed}: decoded trace fails to replay: {e}"));
         assert!(
             replayed.profile.identical_stats(&live.profile),
@@ -56,9 +63,9 @@ fn randomized_programs_round_trip_through_trace_bytes() {
 }
 
 /// Property over randomized programs: replaying the decode-once arena
-/// fires the same event stream as the streaming varint path — same
-/// profile bit-for-bit, same run result — and the decode pass's free
-/// histograms are consistent with the recorded execution.
+/// fires the same events as live execution — same profile bit-for-bit,
+/// same run result — and the decode pass's free histograms are
+/// consistent with the recorded execution.
 #[test]
 fn randomized_programs_replay_identically_from_the_decoded_arena() {
     for seed in SEEDS {
@@ -69,9 +76,8 @@ fn randomized_programs_replay_identically_from_the_decoded_arena() {
             panic!("seed {seed}: generated program fails to compile: {e}\n{src}")
         });
 
+        let live = profile_unit(&unit, HcpaConfig::default()).expect("live profile");
         let trace = record(&unit.module, MachineConfig::default()).expect("record");
-        let streamed = profile_trace(&unit, &trace, HcpaConfig::default())
-            .unwrap_or_else(|e| panic!("seed {seed}: streaming replay fails: {e}"));
 
         let arena = DecodedTrace::decode(&trace, &unit.module)
             .unwrap_or_else(|e| panic!("seed {seed}: decode fails: {e}"));
@@ -79,19 +85,19 @@ fn randomized_programs_replay_identically_from_the_decoded_arena() {
         assert_eq!(arena.run_result(), trace.run_result(), "seed {seed}: run result differs");
         let instr_total: u64 = arena.instr_depth_hist().iter().sum();
         assert_eq!(
-            instr_total, streamed.stats.instr_events,
+            instr_total, live.stats.instr_events,
             "seed {seed}: decode histogram misses instruction events"
         );
 
         let decoded = profile_decoded(&unit, &arena, HcpaConfig::default())
             .unwrap_or_else(|e| panic!("seed {seed}: decoded replay fails: {e}"));
         assert!(
-            decoded.profile.identical_stats(&streamed.profile),
-            "seed {seed}: decoded-replay profile differs from streaming replay"
+            decoded.profile.identical_stats(&live.profile),
+            "seed {seed}: decoded-replay profile differs from live"
         );
-        assert_eq!(decoded.run, streamed.run, "seed {seed}: decoded run differs");
+        assert_eq!(decoded.run, live.run, "seed {seed}: decoded run differs");
         assert_eq!(
-            decoded.stats.instr_events, streamed.stats.instr_events,
+            decoded.stats.instr_events, live.stats.instr_events,
             "seed {seed}: decoded instruction-event count differs"
         );
     }
@@ -154,6 +160,6 @@ fn bit_flipped_trace_files_never_panic_or_misreport() {
     // payload handed to replay) must surface as a TraceError, not a panic
     // inside the profiler hooks.
     let decoded = Trace::from_bytes(&bytes).expect("pristine bytes decode");
-    let replayed = profile_trace(&unit, &decoded, HcpaConfig::default());
+    let replayed = profile_trace_parallel(&unit, &decoded, serial());
     assert!(replayed.is_ok(), "pristine decode must replay");
 }
