@@ -2,8 +2,9 @@
 //!
 //! Every stage output is keyed by the content it was derived from: the
 //! module fingerprint already embedded in `kremlin-trace v1` for
-//! trace-derived artifacts (decoded arenas, per-depth cost histograms,
-//! profiles), and an FNV-1a hash of `(name, source)` for compiled units.
+//! trace-derived artifacts (per-depth cost histograms, profiles), and an
+//! FNV-1a hash of `(name, source)` for compiled units. Decoded event
+//! arenas are never cached: the profile built from one is.
 //! Identical submissions therefore collapse onto the same cache rows no
 //! matter which client — CLI invocation or `kremlin serve` request —
 //! produced them.
@@ -24,7 +25,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
-use kremlin::interp::trace::DecodedTrace;
 use kremlin::{CompiledUnit, ProfileOutcome};
 
 /// Identity of one pipeline artifact, derived purely from content.
@@ -35,12 +35,6 @@ pub enum ArtifactKey {
         /// [`source_fingerprint`] of the submitted source.
         source_fp: u64,
     },
-    /// Decoded event arena, keyed by the `kremlin-trace v1` module
-    /// fingerprint.
-    Decoded {
-        /// [`kremlin::interp::trace::Trace::fingerprint`] of the module.
-        module_fp: u64,
-    },
     /// Per-depth shard-planning cost histogram for a decoded arena.
     DepthCost {
         /// Module fingerprint the histogram was derived from.
@@ -50,7 +44,7 @@ pub enum ArtifactKey {
     /// the key: the same module profiled with a different depth window
     /// or dependence-breaking mode is a different artifact.
     Profile {
-        /// Module fingerprint the profile replays.
+        /// Module fingerprint of the profiled program.
         module_fp: u64,
         /// [`kremlin::HcpaConfig`] depth window.
         window: usize,
@@ -64,7 +58,6 @@ impl ArtifactKey {
     pub fn kind(&self) -> &'static str {
         match self {
             ArtifactKey::Unit { .. } => "unit",
-            ArtifactKey::Decoded { .. } => "decoded",
             ArtifactKey::DepthCost { .. } => "depth_cost",
             ArtifactKey::Profile { .. } => "profile",
         }
@@ -77,8 +70,6 @@ impl ArtifactKey {
 pub enum Artifact {
     /// Compiled and statically analyzed program.
     Unit(Arc<CompiledUnit>),
-    /// Decode-once SoA event arena.
-    Decoded(Arc<DecodedTrace>),
     /// Per-depth cost histogram (input to weighted shard planning).
     DepthCost(Arc<Vec<u64>>),
     /// Profile + profiler stats + run result.
@@ -88,9 +79,8 @@ pub enum Artifact {
 impl Artifact {
     /// Approximate resident size, charged against the byte budget.
     ///
-    /// Decoded arenas report their exact arena footprint; the others are
-    /// structural estimates (the cache needs relative weight for
-    /// eviction, not accounting-grade numbers).
+    /// Structural estimates: the cache needs relative weight for
+    /// eviction, not accounting-grade numbers.
     pub fn cost_bytes(&self) -> usize {
         match self {
             Artifact::Unit(unit) => {
@@ -102,7 +92,6 @@ impl Artifact {
                     .sum();
                 values + unit.module.regions.len() * 128 + 4096
             }
-            Artifact::Decoded(decoded) => decoded.arena_bytes(),
             Artifact::DepthCost(hist) => hist.len() * 8 + 32,
             Artifact::Profile(outcome) => {
                 outcome.profile.dict.compressed_bytes() as usize
@@ -117,14 +106,6 @@ impl Artifact {
         match self {
             Artifact::Unit(u) => u,
             other => panic!("expected unit artifact, got {}", kind_of(&other)),
-        }
-    }
-
-    /// See [`Artifact::into_unit`].
-    pub fn into_decoded(self) -> Arc<DecodedTrace> {
-        match self {
-            Artifact::Decoded(d) => d,
-            other => panic!("expected decoded artifact, got {}", kind_of(&other)),
         }
     }
 
@@ -148,7 +129,6 @@ impl Artifact {
 fn kind_of(a: &Artifact) -> &'static str {
     match a {
         Artifact::Unit(_) => "unit",
-        Artifact::Decoded(_) => "decoded",
         Artifact::DepthCost(_) => "depth_cost",
         Artifact::Profile(_) => "profile",
     }
@@ -351,7 +331,6 @@ impl ArtifactCache {
 fn bump_hit(key: &ArtifactKey) {
     match key {
         ArtifactKey::Unit { .. } => kremlin_obs::counter!("engine.cache.unit.hits").incr(),
-        ArtifactKey::Decoded { .. } => kremlin_obs::counter!("engine.cache.decoded.hits").incr(),
         ArtifactKey::DepthCost { .. } => {
             kremlin_obs::counter!("engine.cache.depth_cost.hits").incr()
         }
@@ -362,7 +341,6 @@ fn bump_hit(key: &ArtifactKey) {
 fn bump_miss(key: &ArtifactKey) {
     match key {
         ArtifactKey::Unit { .. } => kremlin_obs::counter!("engine.cache.unit.misses").incr(),
-        ArtifactKey::Decoded { .. } => kremlin_obs::counter!("engine.cache.decoded.misses").incr(),
         ArtifactKey::DepthCost { .. } => {
             kremlin_obs::counter!("engine.cache.depth_cost.misses").incr()
         }

@@ -3,19 +3,21 @@
 //! The core crate answers *one* question for *one* invocation:
 //! [`kremlin::Kremlin::analyze`] compiles, executes, profiles, and throws
 //! everything away. This crate reshapes that monolith into a **session
-//! engine** whose pipeline stages
+//! engine** whose pipeline
 //!
 //! ```text
-//! compile ── record/load trace ── decode ── profile ── plan
+//! compile ─┬─ jobs <= 1: execute under the profiler ────────────────┬─ profile ── plan
+//!          └─ jobs > 1 or upload: record/load ── decode ── replay ──┘
 //! ```
 //!
-//! are explicit, individually cacheable artifacts (see [`cache`]): the
-//! compiled unit keyed by a source fingerprint, the decoded event arena
-//! and per-depth cost histograms keyed by the module fingerprint already
-//! embedded in `kremlin-trace v1`, and the compressed profile keyed by
-//! module fingerprint plus profiling config. The second request for a
-//! hot module skips compile, record, and decode entirely and pays only
-//! plan+stitch.
+//! caches two artifacts (see [`cache`]): the compiled unit keyed by a
+//! source fingerprint, and the compressed profile keyed by the module
+//! fingerprint already embedded in `kremlin-trace v1` plus profiling
+//! config. A one-shard source request profiles while the program
+//! executes, as the paper's instrumented binary does; only depth-sharded
+//! requests and trace uploads build a decoded event arena, and it lives
+//! for that request alone. The second request for a hot module skips
+//! compile, execution and replay entirely and pays only the plan.
 //!
 //! Everything downstream is a thin client of [`Engine`]: the `kremlin`
 //! CLI binary for one-shot runs, and the [`serve`] daemon (`kremlin
@@ -58,9 +60,12 @@ impl Default for EngineConfig {
 pub struct StageReuse {
     /// Compile stage skipped (unit was resident).
     pub unit: bool,
-    /// Record+decode stages skipped (arena was resident).
+    /// This request recorded and decoded nothing. Arenas are never
+    /// cached, so on [`Engine::analyze_source`] and
+    /// [`Engine::analyze_trace`] this equals `profile`: only the profile
+    /// builder records or decodes.
     pub decoded: bool,
-    /// Replay stage skipped (profile was resident).
+    /// Profiling skipped (profile was resident).
     pub profile: bool,
 }
 
@@ -73,8 +78,22 @@ pub struct EngineAnalysis {
     /// Per-stage cache reuse for this request.
     pub reused: StageReuse,
     /// The module fingerprint (the `kremlin-trace v1` identity) the
-    /// trace-derived artifacts are keyed by.
+    /// profile is keyed by.
     pub module_fp: u64,
+}
+
+impl EngineAnalysis {
+    fn new(
+        (unit, unit_hit): (Arc<CompiledUnit>, bool),
+        (outcome, profile_hit): (Arc<ProfileOutcome>, bool),
+        module_fp: u64,
+    ) -> Self {
+        EngineAnalysis {
+            analysis: Analysis::from_parts(unit, outcome),
+            reused: StageReuse { unit: unit_hit, decoded: profile_hit, profile: profile_hit },
+            module_fp,
+        }
+    }
 }
 
 /// The session engine: staged pipeline over a content-addressed cache.
@@ -129,11 +148,12 @@ impl Engine {
         Ok((artifact.into_unit(), hit))
     }
 
-    /// Stages 2+3 — record and decode: returns the decoded event arena
-    /// for `unit`, executing the program once (recording its event
-    /// stream) and decoding it only when no arena for this module
-    /// fingerprint is resident. The interpreter is deterministic, so the
-    /// fingerprint fully identifies the arena.
+    /// Record and decode: executes `unit` once while recording its event
+    /// stream and decodes the recording into an arena for
+    /// [`Engine::profile`]. Arenas are not cached (the profile built
+    /// from one is), so the `bool` is always `false`. Sharded
+    /// [`Engine::analyze_source`] requests run this inside their profile
+    /// builder; one-shard requests never do.
     ///
     /// # Errors
     ///
@@ -142,50 +162,19 @@ impl Engine {
         &self,
         unit: &Arc<CompiledUnit>,
     ) -> Result<(Arc<DecodedTrace>, bool), KremlinError> {
-        let module_fp = trace::module_fingerprint(&unit.module);
-        let key = ArtifactKey::Decoded { module_fp };
-        let unit = Arc::clone(unit);
-        let (artifact, hit) = self.cache.get_or_build(key, || {
-            let recorded = trace::record(&unit.module, self.config.tool.machine)?;
-            let decoded = DecodedTrace::decode(&recorded, &unit.module)
-                .expect("a freshly recorded trace decodes against its own module");
-            Ok::<_, KremlinError>(Artifact::Decoded(Arc::new(decoded)))
-        })?;
-        Ok((artifact.into_decoded(), hit))
+        let recorded = trace::record(&unit.module, self.config.tool.machine)?;
+        let decoded = DecodedTrace::decode(&recorded, &unit.module)
+            .expect("a freshly recorded trace decodes against its own module");
+        Ok((Arc::new(decoded), false))
     }
 
-    /// Stage 3 for uploaded traces — decode a recorded `.ktrace` against
-    /// its unit, reusing a resident arena with the same fingerprint (an
-    /// upload of a module the engine has already decoded costs nothing).
-    ///
-    /// # Errors
-    ///
-    /// [`KremlinError::Trace`] when the trace was not recorded from
-    /// `unit`'s module or its event stream is corrupt.
-    pub fn decode_trace(
-        &self,
-        unit: &Arc<CompiledUnit>,
-        trace: &Trace,
-    ) -> Result<(Arc<DecodedTrace>, bool), KremlinError> {
-        if !trace.matches(&unit.module) {
-            return Err(KremlinError::Trace(kremlin::TraceError::ModuleMismatch));
-        }
-        let key = ArtifactKey::Decoded { module_fp: trace.fingerprint() };
-        let module = &unit.module;
-        let (artifact, hit) = self.cache.get_or_build(key, || {
-            DecodedTrace::decode(trace, module)
-                .map(|d| Artifact::Decoded(Arc::new(d)))
-                .map_err(KremlinError::from)
-        })?;
-        Ok((artifact.into_decoded(), hit))
-    }
-
-    /// Stage 4 — profile: replays the decoded arena through HCPA,
-    /// sharded across `jobs` workers via
-    /// [`kremlin::hcpa::parallel::profile_decoded_parallel`]. The profile
-    /// is cached by module fingerprint plus profiling config; `jobs` is
-    /// deliberately *not* part of the key because sharded stitching is
-    /// bit-identical to the serial replay.
+    /// Profile: replays the decoded arena through HCPA, sharded across
+    /// `jobs` workers via
+    /// [`kremlin::hcpa::parallel::profile_decoded_parallel`], and caches
+    /// the result in the same profile row [`Engine::analyze_source`] and
+    /// [`Engine::analyze_trace`] use: module fingerprint plus profiling
+    /// config. `jobs` is deliberately *not* part of the key because
+    /// sharded stitching is bit-identical to the serial replay.
     ///
     /// # Errors
     ///
@@ -197,25 +186,16 @@ impl Engine {
         decoded: &Arc<DecodedTrace>,
         jobs: usize,
     ) -> Result<(Arc<ProfileOutcome>, bool), KremlinError> {
-        let hcpa_cfg = self.config.tool.hcpa;
-        let key = ArtifactKey::Profile {
-            module_fp: decoded.fingerprint(),
-            window: hcpa_cfg.window,
-            break_deps: hcpa_cfg.break_carried_deps,
-        };
-        let (unit, decoded) = (Arc::clone(unit), Arc::clone(decoded));
-        let (artifact, hit) = self.cache.get_or_build(key, || {
-            let config = ParallelConfig { jobs, hcpa: hcpa_cfg, ..ParallelConfig::default() };
-            let outcome = hcpa::profile_decoded_parallel(&unit, &decoded, config)?;
-            Ok::<_, KremlinError>(Artifact::Profile(Arc::new(outcome)))
-        })?;
-        Ok((artifact.into_profile(), hit))
+        self.profile_row(decoded.fingerprint(), || self.replay(unit, decoded, jobs))
     }
 
-    /// Full pipeline over submitted source: compile → record → decode →
-    /// profile, each stage skipped when its artifact is resident. This
-    /// is what both the CLI one-shot path and the `POST /v1/profile`
-    /// endpoint run.
+    /// Full pipeline over submitted source: compile, then the profile
+    /// row of the compiled module. Only a miss on that row runs the
+    /// program: a one-shard request (`jobs <= 1`) executes it under the
+    /// profiler, with no trace at all; a sharded request records and
+    /// decodes it once and replays the arena in `jobs` depth shards.
+    /// This is what both the CLI one-shot path and the `POST
+    /// /v1/profile` endpoint run.
     ///
     /// # Errors
     ///
@@ -227,38 +207,76 @@ impl Engine {
         jobs: usize,
     ) -> Result<EngineAnalysis, KremlinError> {
         let (unit, unit_hit) = self.compile(src, name)?;
-        let (decoded, decoded_hit) = self.decode_unit(&unit)?;
-        let module_fp = decoded.fingerprint();
-        let (outcome, profile_hit) = self.profile(&unit, &decoded, jobs)?;
-        Ok(EngineAnalysis {
-            analysis: Analysis::from_parts(unit, outcome),
-            reused: StageReuse { unit: unit_hit, decoded: decoded_hit, profile: profile_hit },
-            module_fp,
-        })
+        let module_fp = trace::module_fingerprint(&unit.module);
+        let profile = self.profile_row(module_fp, || {
+            if jobs <= 1 {
+                let tool = self.config.tool;
+                return Ok(hcpa::profile_unit_with_machine(&unit, tool.hcpa, tool.machine)?);
+            }
+            let (decoded, _) = self.decode_unit(&unit)?;
+            self.replay(&unit, &decoded, jobs)
+        })?;
+        Ok(EngineAnalysis::new((unit, unit_hit), profile, module_fp))
     }
 
     /// Full pipeline over an uploaded trace: recompile the embedded
-    /// source, decode (or reuse) the arena, profile. The `POST
-    /// /v1/trace` endpoint and `kremlin replay` run this.
+    /// source, then the profile row of the trace's module, which only on
+    /// a miss decodes the trace and replays it in `jobs` depth shards.
+    /// The `POST /v1/trace` endpoint and `kremlin replay` run this.
     ///
     /// # Errors
     ///
     /// As the individual stages, plus [`KremlinError::Trace`] when the
-    /// recompiled module no longer matches the trace fingerprint.
+    /// recompiled module no longer matches the trace fingerprint or a
+    /// decoded event stream is corrupt.
     pub fn analyze_trace(
         &self,
         trace: &Trace,
         jobs: usize,
     ) -> Result<EngineAnalysis, KremlinError> {
         let (unit, unit_hit) = self.compile(&trace.source, &trace.source_name)?;
-        let (decoded, decoded_hit) = self.decode_trace(&unit, trace)?;
-        let module_fp = decoded.fingerprint();
-        let (outcome, profile_hit) = self.profile(&unit, &decoded, jobs)?;
-        Ok(EngineAnalysis {
-            analysis: Analysis::from_parts(unit, outcome),
-            reused: StageReuse { unit: unit_hit, decoded: decoded_hit, profile: profile_hit },
+        if !trace.matches(&unit.module) {
+            return Err(KremlinError::Trace(kremlin::TraceError::ModuleMismatch));
+        }
+        let module_fp = trace.fingerprint();
+        let profile = self.profile_row(module_fp, || {
+            let decoded = DecodedTrace::decode(trace, &unit.module)?;
+            self.replay(&unit, &decoded, jobs)
+        })?;
+        Ok(EngineAnalysis::new((unit, unit_hit), profile, module_fp))
+    }
+
+    /// The profile row of `module_fp` under this engine's HCPA config,
+    /// running `build` only when the row is not resident. Single-flight:
+    /// racing requests for one module build it once. `build` must not
+    /// call [`Engine::profile`], which would wait on this very slot.
+    fn profile_row(
+        &self,
+        module_fp: u64,
+        build: impl FnOnce() -> Result<ProfileOutcome, KremlinError>,
+    ) -> Result<(Arc<ProfileOutcome>, bool), KremlinError> {
+        let hcpa_cfg = self.config.tool.hcpa;
+        let key = ArtifactKey::Profile {
             module_fp,
-        })
+            window: hcpa_cfg.window,
+            break_deps: hcpa_cfg.break_carried_deps,
+        };
+        let (artifact, hit) =
+            self.cache.get_or_build(key, || build().map(|o| Artifact::Profile(Arc::new(o))))?;
+        Ok((artifact.into_profile(), hit))
+    }
+
+    /// Replays `decoded` through HCPA in `jobs` depth shards. The arena
+    /// stays the caller's and is dropped with it.
+    fn replay(
+        &self,
+        unit: &CompiledUnit,
+        decoded: &DecodedTrace,
+        jobs: usize,
+    ) -> Result<ProfileOutcome, KremlinError> {
+        let config =
+            ParallelConfig { jobs, hcpa: self.config.tool.hcpa, ..ParallelConfig::default() };
+        Ok(hcpa::profile_decoded_parallel(unit, decoded, config)?)
     }
 }
 
@@ -305,16 +323,24 @@ mod tests {
     }
 
     #[test]
-    fn trace_upload_reuses_decoded_arena() {
-        let engine = Engine::new(EngineConfig::default());
-        let tool = Kremlin::default();
-        let (_, trace) = tool.analyze_recorded(DEMO, "demo.kc", 1).unwrap();
-        let cold = engine.analyze_trace(&trace, 1).unwrap();
-        assert!(!cold.reused.decoded);
-        // Same module via the source path: arena fingerprint matches.
-        let warm = engine.analyze_source(DEMO, "demo.kc", 1).unwrap();
-        assert!(warm.reused.decoded, "source path must reuse the uploaded module's arena");
-        assert_eq!(cold.module_fp, warm.module_fp);
+    fn trace_upload_and_source_share_one_profile_row() {
+        let (_, trace) = Kremlin::default().analyze_recorded(DEMO, "demo.kc", 1).unwrap();
+        let upload = |engine: &Engine| engine.analyze_trace(&trace, 1).unwrap();
+        let source = |engine: &Engine| engine.analyze_source(DEMO, "demo.kc", 1).unwrap();
+        for upload_first in [true, false] {
+            let engine = Engine::new(EngineConfig::default());
+            let (first, second) = if upload_first {
+                (upload(&engine), source(&engine))
+            } else {
+                (source(&engine), upload(&engine))
+            };
+            assert_eq!(first.reused, StageReuse::default());
+            assert_eq!(second.reused, StageReuse { unit: true, decoded: true, profile: true });
+            assert!(Arc::ptr_eq(&first.analysis.outcome, &second.analysis.outcome));
+            assert_eq!(first.module_fp, second.module_fp);
+            let stats = engine.cache().stats();
+            assert_eq!((stats.entries, stats.misses), (2, 2), "one unit row, one profile row");
+        }
     }
 
     #[test]

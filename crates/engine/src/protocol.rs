@@ -25,7 +25,8 @@ pub struct ProfileRequest {
     pub source: String,
     /// Source name used in labels and plans.
     pub name: String,
-    /// Shard count for the decoded replay (`1` = serial).
+    /// Depth shards: `1` profiles while the program executes; more
+    /// record it once and replay the recording in that many shards.
     pub jobs: usize,
     /// Planner personality (`openmp`, `cilk`, ...).
     pub personality: String,
@@ -100,6 +101,10 @@ pub fn profile_response(result: &EngineAnalysis, personality: &str, plan: &Plan)
     .to_string()
 }
 
+/// The `reused` object: `unit` (compile skipped), `decoded` (nothing
+/// recorded or decoded for this request; it always equals `profile`,
+/// since only a profile miss records or decodes) and `profile`
+/// (profiling skipped). A request is a full hit when all three are true.
 fn reuse_value(reused: StageReuse) -> Value {
     Value::Obj(vec![
         ("unit".into(), Value::Bool(reused.unit)),

@@ -1,12 +1,16 @@
 //! Engine integration tests: cache behavior under adversarial access
-//! patterns, single-flight population under real concurrency, and the
+//! patterns, single-flight population under real concurrency, the
 //! acceptance end-to-end — a warm engine serves every paper workload
-//! without recompiling or redecoding, bit-identical to the cold CLI path.
+//! without recompiling or reprofiling, bit-identical to the cold CLI
+//! path — and agreement between the two producers of a profile row
+//! (live execution and trace replay).
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
-use kremlin::Kremlin;
+use kremlin::interp::trace::{self, Trace};
+use kremlin::persist::save_profile;
+use kremlin::{Analysis, Kremlin, MachineConfig};
 use kremlin_engine::cache::{Artifact, ArtifactCache, ArtifactKey};
 use kremlin_engine::{Engine, EngineConfig, StageReuse};
 
@@ -29,6 +33,20 @@ fn hist_key(fp: u64) -> ArtifactKey {
 
 fn hist_bytes(len: usize) -> usize {
     hist_artifact(len).cost_bytes()
+}
+
+/// The record/decode run counters, read from a metrics snapshot.
+fn record_decode_runs(snap: &kremlin_obs::Snapshot) -> (u64, u64) {
+    (snap.counter("trace.record.runs"), snap.counter("trace.decode.runs"))
+}
+
+/// Records `source` once and round-trips the trace through its byte
+/// format, as a `.ktrace` upload arrives.
+fn uploaded_trace(source: &str, name: &str) -> Trace {
+    let unit = kremlin::ir::compile(source, name).unwrap();
+    let mut recorded = trace::record(&unit.module, MachineConfig::default()).unwrap();
+    recorded.source = source.to_owned();
+    Trace::from_bytes(&recorded.to_bytes()).unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -132,48 +150,93 @@ fn random_walk_matches_reference_lru_model() {
 // ---------------------------------------------------------------------------
 
 /// Eight threads race to submit the same module; the obs counters must
-/// show exactly one compile, one record+decode, and one profile build,
-/// with every other request a hit on each stage. All results share one
+/// show exactly one compile and one profile build, with every other
+/// request a hit on each. A sharded (`jobs = 2`) build records and
+/// decodes the program exactly once; a one-shard build profiles while
+/// executing and never records or decodes. All results share one
 /// allocation per artifact.
 #[test]
 fn concurrent_same_module_compiles_and_decodes_exactly_once() {
     let _guard = obs_guard();
-    kremlin_obs::set_metrics(true);
-    kremlin_obs::reset();
-
     const SRC: &str = "float v[128];\n\
         int main() { for (int i = 0; i < 128; i++) { v[i] = i * 2.0; } return 0; }";
     const THREADS: usize = 8;
 
-    let engine = Arc::new(Engine::new(EngineConfig::default()));
-    let results: Vec<_> = thread::scope(|s| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let engine = Arc::clone(&engine);
-                s.spawn(move || engine.analyze_source(SRC, "race.kc", 1).unwrap())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    for jobs in [1, 2] {
+        kremlin_obs::set_metrics(true);
+        kremlin_obs::reset();
+        let engine = Arc::new(Engine::new(EngineConfig::default()));
+        let results: Vec<_> = thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let engine = Arc::clone(&engine);
+                    s.spawn(move || engine.analyze_source(SRC, "race.kc", jobs).unwrap())
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
 
-    let snap = kremlin_obs::snapshot();
-    kremlin_obs::set_metrics(false);
+        let snap = kremlin_obs::snapshot();
+        kremlin_obs::set_metrics(false);
 
-    for kind in ["unit", "decoded", "profile"] {
-        assert_eq!(
-            snap.counter(&format!("engine.cache.{kind}.misses")),
-            1,
-            "{kind} must be built exactly once across {THREADS} concurrent submits"
-        );
-        assert_eq!(
-            snap.counter(&format!("engine.cache.{kind}.hits")),
-            (THREADS - 1) as u64,
-            "every other submit must take the {kind} hit path"
-        );
+        for kind in ["unit", "profile"] {
+            assert_eq!(
+                snap.counter(&format!("engine.cache.{kind}.misses")),
+                1,
+                "jobs={jobs}: {kind} must be built exactly once across {THREADS} concurrent submits"
+            );
+            assert_eq!(
+                snap.counter(&format!("engine.cache.{kind}.hits")),
+                (THREADS - 1) as u64,
+                "jobs={jobs}: every other submit must take the {kind} hit path"
+            );
+        }
+        let runs = if jobs == 1 { 0 } else { 1 };
+        assert_eq!(record_decode_runs(&snap), (runs, runs), "jobs={jobs}: record/decode runs");
+        for r in &results[1..] {
+            assert!(Arc::ptr_eq(&results[0].analysis.unit, &r.analysis.unit));
+            assert!(Arc::ptr_eq(&results[0].analysis.outcome, &r.analysis.outcome));
+        }
     }
-    for r in &results[1..] {
-        assert!(Arc::ptr_eq(&results[0].analysis.unit, &r.analysis.unit));
-        assert!(Arc::ptr_eq(&results[0].analysis.outcome, &r.analysis.outcome));
+}
+
+/// Under a 23 MB budget, which bt's 22 MB arena alone nearly fills, a
+/// bt → ep → bt sequence must answer the third request from cache — as
+/// a one-shard source request, a sharded one, or a `.ktrace` upload —
+/// without recording or decoding anything: no arena may enter the
+/// cache and evict the profile row the request came for.
+#[test]
+fn a_request_never_evicts_the_profile_it_came_for() {
+    let _guard = obs_guard();
+    let workloads = kremlin_workloads::all();
+    let program = |name: &str| workloads.iter().find(|w| w.name == name).unwrap();
+    let (bt, ep) = (program("bt"), program("ep"));
+    let bt_upload = uploaded_trace(bt.source, &bt.file_name());
+
+    for variant in ["jobs=1", "jobs=2", "upload"] {
+        let jobs = if variant == "jobs=2" { 2 } else { 1 };
+        let engine = Engine::new(EngineConfig { tool: Kremlin::new(), cache_bytes: 23 << 20 });
+        kremlin_obs::set_metrics(true);
+        kremlin_obs::reset();
+        for w in [bt, ep] {
+            let cold = engine.analyze_source(w.source, &w.file_name(), jobs).unwrap();
+            assert_eq!(cold.reused, StageReuse::default(), "{variant}: {} is cold", w.name);
+        }
+        let before = record_decode_runs(&kremlin_obs::snapshot());
+        let third = if variant == "upload" {
+            engine.analyze_trace(&bt_upload, jobs)
+        } else {
+            engine.analyze_source(bt.source, &bt.file_name(), jobs)
+        };
+        let after = record_decode_runs(&kremlin_obs::snapshot());
+        kremlin_obs::set_metrics(false);
+        assert_eq!(
+            third.unwrap().reused,
+            StageReuse { unit: true, decoded: true, profile: true },
+            "{variant}: the repeat of bt must be a full hit"
+        );
+        assert_eq!(after, before, "{variant}: a full hit records and decodes nothing");
+        assert_eq!(engine.cache().stats().evictions, 0, "{variant}");
     }
 }
 
@@ -181,11 +244,12 @@ fn concurrent_same_module_compiles_and_decodes_exactly_once() {
 // Acceptance end-to-end: warm engine vs cold CLI path, all workloads
 // ---------------------------------------------------------------------------
 
-/// For every paper workload: the second engine request reuses all three
-/// stage artifacts (proven by the `kremlin-metrics-v1` cache counters,
-/// round-tripped through the published JSON schema), and the engine's
-/// ranked plan is byte-for-byte identical to the cold monolithic
-/// `Kremlin::analyze` path the CLI used before this refactor.
+/// For every paper workload: the second engine request reuses every
+/// stage (proven by the `kremlin-metrics-v1` cache counters,
+/// round-tripped through the published JSON schema), cold one-shard
+/// requests profile while executing without recording or decoding
+/// anything, and the engine's ranked plan is byte-for-byte identical to
+/// the cold monolithic `Kremlin::analyze` path.
 #[test]
 fn warm_engine_skips_compile_and_decode_for_every_workload() {
     let _guard = obs_guard();
@@ -195,8 +259,8 @@ fn warm_engine_skips_compile_and_decode_for_every_workload() {
     let workloads = kremlin_workloads::all();
     assert_eq!(workloads.len(), 12, "paper workload suite changed size");
 
-    // A budget large enough that twelve arenas never evict each other —
-    // this test is about reuse, not pressure.
+    // A budget large enough that nothing is ever evicted — this test is
+    // about reuse, not pressure.
     let engine = Engine::new(EngineConfig { tool: Kremlin::new(), cache_bytes: usize::MAX / 4 });
 
     let mut cold_plans = Vec::new();
@@ -208,15 +272,20 @@ fn warm_engine_skips_compile_and_decode_for_every_workload() {
 
     let after_cold = kremlin_obs::snapshot();
     assert_eq!(after_cold.counter("engine.cache.unit.misses"), 12);
-    assert_eq!(after_cold.counter("engine.cache.decoded.misses"), 12);
+    assert_eq!(after_cold.counter("engine.cache.profile.misses"), 12);
     assert_eq!(after_cold.counter("engine.cache.unit.hits"), 0);
+    assert_eq!(
+        record_decode_runs(&after_cold),
+        (0, 0),
+        "one-shard requests profile while executing: no trace is recorded or decoded"
+    );
 
     for (w, cold_plan) in workloads.iter().zip(&cold_plans) {
         let warm = engine.analyze_source(w.source, &w.file_name(), 1).unwrap();
         assert_eq!(
             warm.reused,
             StageReuse { unit: true, decoded: true, profile: true },
-            "{}: warm request must skip compile, decode, and replay",
+            "{}: warm request must skip compile, execution, and profiling",
             w.name
         );
         assert_eq!(
@@ -227,19 +296,19 @@ fn warm_engine_skips_compile_and_decode_for_every_workload() {
         );
     }
 
-    // The proof the issue asks for, read back through the published
-    // `kremlin-metrics-v1` schema rather than internal accounting.
+    // The proof, read back through the published `kremlin-metrics-v1`
+    // schema rather than internal accounting.
     let snap = kremlin_obs::Snapshot::from_json(&kremlin_obs::snapshot().to_json()).unwrap();
     kremlin_obs::set_metrics(false);
     assert_eq!(snap.counter("engine.cache.unit.misses"), 12, "no recompiles on warm requests");
-    assert_eq!(snap.counter("engine.cache.decoded.misses"), 12, "no redecodes on warm requests");
+    assert_eq!(snap.counter("engine.cache.profile.misses"), 12, "no reprofiling on warm requests");
     assert!(snap.counter("engine.cache.unit.hits") >= 12);
-    assert!(snap.counter("engine.cache.decoded.hits") >= 12);
     assert!(snap.counter("engine.cache.profile.hits") >= 12);
+    assert_eq!(record_decode_runs(&snap), (0, 0), "warm requests record and decode nothing");
     assert_eq!(snap.counter("engine.cache.evictions"), 0);
 
-    // And the refactor's ground truth: the engine's cold plan equals the
-    // monolithic single-shot pipeline's plan on every workload.
+    // And the ground truth: the engine's cold plan equals the monolithic
+    // single-shot pipeline's plan on every workload.
     for (w, cold_plan) in workloads.iter().zip(&cold_plans) {
         let direct = Kremlin::new().analyze(w.source, &w.file_name()).unwrap();
         assert_eq!(
@@ -248,5 +317,53 @@ fn warm_engine_skips_compile_and_decode_for_every_workload() {
             "{}: engine and monolithic plans diverge",
             w.name
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The two producers of a profile row
+// ---------------------------------------------------------------------------
+
+/// Everything a consumer of a cached profile reads, rendered for
+/// comparison: the planner's text, the simulator's verdict on the OpenMP
+/// plan, and the `--save-profile` bytes (which list the dictionary).
+fn consumer_view(a: &Analysis) -> (String, kremlin::PlanEvaluation, String) {
+    let plan = a.plan_openmp();
+    let unit = &a.unit;
+    let saved = save_profile(
+        &unit.module.source_name,
+        &unit.module.regions,
+        &unit.reduction_loops(),
+        a.profile(),
+    );
+    (plan.to_string(), a.evaluate(&plan), saved)
+}
+
+/// The cache hands a row built by live execution (a one-shard source
+/// request) and a row built by replaying a trace (an upload) to either
+/// kind of request, so on every workload the two must agree on all a
+/// consumer reads — including the dictionary, which the simulator reads
+/// and `identical_stats` skips.
+#[test]
+fn live_and_replayed_profile_rows_agree_for_every_consumer() {
+    // Recording bumps the global trace counters other tests assert on.
+    let _guard = obs_guard();
+    for w in kremlin_workloads::all() {
+        let name = w.file_name();
+        let live = Engine::new(EngineConfig::default()).analyze_source(w.source, &name, 1).unwrap();
+        let upload = uploaded_trace(w.source, &name);
+        let replayed = Engine::new(EngineConfig::default()).analyze_trace(&upload, 1).unwrap();
+        assert_eq!(live.module_fp, replayed.module_fp, "{}", w.name);
+        let (live, replayed) = (&live.analysis, &replayed.analysis);
+
+        let (ld, rd) = (&live.profile().dict, &replayed.profile().dict);
+        assert_eq!(ld.len(), rd.len(), "{}: dictionary sizes differ", w.name);
+        for ((id, le), (_, re)) in ld.iter().zip(rd.iter()) {
+            assert_eq!(le, re, "{}: dictionary entry {} differs", w.name, id.0);
+        }
+        assert_eq!(ld.root(), rd.root(), "{}: dictionary roots differ", w.name);
+        assert_eq!(ld.raw_summaries(), rd.raw_summaries(), "{}", w.name);
+        assert!(live.profile().identical_stats(replayed.profile()), "{}: stats differ", w.name);
+        assert_eq!(consumer_view(live), consumer_view(replayed), "{}", w.name);
     }
 }
