@@ -20,15 +20,15 @@ fn build_dict(reps: u64) -> Dictionary {
         let mut inner_children = Vec::new();
         for k in 0..64u64 {
             let shape = k % 4;
-            let b = d.intern(5, 40 + shape, 20 + shape, vec![]);
+            let b = d.intern(5, 40 + shape, 20 + shape, &[]);
             inner_children.push((b, 1));
         }
-        let inner = d.intern(4, 4000, 80 + (r % 2), inner_children);
-        let body = d.intern(3, 4100, 160 + (r % 2), vec![(inner, 1)]);
+        let inner = d.intern(4, 4000, 80 + (r % 2), &inner_children);
+        let body = d.intern(3, 4100, 160 + (r % 2), &[(inner, 1)]);
         outer_children.push((body, 1));
     }
-    let outer = d.intern(2, 4200 * reps, 900, outer_children);
-    let root = d.intern(1, 4300 * reps, 1000, vec![(outer, 1)]);
+    let outer = d.intern(2, 4200 * reps, 900, &outer_children);
+    let root = d.intern(1, 4300 * reps, 1000, &[(outer, 1)]);
     d.set_root(root);
     d
 }

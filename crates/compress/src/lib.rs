@@ -19,8 +19,10 @@
 //! identified by a plain `u32` ([`StaticId`]), so the dictionary can be
 //! unit-tested and benchmarked in isolation.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identifies a static region (the IR's `RegionId` index).
 pub type StaticId = u32;
@@ -78,12 +80,80 @@ impl Entry {
     }
 }
 
+/// The fields a summary is interned by, borrowed.
+type SummaryRef<'a> = (StaticId, u64, u64, &'a [(EntryId, u64)]);
+
+/// Anything that can stand for a summary in an interner lookup: an owned
+/// [`Entry`] or a caller's borrowed [`SummaryRef`], so looking a summary up
+/// allocates nothing.
+trait Summary {
+    fn summary(&self) -> SummaryRef<'_>;
+}
+
+impl Summary for Entry {
+    fn summary(&self) -> SummaryRef<'_> {
+        (self.static_id, self.work, self.cp, &self.children)
+    }
+}
+
+impl Summary for SummaryRef<'_> {
+    fn summary(&self) -> SummaryRef<'_> {
+        *self
+    }
+}
+
+impl Hash for dyn Summary + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.summary().hash(state);
+    }
+}
+
+impl PartialEq for dyn Summary + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.summary() == other.summary()
+    }
+}
+
+impl Eq for dyn Summary + '_ {}
+
+/// An interned entry as the interner's key. It hashes and compares
+/// through [`Summary`], exactly as a borrowed `dyn Summary` does.
+#[derive(Debug, Clone)]
+struct Key(Entry);
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.summary().hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.summary() == other.0.summary()
+    }
+}
+
+impl Eq for Key {}
+
+impl<'a> Borrow<dyn Summary + 'a> for Key {
+    fn borrow(&self) -> &(dyn Summary + 'a) {
+        &self.0
+    }
+}
+
 /// The dictionary: alphabet of unique region summaries plus raw-stream
 /// accounting for the compression statistics of paper §4.4.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     entries: Vec<Entry>,
-    interner: HashMap<Entry, EntryId>,
+    /// Default-hashed: summaries derive from submitted programs.
+    interner: HashMap<Key, EntryId>,
+    /// Per static region, the entry it last interned: a region that
+    /// repeats its previous summary (every iteration of a regular loop
+    /// body) is answered without hashing.
+    last: Vec<Option<EntryId>>,
+    /// Reused buffer for canonicalizing children given out of order.
+    scratch: Vec<(EntryId, u64)>,
     /// Total dynamic region instances summarized (the uncompressed stream
     /// length).
     raw_summaries: u64,
@@ -91,13 +161,27 @@ pub struct Dictionary {
     root: Option<EntryId>,
 }
 
+/// Two dictionaries are equal when they hold the same entries in the same
+/// order, the same root and the same raw summary count; the interner's
+/// lookup state is not compared.
+impl PartialEq for Dictionary {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+            && self.root == other.root
+            && self.raw_summaries == other.raw_summaries
+    }
+}
+
+impl Eq for Dictionary {}
+
 impl Dictionary {
     /// Creates an empty dictionary.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Interns a region summary, returning its character.
+    /// Interns a region summary, returning its character. Allocates only
+    /// when the summary is new.
     ///
     /// `children` may be in any order and may contain duplicate entry IDs;
     /// they are canonicalized (sorted, merged) here.
@@ -111,10 +195,19 @@ impl Dictionary {
         static_id: StaticId,
         work: u64,
         cp: u64,
-        mut children: Vec<(EntryId, u64)>,
+        children: &[(EntryId, u64)],
     ) -> EntryId {
-        children.sort_by_key(|(c, _)| *c);
-        children.dedup_by(|a, b| {
+        for (c, _) in children {
+            assert!(c.index() < self.entries.len(), "child {c} not yet interned");
+        }
+        if children.windows(2).all(|w| w[0].0 < w[1].0) {
+            return self.intern_canonical((static_id, work, cp, children));
+        }
+        let mut sorted = std::mem::take(&mut self.scratch);
+        sorted.clear();
+        sorted.extend_from_slice(children);
+        sorted.sort_unstable_by_key(|(c, _)| *c);
+        sorted.dedup_by(|a, b| {
             if a.0 == b.0 {
                 b.1 += a.1;
                 true
@@ -122,19 +215,30 @@ impl Dictionary {
                 false
             }
         });
-        for (c, _) in &children {
-            assert!(c.index() < self.entries.len(), "child {c} not yet interned");
-        }
+        let id = self.intern_canonical((static_id, work, cp, &sorted));
+        self.scratch = sorted;
+        id
+    }
+
+    fn intern_canonical(&mut self, summary: SummaryRef<'_>) -> EntryId {
         self.raw_summaries += 1;
-        let key = Entry { static_id, work, cp, children };
-        if let Some(&id) = self.interner.get(&key) {
+        let region = summary.0 as usize;
+        if region >= self.last.len() {
+            self.last.resize(region + 1, None);
+        }
+        let memo = self.last[region].filter(|id| self.entries[id.index()].summary() == summary);
+        if let Some(id) = memo.or_else(|| self.interner.get(&summary as &dyn Summary).copied()) {
             kremlin_obs::counter!("compress.dict_hits").incr();
+            self.last[region] = Some(id);
             return id;
         }
         kremlin_obs::counter!("compress.dict_misses").incr();
         let id = EntryId(u32::try_from(self.entries.len()).expect("alphabet overflow"));
-        self.entries.push(key.clone());
-        self.interner.insert(key, id);
+        let (static_id, work, cp, children) = summary;
+        let entry = Entry { static_id, work, cp, children: children.to_vec() };
+        self.entries.push(entry.clone());
+        self.interner.insert(Key(entry), id);
+        self.last[region] = Some(id);
         id
     }
 
@@ -287,15 +391,15 @@ mod tests {
     /// main { loop × 1 { body × N } }, every body identical.
     fn loop_dict(n_iters: u64, body_work: u64, serial: bool) -> (Dictionary, EntryId) {
         let mut d = Dictionary::new();
-        let body = d.intern(2, body_work, body_work, vec![]);
+        let body = d.intern(2, body_work, body_work, &[]);
         // All iterations produce the same body character.
         for _ in 1..n_iters {
-            let again = d.intern(2, body_work, body_work, vec![]);
+            let again = d.intern(2, body_work, body_work, &[]);
             assert_eq!(again, body);
         }
         let loop_cp = if serial { n_iters * body_work } else { body_work };
-        let lp = d.intern(1, n_iters * body_work, loop_cp, vec![(body, n_iters)]);
-        let root = d.intern(0, n_iters * body_work + 10, n_iters * body_work + 10, vec![(lp, 1)]);
+        let lp = d.intern(1, n_iters * body_work, loop_cp, &[(body, n_iters)]);
+        let root = d.intern(0, n_iters * body_work + 10, n_iters * body_work + 10, &[(lp, 1)]);
         d.set_root(root);
         (d, lp)
     }
@@ -327,8 +431,8 @@ mod tests {
     #[test]
     fn self_work_excludes_children() {
         let mut d = Dictionary::new();
-        let c = d.intern(5, 40, 40, vec![]);
-        let p = d.intern(4, 100, 60, vec![(c, 2)]);
+        let c = d.intern(5, 40, 40, &[]);
+        let p = d.intern(4, 100, 60, &[(c, 2)]);
         assert_eq!(d.entry(p).self_work(&d), 20);
         assert_eq!(d.entry(p).child_instances(), 2);
     }
@@ -336,9 +440,9 @@ mod tests {
     #[test]
     fn instance_counts_multiply_down_the_tree() {
         let mut d = Dictionary::new();
-        let leaf = d.intern(3, 1, 1, vec![]);
-        let mid = d.intern(2, 10, 10, vec![(leaf, 4)]);
-        let root = d.intern(1, 100, 100, vec![(mid, 5)]);
+        let leaf = d.intern(3, 1, 1, &[]);
+        let mid = d.intern(2, 10, 10, &[(leaf, 4)]);
+        let root = d.intern(1, 100, 100, &[(mid, 5)]);
         d.set_root(root);
         let counts = d.instance_counts();
         assert_eq!(counts[root.index()], 1);
@@ -349,18 +453,38 @@ mod tests {
     #[test]
     fn instance_counts_without_root_are_zero() {
         let mut d = Dictionary::new();
-        d.intern(0, 1, 1, vec![]);
+        d.intern(0, 1, 1, &[]);
         assert!(d.instance_counts().iter().all(|&c| c == 0));
     }
 
     #[test]
     fn children_order_is_canonicalized() {
         let mut d = Dictionary::new();
-        let a = d.intern(1, 5, 5, vec![]);
-        let b = d.intern(2, 6, 6, vec![]);
-        let p1 = d.intern(3, 30, 11, vec![(b, 1), (a, 2)]);
-        let p2 = d.intern(3, 30, 11, vec![(a, 1), (b, 1), (a, 1)]);
+        let a = d.intern(1, 5, 5, &[]);
+        let b = d.intern(2, 6, 6, &[]);
+        let p1 = d.intern(3, 30, 11, &[(b, 1), (a, 2)]);
+        let p2 = d.intern(3, 30, 11, &[(a, 1), (b, 1), (a, 1)]);
         assert_eq!(p1, p2, "same multiset of children must intern identically");
+    }
+
+    #[test]
+    fn summaries_of_one_region_intern_exactly_whatever_the_order() {
+        let mut d = Dictionary::new();
+        let leaf = d.intern(9, 1, 1, &[]);
+        let a = d.intern(1, 10, 5, &[]);
+        assert_eq!(d.intern(1, 10, 5, &[]), a, "a repeat is the same entry");
+        let by_cp = d.intern(1, 10, 6, &[]);
+        let by_children = d.intern(1, 10, 5, &[(leaf, 1)]);
+        let by_work = d.intern(1, 11, 5, &[]);
+        let other_region = d.intern(2, 10, 5, &[]);
+        let ids = [a, by_cp, by_children, by_work, other_region];
+        for (i, x) in ids.iter().enumerate() {
+            assert!(ids[i + 1..].iter().all(|y| y != x), "{ids:?}");
+        }
+        assert_eq!(d.intern(1, 10, 5, &[]), a, "found again after the region moved on");
+        assert_eq!(d.intern(1, 10, 6, &[]), by_cp);
+        assert_eq!(d.len(), 6);
+        assert_eq!(d.raw_summaries(), 9);
     }
 
     #[test]
@@ -375,7 +499,7 @@ mod tests {
     #[test]
     fn total_parallelism_bounds_self_parallelism_at_leaves() {
         let mut d = Dictionary::new();
-        let leaf = d.intern(1, 120, 30, vec![]);
+        let leaf = d.intern(1, 120, 30, &[]);
         let sp = d.self_parallelism();
         let tp = d.total_parallelism();
         // For a leaf, SP == TP == work/cp.
@@ -386,7 +510,7 @@ mod tests {
     #[test]
     fn zero_cp_entries_are_sp_one() {
         let mut d = Dictionary::new();
-        let e = d.intern(1, 0, 0, vec![]);
+        let e = d.intern(1, 0, 0, &[]);
         assert_eq!(d.self_parallelism()[e.index()], 1.0);
         assert_eq!(d.total_parallelism()[e.index()], 1.0);
     }
@@ -395,10 +519,10 @@ mod tests {
     fn masked_counts_stop_at_recursive_activations() {
         // root(s=0) -> f(s=1) -> f(s=1) -> leaf(s=2)
         let mut d = Dictionary::new();
-        let leaf = d.intern(2, 5, 5, vec![]);
-        let f_inner = d.intern(1, 10, 10, vec![(leaf, 1)]);
-        let f_outer = d.intern(1, 25, 20, vec![(f_inner, 2)]);
-        let root = d.intern(0, 30, 25, vec![(f_outer, 1)]);
+        let leaf = d.intern(2, 5, 5, &[]);
+        let f_inner = d.intern(1, 10, 10, &[(leaf, 1)]);
+        let f_outer = d.intern(1, 25, 20, &[(f_inner, 2)]);
+        let root = d.intern(0, 30, 25, &[(f_outer, 1)]);
         d.set_root(root);
         // Global counts see both activation layers.
         let c = d.instance_counts();
@@ -420,7 +544,7 @@ mod tests {
     #[should_panic(expected = "not yet interned")]
     fn forward_child_reference_panics() {
         let mut d = Dictionary::new();
-        d.intern(1, 1, 1, vec![(EntryId(5), 1)]);
+        d.intern(1, 1, 1, &[(EntryId(5), 1)]);
     }
 }
 
@@ -480,7 +604,7 @@ mod proptests {
                 let work = self_work + child_work;
                 // cp between max(child cp contribution needed) and work.
                 let cp = (child_cp / 2 + self_work / 2).clamp(1, work.max(1));
-                pool.push(d.intern(sid, work, cp, children));
+                pool.push(d.intern(sid, work, cp, &children));
             }
             let root = *pool.last().unwrap();
             d.set_root(root);
@@ -505,14 +629,14 @@ mod proptests {
             let raw_before = d.raw_bytes();
             let entries: Vec<Entry> = d.iter().map(|(_, e)| e.clone()).collect();
             for e in entries {
-                d.intern(e.static_id, e.work, e.cp, e.children);
+                d.intern(e.static_id, e.work, e.cp, &e.children);
             }
             assert_eq!(d.len(), len_before);
             assert_eq!(d.compressed_bytes(), compressed_before);
             assert!(d.raw_bytes() > raw_before);
             // Re-interning the root summary yields the same character.
             let e0 = d.entry(root).clone();
-            let again = d.intern(e0.static_id, e0.work, e0.cp, e0.children.clone());
+            let again = d.intern(e0.static_id, e0.work, e0.cp, &e0.children);
             assert_eq!(again, root, "case {case}");
         }
     }

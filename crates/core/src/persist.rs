@@ -207,7 +207,7 @@ pub fn load_profile(text: &str) -> Result<SavedProfile, ProfileFormatError> {
                 if sid >= next_region {
                     return Err(err(lineno, format!("entry references unknown region {sid}")));
                 }
-                dict.intern(sid, work, cp, children);
+                dict.intern(sid, work, cp, &children);
                 next_entry += 1;
             }
             Some("root") => {

@@ -161,7 +161,10 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 return Err(bad("--runs must be at least 1".into()));
             }
         } else if let Some(v) = a.strip_prefix("--window=") {
-            o.window = Some(v.parse().map_err(|_| bad(format!("bad --window value `{v}`")))?);
+            // Window 0 would track no depth at all and plan nothing.
+            let window = v.parse().ok().filter(|&w| w > 0);
+            o.window =
+                Some(window.ok_or_else(|| bad(format!("bad --window value `{v}` (at least 1)")))?);
         } else if let Some(v) =
             a.strip_prefix("--jobs=").or_else(|| a.strip_prefix("--depth-shards="))
         {

@@ -88,10 +88,13 @@ fn usage_errors_exit_2_and_print_usage() {
     assert!(stderr.contains("unknown option"), "{stderr}");
     assert!(stderr.contains("usage: kremlin"), "usage must be printed: {stderr}");
 
-    // Bad flag value.
+    // Bad flag values.
     let out = kremlin().arg("x.kc").arg("--runs=zero").output().expect("runs");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad --runs"));
+    let out = kremlin().arg("x.kc").arg("--window=0").output().expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --window value"));
 
     // Unknown personality.
     let out = kremlin().arg("x.kc").arg("--personality=mpi").output().expect("runs");

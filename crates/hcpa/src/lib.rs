@@ -16,7 +16,8 @@
 //!
 //! * [`cost`] — instruction latency model (availability time arithmetic);
 //! * [`shadow`] — multi-level shadow memory and shadow register tables,
-//!   with region-instance **tags** to prevent cross-instance reuse (§4.2);
+//!   with one region-instance **write stamp** per location to prevent
+//!   cross-instance reuse (§4.2's tags, encoded exactly);
 //! * [`profiler`] — the [`kremlin_interp::ExecHook`] implementation:
 //!   per-depth time propagation, control-dependence stack, induction/
 //!   reduction breaking, and online dictionary compression (§4.1, §4.4);

@@ -21,21 +21,35 @@
 //! # Hot path
 //!
 //! [`Profiler::on_instr`] runs once per executed instruction and is
-//! where nearly all profiling time goes. It is structured as a single
-//! **op-major** pass: per-depth region tags and availability times live in
-//! reusable scratch buffers, each operand/memory access is resolved with
-//! one bulk [`ShadowRegs::gather_max`] / [`ShadowMemory::gather_max`] call
-//! that amortizes the location lookup across every tracked depth, and the
-//! final times are committed with one bulk `write_run`. Per-region work is
-//! not accumulated per instruction at all: a single global latency counter
-//! advances in O(1), and each region's work is the counter delta across
-//! its lifetime (plus call latencies credited at tracked depths, exactly
-//! as the depth-major reference formulation does).
+//! where nearly all profiling time goes, so each event does only the
+//! dependence work HCPA defines:
 //!
-//! Shadow state lives in the packed depth-contiguous stores of
-//! [`crate::shadow`]. The full pre-optimization profiler — the
-//! `BENCH_profiler.json` baseline and the differential-test reference —
-//! is kept frozen in [`crate::seed`].
+//! * **Pre-resolved op table.** [`Profiler::new`] resolves every value of
+//!   every function once: its latency, its class (parameter, phi, load,
+//!   store or other) and its operand list with the broken dependence
+//!   already removed. An event indexes the table by function and value
+//!   instead of matching on the instruction.
+//! * **One commit pass.** The per-depth times start as a slice copy of
+//!   the control-dependence top; each input (operand, phi source, call
+//!   argument or loaded location) folds in its valid times with one
+//!   [`ShadowRegs::read_run`] / [`ShadowMemory::read_run`]; then one loop
+//!   adds the latency, writes the destination's stamped run and folds
+//!   each open region's critical path, kept in a flat array beside the
+//!   region tags.
+//! * **O(1) work.** A single global latency counter advances per event,
+//!   and each region's work is the counter delta across its lifetime
+//!   (plus call latencies credited at tracked depths).
+//! * **Allocation-free region exit.** The children of every open region
+//!   share one stack, innermost region on top; a child appended right
+//!   after an equal child merges into its run (a loop appends the same
+//!   body entry again and again). At exit the region's segment is
+//!   interned by reference ([`Dictionary::intern`] sorts and merges it
+//!   and allocates only for a new summary) and truncated.
+//!
+//! Shadow state lives in the stamped stores of [`crate::shadow`]. The
+//! full pre-optimization profiler — the `BENCH_profiler.json` baseline
+//! and the differential-test reference — is kept frozen in
+//! [`crate::seed`].
 
 use crate::cost::CostModel;
 use crate::shadow::{ShadowMemory, ShadowRegs};
@@ -43,7 +57,6 @@ use kremlin_compress::{Dictionary, EntryId};
 use kremlin_interp::{CallCtx, ExecHook, InstrCtx, RetCtx};
 use kremlin_ir::instr::InstrKind;
 use kremlin_ir::{FuncId, Module, RegionId, ValueId};
-use std::collections::HashMap;
 
 /// HCPA configuration.
 #[derive(Debug, Clone, Copy)]
@@ -88,14 +101,39 @@ pub struct ProfilerStats {
     pub shadow_pages: u64,
     /// Shadow memory pages currently resident at the end of the run.
     pub shadow_live_pages: u64,
-    /// Shadow memory footprint in bytes of the live pages, derived from
-    /// the backend's actual slot layout.
+    /// Shadow memory footprint in bytes of the live pages: one stamp and
+    /// `window` times (`8 × (window + 1)` bytes) per location.
     pub shadow_bytes: u64,
     /// Minimum dynamic nesting depth observed per static region (indexed
     /// by region id); `None` for regions never entered. Diagnostic: a
     /// region may also appear at deeper depths (stitching accounts for
     /// every depth separately).
     pub region_min_depth: Vec<Option<usize>>,
+}
+
+/// Where an instruction's input times come from.
+#[derive(Debug, Clone, Copy)]
+enum OpClass {
+    /// Parameter `i`: the call site's argument times.
+    Param(u32),
+    /// Phi: the incoming value taken, unless it is the broken dependence.
+    Phi { broken: Option<ValueId> },
+    /// Load: the operands and the loaded location.
+    Load,
+    /// Store: the operands; the result goes to the stored location.
+    Store,
+    /// Anything else: the operands.
+    Other,
+}
+
+/// One value's pre-resolved entry in the op table.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    lat: u64,
+    class: OpClass,
+    /// `Profiler::operands[start..end]`: distinct operands, the broken
+    /// dependence removed.
+    operands: (u32, u32),
 }
 
 struct ActiveRegion {
@@ -105,8 +143,8 @@ struct ActiveRegion {
     work_base: u64,
     /// Work credited explicitly (call latencies at tracked depths).
     work_extra: u64,
-    cp: u64,
-    children: HashMap<EntryId, u64>,
+    /// Where this region's children start in `Profiler::children`.
+    children_start: usize,
 }
 
 struct CallRecord {
@@ -124,11 +162,20 @@ pub struct Profiler<'m> {
     module: &'m Module,
     config: HcpaConfig,
     dict: Dictionary,
+    /// The op table: value `v` of function `f` is
+    /// `op_table[op_base[f] + v]`.
+    op_table: Vec<Op>,
+    op_base: Vec<usize>,
+    operands: Vec<ValueId>,
     regions: Vec<ActiveRegion>,
-    /// `region_tags[d]` mirrors `regions[d].tag`: kept as a flat array so
-    /// the per-instruction hot path can slice it instead of re-gathering
-    /// tags from the region stack.
+    /// `region_tags[d]`: the tag of the region instance open at depth `d`.
     region_tags: Vec<u64>,
+    /// `region_cp[d]`: the critical path so far of the region open at
+    /// depth `d`.
+    region_cp: Vec<u64>,
+    /// `(entry, count)` children of every open region, each region's
+    /// segment starting at its `children_start`.
+    children: Vec<(EntryId, u64)>,
     cd_stack: Vec<Vec<u64>>,
     /// Retired control-dependence vectors, reused by `on_cd_push`.
     cd_pool: Vec<Vec<u64>>,
@@ -141,23 +188,66 @@ pub struct Profiler<'m> {
     /// Total instruction latency observed so far (O(1) work accrual).
     work_counter: u64,
     stats: ProfilerStats,
-    ops: Vec<ValueId>,
     /// Scratch: per tracked depth, the availability time being computed.
     t_scratch: Vec<u64>,
     /// Scratch: returned-value times captured across the callee teardown.
     ret_scratch: Vec<u64>,
 }
 
+/// `t[i] = max(t[i], run[i])` over the shorter of the two.
+#[inline]
+fn fold_max(t: &mut [u64], run: &[u64]) {
+    for (slot, &time) in t.iter_mut().zip(run) {
+        *slot = (*slot).max(time);
+    }
+}
+
 impl<'m> Profiler<'m> {
-    /// Creates a profiler for `module`.
+    /// Creates a profiler for `module`, resolving its op table.
     pub fn new(module: &'m Module, config: HcpaConfig) -> Self {
+        let mut op_table = Vec::new();
+        let mut op_base = Vec::with_capacity(module.funcs.len());
+        let mut operands = Vec::new();
+        let mut gathered = Vec::new();
+        for f in &module.funcs {
+            op_base.push(op_table.len());
+            for v in &f.values {
+                let broken = if config.break_carried_deps { v.break_dep_on } else { None };
+                let class = match v.kind {
+                    InstrKind::Param(i) => OpClass::Param(i),
+                    InstrKind::Phi { .. } => OpClass::Phi { broken },
+                    InstrKind::Load(_) => OpClass::Load,
+                    InstrKind::Store { .. } => OpClass::Store,
+                    _ => OpClass::Other,
+                };
+                let start = operands.len();
+                if !matches!(class, OpClass::Param(_) | OpClass::Phi { .. }) {
+                    gathered.clear();
+                    v.kind.operands(&mut gathered);
+                    for &o in &gathered {
+                        // A repeated operand folds the same times twice.
+                        if Some(o) != broken && !operands[start..].contains(&o) {
+                            operands.push(o);
+                        }
+                    }
+                }
+                let index = |i: usize| u32::try_from(i).expect("operand table fits u32 indices");
+                let range = (index(start), index(operands.len()));
+                op_table.push(Op { lat: config.cost.latency(&v.kind), class, operands: range });
+            }
+        }
         Profiler {
             module,
             config,
             dict: Dictionary::new(),
+            op_table,
+            op_base,
+            operands,
             regions: Vec::new(),
             region_tags: Vec::new(),
-            cd_stack: Vec::new(),
+            region_cp: Vec::new(),
+            children: Vec::new(),
+            cd_stack: vec![vec![0; config.min_depth + config.window]],
             cd_pool: Vec::new(),
             mem: ShadowMemory::new(config.window),
             frames: Vec::new(),
@@ -169,8 +259,7 @@ impl<'m> Profiler<'m> {
                 region_min_depth: vec![None; module.regions.len()],
                 ..ProfilerStats::default()
             },
-            ops: Vec::new(),
-            t_scratch: Vec::with_capacity(config.window),
+            t_scratch: vec![0; config.window],
             ret_scratch: Vec::new(),
         }
     }
@@ -202,14 +291,14 @@ impl<'m> Profiler<'m> {
         (self.dict, self.stats)
     }
 
-    fn fresh_tag(&mut self) -> u64 {
-        let t = self.next_tag;
-        self.next_tag += 1;
-        t
+    /// The stamp of a write happening now: the last tag issued.
+    fn stamp(&self) -> u64 {
+        self.next_tag - 1
     }
 
     fn push_region(&mut self, static_id: RegionId) {
-        let tag = self.fresh_tag();
+        let tag = self.next_tag;
+        self.next_tag += 1;
         let depth = self.regions.len();
         let slot = &mut self.stats.region_min_depth[static_id.index()];
         *slot = Some(slot.map_or(depth, |d| d.min(depth)));
@@ -217,37 +306,31 @@ impl<'m> Profiler<'m> {
             static_id,
             work_base: self.work_counter,
             work_extra: 0,
-            cp: 0,
-            children: HashMap::new(),
+            children_start: self.children.len(),
         });
         self.region_tags.push(tag);
+        self.region_cp.push(0);
         self.stats.max_depth = self.stats.max_depth.max(self.regions.len());
     }
 
-    fn pop_region(&mut self, expected: RegionId) -> EntryId {
+    fn pop_region(&mut self, expected: RegionId) {
         let r = self.regions.pop().expect("region stack underflow");
         self.region_tags.pop();
+        let cp = self.region_cp.pop().expect("one cp per open region");
         debug_assert_eq!(r.static_id, expected, "mismatched region exit");
         let work = self.work_counter - r.work_base + r.work_extra;
-        let mut children: Vec<(EntryId, u64)> = r.children.into_iter().collect();
-        children.sort_by_key(|(c, _)| *c);
-        let id = self.dict.intern(r.static_id.0, work, r.cp, children);
+        let id = self.dict.intern(r.static_id.0, work, cp, &self.children[r.children_start..]);
+        self.children.truncate(r.children_start);
         self.stats.dynamic_regions += 1;
         kremlin_obs::histogram!("hcpa.region_work").record(work);
-        match self.regions.last_mut() {
-            Some(parent) => {
-                *parent.children.entry(id).or_insert(0) += 1;
-            }
-            None => self.dict.set_root(id),
-        }
-        id
-    }
-
-    #[inline]
-    fn cd_time(&self, depth: usize) -> u64 {
-        match self.cd_stack.last() {
-            Some(v) => v.get(depth).copied().unwrap_or(0),
-            None => 0,
+        let Some(parent) = self.regions.last() else {
+            self.dict.set_root(id);
+            return;
+        };
+        let in_parent = self.children.len() > parent.children_start;
+        match self.children.last_mut() {
+            Some((last, count)) if in_parent && *last == id => *count += 1,
+            _ => self.children.push((id, 1)),
         }
     }
 
@@ -263,12 +346,12 @@ impl<'m> Profiler<'m> {
 impl ExecHook for Profiler<'_> {
     fn on_instr(&mut self, ctx: &InstrCtx<'_>) {
         self.stats.instr_events += 1;
-        let lat = self.config.cost.latency(ctx.kind);
+        let op = self.op_table[self.op_base[ctx.func.id.index()] + ctx.value.index()];
 
         // Work accrues at every active depth: a single counter advance
         // stands in for incrementing each open region (the region's work
         // is reconstructed as a counter delta at exit).
-        self.work_counter += lat;
+        self.work_counter += op.lat;
 
         let (lo, hi) = self.tracked_range();
         if lo >= hi {
@@ -276,72 +359,54 @@ impl ExecHook for Profiler<'_> {
             // the execution has not reached): nothing else to update.
             return;
         }
-        let n = hi - lo;
+        let stamp = self.stamp();
 
         // Per-depth availability times seeded from the control dependence
         // on the enclosing branch condition.
-        self.t_scratch.clear();
-        match self.cd_stack.last() {
-            Some(v) => self.t_scratch.extend((lo..hi).map(|d| v.get(d).copied().unwrap_or(0))),
-            None => self.t_scratch.resize(n, 0),
-        }
+        let t = &mut self.t_scratch[..hi - lo];
+        t.copy_from_slice(&self.cd_stack.last().expect("base cd entry")[lo..hi]);
 
-        let is_store = matches!(ctx.kind, InstrKind::Store { .. });
-        if let InstrKind::Param(i) = ctx.kind {
-            // Parameter times come from the call site's argument times
-            // (depths beyond the caller's depth default to 0).
-            if let Some(call) = self.calls.last() {
-                let base = *i as usize * call.depths;
-                for (k, slot) in self.t_scratch.iter_mut().enumerate() {
-                    let d = lo + k;
-                    if d < call.depths {
-                        *slot = (*slot).max(call.arg_times[base + d]);
-                    }
-                }
-            }
-        } else {
-            // Gather value operands, then fold each one's times across all
-            // tracked depths in one bulk pass per operand.
-            self.ops.clear();
-            match ctx.kind {
-                InstrKind::Phi { .. } => {
-                    if let Some(src) = ctx.phi_source {
-                        self.ops.push(src);
-                    }
-                }
-                kind => kind.operands(&mut self.ops),
-            }
-            let break_on = if self.config.break_carried_deps {
-                ctx.func.value(ctx.value).break_dep_on
-            } else {
-                None
-            };
-            let frame = self.frames.last().expect("shadow frame");
-            let tags = &self.region_tags[lo..hi];
-            for &op in &self.ops {
-                if Some(op) == break_on {
-                    continue;
-                }
-                frame.gather_max(op.index(), tags, &mut self.t_scratch);
-            }
-            if let (InstrKind::Load(_), Some(addr)) = (ctx.kind, ctx.mem_addr) {
-                self.mem.gather_max(addr, tags, &mut self.t_scratch);
-            }
-        }
-
-        for t in &mut self.t_scratch {
-            *t += lat;
-        }
         let tags = &self.region_tags[lo..hi];
-        if is_store {
+        let frame = self.frames.last().expect("shadow frame");
+        match op.class {
+            OpClass::Param(i) => {
+                // Parameter times come from the call site's argument times
+                // (depths beyond the caller's depth default to 0).
+                if let Some(call) = self.calls.last().filter(|c| c.depths > lo) {
+                    let row = i as usize * call.depths;
+                    let m = call.depths.min(hi) - lo;
+                    fold_max(t, &call.arg_times[row + lo..row + lo + m]);
+                }
+            }
+            OpClass::Phi { broken } => {
+                if let Some(src) = ctx.phi_source.filter(|&src| Some(src) != broken) {
+                    fold_max(t, frame.read_run(src.index(), tags));
+                }
+            }
+            class => {
+                let (start, end) = op.operands;
+                for &o in &self.operands[start as usize..end as usize] {
+                    fold_max(t, frame.read_run(o.index(), tags));
+                }
+                if let (OpClass::Load, Some(addr)) = (class, ctx.mem_addr) {
+                    fold_max(t, self.mem.read_run(addr, tags));
+                }
+            }
+        }
+
+        // Commit: add the latency, write the destination's run and fold
+        // each open region's critical path, in one pass.
+        let dst = if let OpClass::Store = op.class {
             let addr = ctx.mem_addr.expect("store has an address");
-            self.mem.write_run(addr, tags, &self.t_scratch);
+            self.mem.write_run(addr, stamp, t.len())
         } else {
             let frame = self.frames.last_mut().expect("shadow frame");
-            frame.write_run(ctx.value.index(), tags, &self.t_scratch);
-        }
-        for (r, &t) in self.regions[lo..hi].iter_mut().zip(&self.t_scratch) {
-            r.cp = r.cp.max(t);
+            frame.write_run(ctx.value.index(), stamp, t.len())
+        };
+        for ((slot, &time), cp) in dst.iter_mut().zip(t.iter()).zip(&mut self.region_cp[lo..hi]) {
+            let time = time + op.lat;
+            *slot = time;
+            *cp = (*cp).max(time);
         }
     }
 
@@ -351,10 +416,11 @@ impl ExecHook for Profiler<'_> {
         buf.clear();
         buf.resize(ctx.args.len() * hi, 0);
         let frame = self.frames.last().expect("caller shadow frame");
+        let tags = &self.region_tags[lo..hi];
         for (a_i, a) in ctx.args.iter().enumerate() {
-            for d in lo..hi {
-                buf[a_i * hi + d] = frame.read(a.index(), d - lo, self.region_tags[d]);
-            }
+            let run = frame.read_run(a.index(), tags);
+            let at = a_i * hi + lo;
+            buf[at..at + run.len()].copy_from_slice(run);
         }
         self.calls.push(CallRecord { call_value: ctx.call_value, depths: hi, arg_times: buf });
     }
@@ -374,11 +440,10 @@ impl ExecHook for Profiler<'_> {
         let mut ret_times = std::mem::take(&mut self.ret_scratch);
         ret_times.clear();
         ret_times.resize(caller_hi, 0);
-        if let Some(v) = ctx.returned {
+        if let (Some(v), true) = (ctx.returned, lo < caller_hi) {
             let frame = self.frames.last().expect("callee shadow frame");
-            for (d, slot) in ret_times.iter_mut().enumerate().take(caller_hi).skip(lo) {
-                *slot = frame.read(v.index(), d - lo, self.region_tags[d]);
-            }
+            let run = frame.read_run(v.index(), &self.region_tags[lo..caller_hi]);
+            ret_times[lo..lo + run.len()].copy_from_slice(run);
         }
 
         self.pop_region(ctx.region);
@@ -386,15 +451,21 @@ impl ExecHook for Profiler<'_> {
 
         if let Some(call) = self.calls.pop() {
             let lat = self.config.cost.call;
+            // The caller's tracked range ends at `caller_hi`.
             let (lo, hi) = self.tracked_range();
-            let frame = self.frames.last_mut().expect("caller shadow frame");
-            for d in lo..hi {
-                let tag = self.region_tags[d];
-                let t = ret_times.get(d).copied().unwrap_or(0) + lat;
-                frame.write(call.call_value.index(), d - lo, tag, t);
-                let r = &mut self.regions[d];
-                r.cp = r.cp.max(t);
-                r.work_extra += lat;
+            if lo < hi {
+                let stamp = self.stamp();
+                let frame = self.frames.last_mut().expect("caller shadow frame");
+                let dst = frame.write_run(call.call_value.index(), stamp, hi - lo);
+                for ((slot, &ret), cp) in
+                    dst.iter_mut().zip(&ret_times[lo..hi]).zip(&mut self.region_cp[lo..hi])
+                {
+                    *slot = ret + lat;
+                    *cp = (*cp).max(ret + lat);
+                }
+                for r in &mut self.regions[lo..hi] {
+                    r.work_extra += lat;
+                }
             }
             let mut buf = call.arg_times;
             buf.clear();
@@ -415,18 +486,19 @@ impl ExecHook for Profiler<'_> {
         let (lo, hi) = self.tracked_range();
         let mut entry = self.cd_pool.pop().unwrap_or_default();
         entry.clear();
-        entry.resize(hi, 0);
+        entry.resize(self.config.min_depth + self.config.window, 0);
+        // Control times only increase: start from the enclosing top, then
+        // fold in the condition's times.
+        let top = self.cd_stack.last().expect("base cd entry");
+        entry[lo..hi].copy_from_slice(&top[lo..hi]);
         let frame = self.frames.last().expect("shadow frame");
-        for (d, slot) in entry.iter_mut().enumerate().take(hi).skip(lo) {
-            let cond_t = frame.read(cond.index(), d - lo, self.region_tags[d]);
-            // Control times only increase: fold in the enclosing top.
-            *slot = cond_t.max(self.cd_time(d));
-        }
+        fold_max(&mut entry[lo..hi], frame.read_run(cond.index(), &self.region_tags[lo..hi]));
         self.cd_stack.push(entry);
     }
 
     fn on_cd_pop(&mut self) {
-        let entry = self.cd_stack.pop().expect("cd stack underflow");
+        assert!(self.cd_stack.len() > 1, "cd stack underflow");
+        let entry = self.cd_stack.pop().expect("a pushed cd entry");
         self.cd_pool.push(entry);
     }
 }

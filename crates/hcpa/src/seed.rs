@@ -248,7 +248,7 @@ impl<'m> SeedProfiler<'m> {
         debug_assert_eq!(r.static_id, expected, "mismatched region exit");
         let mut children: Vec<(EntryId, u64)> = r.children.into_iter().collect();
         children.sort_by_key(|(c, _)| *c);
-        let id = self.dict.intern(r.static_id.0, r.work, r.cp, children);
+        let id = self.dict.intern(r.static_id.0, r.work, r.cp, &children);
         self.stats.dynamic_regions += 1;
         match self.regions.last_mut() {
             Some(parent) => {
@@ -485,6 +485,11 @@ mod tests {
                for (int i = 0; i < 12; i++) { for (int j = 0; j < 12; j++) { m[i][j] = f((float)(i + j)); } }\n\
                return (int) m[3][4];\n\
              }",
+            // `g`'s first activation in the loop body has the same summary
+            // as the one right before the loop: it must count as the
+            // body's child, not merge into `main`'s.
+            "int g(int x) { return x * 2 + 1; }\n\
+             int main() { int s = g(1); for (int i = 0; i < 3; i++) { s += g(1); } return s; }",
         ];
         let configs = [
             HcpaConfig::default(),
@@ -498,13 +503,14 @@ mod tests {
             for config in configs {
                 let opt = profile_unit(&unit, config).unwrap();
                 let seed = profile_unit_seed(&unit, config, MachineConfig::default()).unwrap();
-                assert!(
-                    opt.profile.identical_stats(&seed.profile),
-                    "optimized and seed profiles differ (window {}, min_depth {}, break {})",
-                    config.window,
-                    config.min_depth,
-                    config.break_carried_deps
+                let at = format!(
+                    "window {}, min_depth {}, break {}",
+                    config.window, config.min_depth, config.break_carried_deps
                 );
+                assert!(opt.profile.identical_stats(&seed.profile), "profiles differ ({at})");
+                // `identical_stats` skips the dictionary: compare it entry
+                // by entry, with its root and raw summary count.
+                assert!(opt.profile.dict == seed.profile.dict, "dictionaries differ ({at})");
                 assert_eq!(opt.run, seed.run);
                 assert_eq!(opt.stats.instr_events, seed.stats.instr_events);
                 assert_eq!(opt.stats.dynamic_regions, seed.stats.dynamic_regions);

@@ -139,6 +139,36 @@ mod tests {
         assert!(matches!(e, InterpError::FuelExhausted { .. }));
     }
 
+    /// Fuel counts every executed instruction, phis included: a budget of
+    /// exactly `instrs_executed` completes and one less fails.
+    #[test]
+    fn fuel_budget_is_exact_including_phis() {
+        let srcs = [
+            // Ends with a phi-merging branch: 71 instructions.
+            "int main() { int s = 0; for (int i = 0; i < 5; i++) { s += i; } int r = 0; \
+             if (s > 3) { r = 1; } else { r = 2; } return r; }",
+            "int sq(int x) { if (x > 2) { return x * x; } return x; }\n\
+             int main() { int s = 0; for (int i = 0; i < 6; i++) { if (i % 2 == 0) { s += sq(i); } \
+             else { s -= 1; } } return s; }",
+        ];
+        for src in srcs {
+            let unit = compile(src, "t.kc").unwrap();
+            let full = run(&unit.module).unwrap();
+            let with_fuel = |fuel| {
+                let config = MachineConfig { fuel, ..MachineConfig::default() };
+                run_with_hook(&unit.module, &mut NullHook, config)
+            };
+            assert_eq!(with_fuel(full.instrs_executed), Ok(full), "{src}");
+            assert!(
+                matches!(
+                    with_fuel(full.instrs_executed - 1),
+                    Err(InterpError::FuelExhausted { .. })
+                ),
+                "{src}"
+            );
+        }
+    }
+
     #[test]
     fn call_depth_limit() {
         let unit = compile("int f(int n) { return f(n + 1); } int main() { return f(0); }", "t.kc")

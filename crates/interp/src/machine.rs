@@ -86,216 +86,171 @@ pub fn run_with_hook<H: ExecHook>(
     hook.on_function_enter(main_id, main.region);
 
     let mut executed: u64 = 0;
+    // Phi scratch reused by every block entry.
+    let mut phis: Vec<(ValueId, Value, ValueId)> = Vec::new();
     let exit_value: i64;
 
     'run: loop {
         let frame = frames.last_mut().expect("at least one frame");
-        let func = module.func(frame.func);
+        let fid = frame.func;
+        let func = module.func(fid);
         let block = func.block(frame.block);
 
+        // ---- straight-line instructions --------------------------------
+        // `func`, the block's instructions, the frame's registers and the
+        // instruction index stay in hand until a call or the terminator
+        // moves control elsewhere.
+        let (regs, args) = (&mut frame.regs, &frame.args);
+        let mut idx = frame.idx;
+        while let Some(&vid) = block.instrs.get(idx) {
+            executed += 1;
+            if executed > config.fuel {
+                return Err(InterpError::FuelExhausted { budget: config.fuel });
+            }
+            idx += 1;
+            let vd = func.value(vid);
+            let mem_addr = match &vd.kind {
+                InstrKind::Param(i) => {
+                    regs[vid.index()] = args[*i as usize];
+                    None
+                }
+                InstrKind::ConstInt(c) => {
+                    regs[vid.index()] = Value::Int(*c);
+                    None
+                }
+                InstrKind::ConstFloat(c) => {
+                    regs[vid.index()] = Value::Float(*c);
+                    None
+                }
+                InstrKind::Bin(op, a, b) => {
+                    regs[vid.index()] = eval_bin(*op, regs[a.index()], regs[b.index()], fid)?;
+                    None
+                }
+                InstrKind::Un(op, a) => {
+                    regs[vid.index()] = eval_un(*op, regs[a.index()]);
+                    None
+                }
+                InstrKind::Alloca(a) => {
+                    let info = &func.allocas[a.index()];
+                    regs[vid.index()] = Value::Ptr(frame.base + info.offset as u64);
+                    None
+                }
+                InstrKind::GlobalAddr(g) => {
+                    regs[vid.index()] = Value::Ptr(module.global_offset(*g));
+                    None
+                }
+                InstrKind::Gep { base, index, stride } => {
+                    let b = regs[base.index()].as_ptr();
+                    let i = regs[index.index()].as_int();
+                    regs[vid.index()] =
+                        Value::Ptr(b.wrapping_add((i as u64).wrapping_mul(*stride as u64)));
+                    None
+                }
+                InstrKind::Load(p) => {
+                    let addr = regs[p.index()].as_ptr();
+                    regs[vid.index()] = Value::from_bits(mem.load(addr, fid)?, vd.ty);
+                    Some(addr)
+                }
+                InstrKind::Store { ptr, value } => {
+                    let addr = regs[ptr.index()].as_ptr();
+                    mem.store(addr, regs[value.index()].to_bits(), fid)?;
+                    Some(addr)
+                }
+                InstrKind::IntrinsicCall { op, args } => {
+                    regs[vid.index()] = eval_intrinsic(*op, args, regs);
+                    None
+                }
+                InstrKind::Phi { .. } => {
+                    // Phis at the head of the entry block cannot exist (no
+                    // predecessors); all other phis are executed by
+                    // `enter_block`. Reaching one here is a pass bug.
+                    unreachable!("phi executed outside block entry");
+                }
+                InstrKind::RegionEnter(r) => {
+                    hook.on_region_enter(*r);
+                    continue;
+                }
+                InstrKind::RegionExit(r) => {
+                    hook.on_region_exit(*r);
+                    continue;
+                }
+                InstrKind::CdPush(c) => {
+                    hook.on_cd_push(*c);
+                    continue;
+                }
+                InstrKind::CdPop => {
+                    hook.on_cd_pop();
+                    continue;
+                }
+                InstrKind::Call { func: callee_id, args } => {
+                    let callee = module.func(*callee_id);
+                    hook.on_call(&CallCtx {
+                        caller: func,
+                        callee: *callee_id,
+                        callee_region: callee.region,
+                        args,
+                        call_value: vid,
+                    });
+                    let arg_vals: Vec<Value> = args.iter().map(|a| regs[a.index()]).collect();
+                    // Resume after the call; the borrow of `frame` ends
+                    // here, before `frames` grows.
+                    frame.idx = idx;
+                    if frames.len() >= config.max_call_depth {
+                        return Err(InterpError::CallDepthExceeded {
+                            limit: config.max_call_depth,
+                        });
+                    }
+                    let base = mem.push_frame(callee.frame_slots)?;
+                    frames.push(Frame {
+                        func: *callee_id,
+                        regs: vec![Value::Unit; callee.values.len()],
+                        args: arg_vals,
+                        base,
+                        block: callee.entry,
+                        idx: 0,
+                        ret_slot: Some(vid),
+                    });
+                    hook.on_function_enter(*callee_id, callee.region);
+                    continue 'run;
+                }
+            };
+            hook.on_instr(&InstrCtx {
+                func,
+                value: vid,
+                kind: &vd.kind,
+                mem_addr,
+                phi_source: None,
+            });
+        }
+
         // ---- terminator ---------------------------------------------------
-        if frame.idx >= block.instrs.len() {
-            match block.terminator() {
-                Terminator::Br(t) => {
-                    let t = *t;
-                    enter_block(frame, func, t, hook, &mut executed);
-                }
-                Terminator::CondBr { cond, then_bb, else_bb } => {
-                    let taken =
-                        if frame.regs[cond.index()].as_int() != 0 { *then_bb } else { *else_bb };
-                    enter_block(frame, func, taken, hook, &mut executed);
-                }
-                Terminator::Ret(v) => {
-                    let returned_value = v.map(|v| frame.regs[v.index()]);
-                    hook.on_return(&RetCtx { func: frame.func, region: func.region, returned: *v });
-                    mem.pop_frame(func.frame_slots);
-                    let ret_slot = frame.ret_slot;
-                    frames.pop();
-                    match frames.last_mut() {
-                        None => {
-                            exit_value = returned_value.map(Value::as_int).unwrap_or(0);
-                            break 'run;
-                        }
-                        Some(caller) => {
-                            if let (Some(slot), Some(val)) = (ret_slot, returned_value) {
-                                caller.regs[slot.index()] = val;
-                            }
+        match block.terminator() {
+            Terminator::Br(t) => {
+                enter_block(frame, func, *t, hook, &mut executed, config.fuel, &mut phis)?;
+            }
+            Terminator::CondBr { cond, then_bb, else_bb } => {
+                let taken =
+                    if frame.regs[cond.index()].as_int() != 0 { *then_bb } else { *else_bb };
+                enter_block(frame, func, taken, hook, &mut executed, config.fuel, &mut phis)?;
+            }
+            Terminator::Ret(v) => {
+                let returned_value = v.map(|v| frame.regs[v.index()]);
+                hook.on_return(&RetCtx { func: fid, region: func.region, returned: *v });
+                mem.pop_frame(func.frame_slots);
+                let ret_slot = frame.ret_slot;
+                frames.pop();
+                match frames.last_mut() {
+                    None => {
+                        exit_value = returned_value.map(Value::as_int).unwrap_or(0);
+                        break 'run;
+                    }
+                    Some(caller) => {
+                        if let (Some(slot), Some(val)) = (ret_slot, returned_value) {
+                            caller.regs[slot.index()] = val;
                         }
                     }
                 }
             }
-            continue;
-        }
-
-        // ---- instruction ---------------------------------------------------
-        executed += 1;
-        if executed > config.fuel {
-            return Err(InterpError::FuelExhausted { budget: config.fuel });
-        }
-        let vid = block.instrs[frame.idx];
-        frame.idx += 1;
-        let vd = func.value(vid);
-
-        match &vd.kind {
-            InstrKind::Param(i) => {
-                frame.regs[vid.index()] = frame.args[*i as usize];
-                hook.on_instr(&InstrCtx {
-                    func,
-                    value: vid,
-                    kind: &vd.kind,
-                    mem_addr: None,
-                    phi_source: None,
-                });
-            }
-            InstrKind::ConstInt(c) => {
-                frame.regs[vid.index()] = Value::Int(*c);
-                hook.on_instr(&InstrCtx {
-                    func,
-                    value: vid,
-                    kind: &vd.kind,
-                    mem_addr: None,
-                    phi_source: None,
-                });
-            }
-            InstrKind::ConstFloat(c) => {
-                frame.regs[vid.index()] = Value::Float(*c);
-                hook.on_instr(&InstrCtx {
-                    func,
-                    value: vid,
-                    kind: &vd.kind,
-                    mem_addr: None,
-                    phi_source: None,
-                });
-            }
-            InstrKind::Bin(op, a, b) => {
-                let va = frame.regs[a.index()];
-                let vb = frame.regs[b.index()];
-                frame.regs[vid.index()] = eval_bin(*op, va, vb, frame.func)?;
-                hook.on_instr(&InstrCtx {
-                    func,
-                    value: vid,
-                    kind: &vd.kind,
-                    mem_addr: None,
-                    phi_source: None,
-                });
-            }
-            InstrKind::Un(op, a) => {
-                let va = frame.regs[a.index()];
-                frame.regs[vid.index()] = eval_un(*op, va);
-                hook.on_instr(&InstrCtx {
-                    func,
-                    value: vid,
-                    kind: &vd.kind,
-                    mem_addr: None,
-                    phi_source: None,
-                });
-            }
-            InstrKind::Alloca(a) => {
-                let info = &func.allocas[a.index()];
-                frame.regs[vid.index()] = Value::Ptr(frame.base + info.offset as u64);
-                hook.on_instr(&InstrCtx {
-                    func,
-                    value: vid,
-                    kind: &vd.kind,
-                    mem_addr: None,
-                    phi_source: None,
-                });
-            }
-            InstrKind::GlobalAddr(g) => {
-                frame.regs[vid.index()] = Value::Ptr(module.global_offset(*g));
-                hook.on_instr(&InstrCtx {
-                    func,
-                    value: vid,
-                    kind: &vd.kind,
-                    mem_addr: None,
-                    phi_source: None,
-                });
-            }
-            InstrKind::Gep { base, index, stride } => {
-                let b = frame.regs[base.index()].as_ptr();
-                let i = frame.regs[index.index()].as_int();
-                let addr = b.wrapping_add((i as u64).wrapping_mul(*stride as u64));
-                frame.regs[vid.index()] = Value::Ptr(addr);
-                hook.on_instr(&InstrCtx {
-                    func,
-                    value: vid,
-                    kind: &vd.kind,
-                    mem_addr: None,
-                    phi_source: None,
-                });
-            }
-            InstrKind::Load(p) => {
-                let addr = frame.regs[p.index()].as_ptr();
-                let bits = mem.load(addr, frame.func)?;
-                frame.regs[vid.index()] = Value::from_bits(bits, vd.ty);
-                hook.on_instr(&InstrCtx {
-                    func,
-                    value: vid,
-                    kind: &vd.kind,
-                    mem_addr: Some(addr),
-                    phi_source: None,
-                });
-            }
-            InstrKind::Store { ptr, value } => {
-                let addr = frame.regs[ptr.index()].as_ptr();
-                let bits = frame.regs[value.index()].to_bits();
-                mem.store(addr, bits, frame.func)?;
-                hook.on_instr(&InstrCtx {
-                    func,
-                    value: vid,
-                    kind: &vd.kind,
-                    mem_addr: Some(addr),
-                    phi_source: None,
-                });
-            }
-            InstrKind::IntrinsicCall { op, args } => {
-                let result = eval_intrinsic(*op, args, &frame.regs);
-                frame.regs[vid.index()] = result;
-                hook.on_instr(&InstrCtx {
-                    func,
-                    value: vid,
-                    kind: &vd.kind,
-                    mem_addr: None,
-                    phi_source: None,
-                });
-            }
-            InstrKind::Phi { .. } => {
-                // Phis at the head of the entry block cannot exist (no
-                // predecessors); all other phis are executed by
-                // `enter_block`. Reaching one here is a pass bug.
-                unreachable!("phi executed outside block entry");
-            }
-            InstrKind::Call { func: callee_id, args } => {
-                let callee = module.func(*callee_id);
-                hook.on_call(&CallCtx {
-                    caller: func,
-                    callee: *callee_id,
-                    callee_region: callee.region,
-                    args,
-                    call_value: vid,
-                });
-                let arg_vals: Vec<Value> = args.iter().map(|a| frame.regs[a.index()]).collect();
-                let callee_id = *callee_id;
-                // End the borrow of `frame` before touching `frames`.
-                if frames.len() >= config.max_call_depth {
-                    return Err(InterpError::CallDepthExceeded { limit: config.max_call_depth });
-                }
-                let base = mem.push_frame(callee.frame_slots)?;
-                frames.push(Frame {
-                    func: callee_id,
-                    regs: vec![Value::Unit; callee.values.len()],
-                    args: arg_vals,
-                    base,
-                    block: callee.entry,
-                    idx: 0,
-                    ret_slot: Some(vid),
-                });
-                hook.on_function_enter(callee_id, callee.region);
-            }
-            InstrKind::RegionEnter(r) => hook.on_region_enter(*r),
-            InstrKind::RegionExit(r) => hook.on_region_exit(*r),
-            InstrKind::CdPush(c) => hook.on_cd_push(*c),
-            InstrKind::CdPop => hook.on_cd_pop(),
         }
     }
 
@@ -306,17 +261,20 @@ pub fn run_with_hook<H: ExecHook>(
 
 /// Enters `target`, executing its leading phis atomically (all reads happen
 /// before any writes, so mutually- or self-referencing phis behave like the
-/// parallel copies they denote).
+/// parallel copies they denote). Each phi counts against `fuel` like any
+/// other instruction. `phis` is scratch, reused across calls.
 fn enter_block<H: ExecHook>(
     frame: &mut Frame,
     func: &kremlin_ir::Function,
     target: BlockId,
     hook: &mut H,
     executed: &mut u64,
-) {
+    fuel: u64,
+    phis: &mut Vec<(ValueId, Value, ValueId)>,
+) -> Result<(), InterpError> {
     let from = frame.block;
     let block = func.block(target);
-    let mut updates: Vec<(ValueId, Value, ValueId)> = Vec::new();
+    phis.clear();
     for &vid in &block.instrs {
         let vd = func.value(vid);
         let InstrKind::Phi { incoming } = &vd.kind else { break };
@@ -324,12 +282,14 @@ fn enter_block<H: ExecHook>(
             .iter()
             .find(|(p, _)| *p == from)
             .unwrap_or_else(|| panic!("phi {vid} has no incoming for edge {from}->{target}"));
-        updates.push((vid, frame.regs[src.index()], *src));
+        phis.push((vid, frame.regs[src.index()], *src));
     }
-    let phi_count = updates.len();
-    for (vid, val, src) in updates {
-        frame.regs[vid.index()] = val;
+    for &(vid, val, src) in phis.iter() {
         *executed += 1;
+        if *executed > fuel {
+            return Err(InterpError::FuelExhausted { budget: fuel });
+        }
+        frame.regs[vid.index()] = val;
         hook.on_instr(&InstrCtx {
             func,
             value: vid,
@@ -339,7 +299,8 @@ fn enter_block<H: ExecHook>(
         });
     }
     frame.block = target;
-    frame.idx = phi_count;
+    frame.idx = phis.len();
+    Ok(())
 }
 
 fn eval_bin(op: BinOp, a: Value, b: Value, func: FuncId) -> Result<Value, InterpError> {

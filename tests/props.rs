@@ -68,6 +68,35 @@ fn hcpa_invariants_hold_on_generated_programs() {
     });
 }
 
+/// The live profiler and the frozen seed profiler agree on every
+/// generated program: same region statistics, same run, and the same
+/// dictionary entry by entry (which `identical_stats` does not compare).
+#[test]
+fn profiler_matches_the_seed_profiler_on_generated_programs() {
+    use kremlin_repro::hcpa::{profile_unit, profile_unit_seed, HcpaConfig};
+    let configs = [
+        HcpaConfig::default(),
+        HcpaConfig { window: 2, ..HcpaConfig::default() },
+        HcpaConfig { window: 4, min_depth: 2, ..HcpaConfig::default() },
+        HcpaConfig { break_carried_deps: false, ..HcpaConfig::default() },
+    ];
+    for deep in [false, true] {
+        for_each_program(0x5EED, deep, |src| {
+            let unit = kremlin_repro::ir::compile(src, "gen.kc").expect("compiles");
+            for config in configs {
+                let live = profile_unit(&unit, config).expect("profiles");
+                let seed = profile_unit_seed(&unit, config, Default::default()).expect("profiles");
+                assert_eq!(live.run, seed.run);
+                assert!(live.profile.identical_stats(&seed.profile), "{config:?}");
+                assert!(live.profile.dict == seed.profile.dict, "{config:?}");
+                assert_eq!(live.stats.instr_events, seed.stats.instr_events);
+                assert_eq!(live.stats.dynamic_regions, seed.stats.dynamic_regions);
+                assert_eq!(live.stats.shadow_pages, seed.stats.shadow_pages);
+            }
+        });
+    }
+}
+
 #[test]
 fn openmp_plans_are_antichains_on_generated_programs() {
     for_each_program(0xFACE, false, |src| {
