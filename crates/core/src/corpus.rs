@@ -192,9 +192,13 @@ pub fn run_oracles(spec: &ScenarioSpec) -> Result<OracleReport, KremlinError> {
 
     // Oracle 3: a recorded trace replayed in depth shards must
     // reproduce the live profile bit-for-bit.
-    let (replay_identical, replay_detail) = match tool.analyze_recorded(&source, &name, 3) {
-        Ok((replayed, _)) => (
-            replayed.profile().identical_stats(analysis.profile()),
+    let replayed = tool.record(&unit, &source).and_then(|trace| {
+        let decoded = kremlin_interp::trace::DecodedTrace::decode(&trace, &unit.module)?;
+        tool.replay(&unit, &decoded, 3)
+    });
+    let (replay_identical, replay_detail) = match replayed {
+        Ok(replayed) => (
+            replayed.profile.identical_stats(analysis.profile()),
             "sharded replay (jobs=3) produced a different profile".to_owned(),
         ),
         Err(e) => (false, format!("sharded replay failed outright: {e}")),

@@ -66,6 +66,7 @@ pub use kremlin_planner::{
 };
 pub use kremlin_sim::{MachineModel, PlanEvaluation, Simulator};
 
+use kremlin_interp::trace::DecodedTrace;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -148,58 +149,8 @@ impl Kremlin {
     /// configured fuel) during the profiled run.
     pub fn analyze(&self, src: &str, name: &str) -> Result<Analysis, KremlinError> {
         let unit = kremlin_ir::compile(src, name)?;
-        let outcome = kremlin_hcpa::profile_unit_with_machine(&unit, self.hcpa, self.machine)?;
+        let outcome = self.profile(&unit)?;
         Ok(Analysis::from_parts(Arc::new(unit), Arc::new(outcome)))
-    }
-
-    /// Like [`Kremlin::analyze`], but via the record-once/replay-many
-    /// path: the program executes exactly once while its event stream is
-    /// recorded, the profile is produced by replaying that trace
-    /// (depth-sharded across `jobs` worker threads), and the trace —
-    /// with the source embedded so it is self-contained — is returned
-    /// for saving. This is the `kremlin --save-trace` path.
-    ///
-    /// # Errors
-    ///
-    /// As [`Kremlin::analyze`].
-    pub fn analyze_recorded(
-        &self,
-        src: &str,
-        name: &str,
-        jobs: usize,
-    ) -> Result<(Analysis, kremlin_interp::Trace), KremlinError> {
-        let unit = kremlin_ir::compile(src, name)?;
-        let mut trace = kremlin_interp::trace::record(&unit.module, self.machine)?;
-        trace.source = src.to_owned();
-        let outcome = kremlin_hcpa::profile_trace_parallel(&unit, &trace, self.parallel(jobs))
-            .expect("a freshly recorded trace replays against its own module");
-        Ok((Analysis::from_parts(Arc::new(unit), Arc::new(outcome)), trace))
-    }
-
-    /// Profiles a previously recorded trace without executing anything:
-    /// recompiles the trace's embedded source and replays the event
-    /// stream into the profiler, depth-sharded across `jobs` worker
-    /// threads. This is the library form of `kremlin replay`.
-    ///
-    /// # Errors
-    ///
-    /// [`KremlinError::Compile`] if the embedded source no longer
-    /// compiles, [`KremlinError::Trace`] if the recompiled module does
-    /// not match the trace's fingerprint or the event stream is corrupt.
-    pub fn analyze_trace(
-        &self,
-        trace: &kremlin_interp::Trace,
-        jobs: usize,
-    ) -> Result<Analysis, KremlinError> {
-        let unit = kremlin_ir::compile(&trace.source, &trace.source_name)?;
-        let outcome = kremlin_hcpa::profile_trace_parallel(&unit, trace, self.parallel(jobs))?;
-        Ok(Analysis::from_parts(Arc::new(unit), Arc::new(outcome)))
-    }
-
-    /// The sharded-replay configuration for `jobs` workers under this
-    /// tool's HCPA settings.
-    fn parallel(&self, jobs: usize) -> kremlin_hcpa::ParallelConfig {
-        kremlin_hcpa::ParallelConfig { jobs, hcpa: self.hcpa, ..Default::default() }
     }
 
     /// Analyzes the same program over several inputs (here: several runs)
@@ -219,13 +170,54 @@ impl Kremlin {
         let mut profiles = Vec::with_capacity(runs);
         let mut last = None;
         for _ in 0..runs {
-            let outcome = kremlin_hcpa::profile_unit_with_machine(&unit, self.hcpa, self.machine)?;
+            let outcome = self.profile(&unit)?;
             profiles.push(outcome.profile.clone());
             last = Some(outcome);
         }
         let mut outcome = last.expect("runs >= 1");
         outcome.profile = ParallelismProfile::merge(&profiles);
         Ok(Analysis::from_parts(Arc::new(unit), Arc::new(outcome)))
+    }
+
+    /// Executes `unit` (compiled from `src`) once while recording its
+    /// event stream, and embeds `src` so the trace is self-contained:
+    /// whoever replays it recompiles the embedded source.
+    ///
+    /// # Errors
+    ///
+    /// [`KremlinError::Runtime`] if the program faults.
+    pub fn record(&self, unit: &CompiledUnit, src: &str) -> Result<Trace, KremlinError> {
+        let mut trace = kremlin_interp::trace::record(&unit.module, self.machine)?;
+        trace.source = src.to_owned();
+        Ok(trace)
+    }
+
+    /// Profiles `unit` while it executes, as the paper's instrumented
+    /// binary does (Fig. 4).
+    ///
+    /// # Errors
+    ///
+    /// As [`Kremlin::analyze`], minus compilation.
+    pub fn profile(&self, unit: &CompiledUnit) -> Result<ProfileOutcome, KremlinError> {
+        Ok(kremlin_hcpa::profile_unit_with_machine(unit, self.hcpa, self.machine)?)
+    }
+
+    /// Profiles a recorded execution of `unit` without executing
+    /// anything: replays the decoded arena through HCPA in `jobs` depth
+    /// shards (one serial pass when `jobs <= 1`).
+    ///
+    /// # Errors
+    ///
+    /// [`KremlinError::Trace`] when `decoded` was not recorded from
+    /// `unit`'s module.
+    pub fn replay(
+        &self,
+        unit: &CompiledUnit,
+        decoded: &DecodedTrace,
+        jobs: usize,
+    ) -> Result<ProfileOutcome, KremlinError> {
+        let config = kremlin_hcpa::ParallelConfig { jobs, hcpa: self.hcpa, ..Default::default() };
+        Ok(kremlin_hcpa::profile_decoded_parallel(unit, decoded, config)?)
     }
 }
 
@@ -341,19 +333,21 @@ mod tests {
 
     #[test]
     fn recorded_analysis_matches_live_and_replays_from_disk() {
-        let serial = Kremlin::new().analyze(DEMO, "demo.kc").unwrap();
-        let (recorded, trace) = Kremlin::new().analyze_recorded(DEMO, "demo.kc", 3).unwrap();
-        assert!(
-            recorded.profile().identical_stats(serial.profile()),
-            "replay-collected profile must match live collection"
-        );
-        assert_eq!(recorded.outcome.run, serial.outcome.run);
+        let tool = Kremlin::new();
+        let serial = tool.analyze(DEMO, "demo.kc").unwrap();
+        let trace = tool.record(&serial.unit, DEMO).unwrap();
         // Serialize, reload, and replay — the full record/replay workflow.
         let back = Trace::from_bytes(&trace.to_bytes()).unwrap();
         assert_eq!(back.source, DEMO, "trace must be self-contained");
-        let replayed = Kremlin::new().analyze_trace(&back, 2).unwrap();
-        assert!(replayed.profile().identical_stats(serial.profile()));
-        assert_eq!(replayed.plan_openmp().regions(), serial.plan_openmp().regions());
+        let decoded = DecodedTrace::decode(&back, &serial.unit.module).unwrap();
+        for jobs in [1, 3] {
+            let replayed = tool.replay(&serial.unit, &decoded, jobs).unwrap();
+            assert!(
+                replayed.profile.identical_stats(serial.profile()),
+                "replay-collected profile must match live collection (jobs={jobs})"
+            );
+            assert_eq!(replayed.run, serial.outcome.run);
+        }
     }
 
     #[test]

@@ -36,13 +36,15 @@ use std::fmt;
 use std::path::Path;
 
 /// Writes a recorded trace to `path` in the binary `kremlin-trace`
-/// format.
+/// format and returns the file's size in bytes.
 ///
 /// # Errors
 ///
 /// Returns a path-prefixed message on I/O failure.
-pub fn save_trace(path: &Path, trace: &Trace) -> Result<(), String> {
-    std::fs::write(path, trace.to_bytes()).map_err(|e| format!("{}: {e}", path.display()))
+pub fn save_trace(path: &Path, trace: &Trace) -> Result<usize, String> {
+    let bytes = trace.to_bytes();
+    std::fs::write(path, &bytes).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(bytes.len())
 }
 
 /// Reads and validates a `kremlin-trace` file.

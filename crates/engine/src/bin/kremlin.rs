@@ -2,9 +2,10 @@
 //!
 //! ```text
 //! kremlin <program.kc> [options]
+//! kremlin --load-profile=<path> [plan options]   plan from a saved profile
 //! kremlin analyze <program.kc> [--json]      static dependence lint, no run
 //! kremlin record <program.kc> [-o FILE]      record an execution trace
-//! kremlin replay <trace> [--jobs=N] [...]    profile a recorded trace
+//! kremlin replay <trace> [options]           profile a recorded trace
 //! kremlin corpus [--list|--emit-golden|--emit DIR|--golden FILE]
 //!                                            four-oracle scenario corpus
 //! kremlin fuzz --seeds N [--seed S] [--dump DIR]
@@ -24,7 +25,7 @@
 //!                                 n worker threads (§4.2; alias --depth-shards)
 //!   --no-break-deps               disable induction/reduction breaking
 //!   --save-profile=<path>         write the parallelism profile
-//!   --load-profile=<path>         plan from a saved profile (skips execution)
+//!   --load-profile=<path>         plan from a saved profile (no program, no run)
 //!   --save-trace=<path>           record the event trace, profile by replay,
 //!                                 and write the trace file
 //!   --audit-plan                  cross-check the plan against the static
@@ -38,23 +39,34 @@
 //!   --trace <file>                write phase spans as JSONL
 //! ```
 //!
+//! Every value flag takes `--flag=V` or `--flag V` (`--metrics` takes
+//! its value inline only). `replay` takes the options above except
+//! `--runs`, `--save-trace` and `--load-profile`; `--load-profile` takes
+//! only the personality, `--exclude`, `--regions`, `--evaluate` and the
+//! observability flags. A flag the input cannot honour is a usage error.
+//!
 //! Exit codes: 0 success, 1 pipeline failure (I/O, compile, runtime,
 //! corrupt trace), 2 usage error.
 //!
-//! Every pipeline-running mode is a thin client of the
-//! [`kremlin_engine::Engine`] session layer; `kremlin serve` exposes the
-//! same engine — with its content-addressed artifact cache shared across
+//! Every mode that ends in a plan gets its profile from one
+//! [`kremlin_engine::Engine`] (the `--runs` aggregation excepted) and
+//! prints through one render step; `kremlin serve` exposes the same
+//! engine — with its content-addressed artifact cache shared across
 //! requests — over HTTP.
 
+use kremlin::ir::RegionTable;
 use kremlin::persist::{load_profile, load_trace, save_profile, save_trace};
 use kremlin::{
-    CilkPlanner, Kremlin, OpenMpPlanner, Personality, SelfPFilterPlanner, WorkOnlyPlanner,
+    Analysis, CilkPlanner, Kremlin, MachineModel, OpenMpPlanner, ParallelismProfile, Personality,
+    SelfPFilterPlanner, Simulator, Trace, WorkOnlyPlanner,
 };
 use kremlin_engine::serve::{ServeConfig, Server};
 use kremlin_engine::{Engine, EngineConfig};
 use std::collections::HashSet;
+use std::fmt::Display;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// CLI outcomes that are not plain success, each with its exit code.
@@ -68,8 +80,116 @@ enum CliError {
 }
 
 /// Convenience for `?` on pipeline results.
-fn fail(e: impl std::fmt::Display) -> CliError {
+fn fail(e: impl Display) -> CliError {
     CliError::Failure(e.to_string())
+}
+
+/// A usage error: `msg`, then the usage text.
+fn usage_error(msg: impl Display) -> CliError {
+    CliError::Usage(format!("{msg}\n{}", usage()))
+}
+
+fn usage() -> &'static str {
+    "usage: kremlin <program.kc> [--personality=openmp|cilk|work-only|self-parallelism]\n\
+     \x20              [--exclude=l1,l2] [--regions] [--evaluate] [--runs=N]\n\
+     \x20              [--window=N] [--jobs=N|--depth-shards=N] [--no-break-deps]\n\
+     \x20              [--save-profile=PATH] [--save-trace=PATH]\n\
+     \x20              [--dump-ir] [--report] [--audit-plan] [--verify-ir]\n\
+     \x20              [--metrics[=json|pretty]] [--trace FILE]\n\
+     \x20      kremlin --load-profile=PATH [--personality=...] [--exclude=l1,l2]\n\
+     \x20              [--regions] [--evaluate] [--metrics[=json|pretty]] [--trace FILE]\n\
+     \x20      kremlin analyze <program.kc> [--json] [--verify-ir]\n\
+     \x20      kremlin record <program.kc> [-o FILE] [--metrics[=json|pretty]]\n\
+     \x20      kremlin replay <trace-file> [the first form's options except\n\
+     \x20              --runs and --save-trace]\n\
+     \x20      kremlin corpus [--list] [--emit-golden] [--emit DIR] [--golden FILE]\n\
+     \x20              [--filter CLASS]\n\
+     \x20      kremlin fuzz --seeds N [--seed S] [--dump DIR]\n\
+     \x20      kremlin serve [--port=N] [--workers=N] [--queue=N] [--cache-mb=N]\n\
+     \x20              [--jobs=N]\n\
+     \x20      kremlin --metrics-diff A.json B.json\n\
+     every value flag takes --flag=V or --flag V"
+}
+
+/// One command-line argument as [`Flags`] reads it.
+enum Arg<'a> {
+    /// `--flag`, `--flag=V` or `-o`, without the `=V`.
+    Flag(&'a str),
+    /// Anything not starting with `-`.
+    Positional(&'a str),
+}
+
+/// The one flag reader every mode uses. A mode matches the [`Arg`]s it
+/// knows and hands the rest to [`Flags::unknown`]; a flag that takes a
+/// value asks for it with [`Flags::value`], which accepts `--flag=V` and
+/// `--flag V` alike. `--help`/`-h` anywhere ends the parse, and `=V` on
+/// a flag that takes no value is a usage error.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    /// The flag last returned by [`Flags::next`].
+    flag: &'a str,
+    /// Its inline `=V`, until the mode asks for it.
+    inline: Option<&'a str>,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags { args: args.iter(), flag: "", inline: None }
+    }
+
+    fn next(&mut self) -> Result<Option<Arg<'a>>, CliError> {
+        if let Some(v) = self.inline.take() {
+            return Err(usage_error(format!("{} takes no value (got `{v}`)", self.flag)));
+        }
+        let Some(a) = self.args.next().map(String::as_str) else { return Ok(None) };
+        if a == "--help" || a == "-h" {
+            return Err(CliError::Help);
+        }
+        if !a.starts_with('-') {
+            return Ok(Some(Arg::Positional(a)));
+        }
+        (self.flag, self.inline) = match a.split_once('=') {
+            Some((flag, v)) => (flag, Some(v)),
+            None => (a, None),
+        };
+        Ok(Some(Arg::Flag(self.flag)))
+    }
+
+    /// The current flag's value: its `=V`, or else the next argument.
+    fn value(&mut self) -> Result<&'a str, CliError> {
+        self.inline
+            .take()
+            .or_else(|| self.args.next().map(String::as_str))
+            .ok_or_else(|| usage_error(format!("{} requires a value", self.flag)))
+    }
+
+    /// The current flag's value as a number of at least `min`.
+    fn number<T: FromStr + PartialOrd + Display>(&mut self, min: T) -> Result<T, CliError> {
+        let v = self.value()?;
+        v.parse().ok().filter(|n| *n >= min).ok_or_else(|| {
+            usage_error(format!("bad {} value `{v}` (expected a whole number >= {min})", self.flag))
+        })
+    }
+
+    /// `--metrics` (pretty), `--metrics=pretty` or `--metrics=json`. The
+    /// value is inline only, so a following program stays positional.
+    fn metrics(&mut self) -> Result<MetricsMode, CliError> {
+        match self.inline.take() {
+            None | Some("pretty") => Ok(MetricsMode::Pretty),
+            Some("json") => Ok(MetricsMode::Json),
+            Some(v) => {
+                Err(usage_error(format!("bad --metrics value `{v}` (expected json or pretty)")))
+            }
+        }
+    }
+
+    /// The usage error for an argument the mode does not take.
+    fn unknown(&self, arg: Arg) -> CliError {
+        match arg {
+            Arg::Flag(flag) => usage_error(format!("unknown option `{flag}`")),
+            Arg::Positional(p) => usage_error(format!("unexpected argument `{p}`")),
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -79,8 +199,11 @@ enum MetricsMode {
     Json,
 }
 
+/// The options of the main mode and `replay`.
 struct Options {
     input: Option<String>,
+    /// Every flag as given, for [`plan_input`]'s check.
+    given: Vec<String>,
     personality: String,
     exclude: Vec<String>,
     regions: bool,
@@ -101,28 +224,10 @@ struct Options {
     trace: Option<String>,
 }
 
-fn usage() -> &'static str {
-    "usage: kremlin <program.kc> [--personality=openmp|cilk|work-only|self-parallelism]\n\
-     \x20              [--exclude=l1,l2] [--regions] [--evaluate] [--runs=N]\n\
-     \x20              [--window=N] [--jobs=N|--depth-shards=N] [--no-break-deps]\n\
-     \x20              [--save-profile=PATH] [--load-profile=PATH] [--save-trace=PATH]\n\
-     \x20              [--dump-ir] [--report] [--audit-plan] [--verify-ir]\n\
-     \x20              [--metrics[=json|pretty]] [--trace FILE]\n\
-     \x20      kremlin analyze <program.kc> [--json] [--verify-ir]\n\
-     \x20      kremlin record <program.kc> [-o FILE] [--metrics[=json|pretty]]\n\
-     \x20      kremlin replay <trace-file> [--jobs=N] [--personality=...]\n\
-     \x20              [--evaluate] [--metrics[=json|pretty]]\n\
-     \x20      kremlin corpus [--list] [--emit-golden] [--emit DIR] [--golden FILE]\n\
-     \x20              [--filter CLASS]\n\
-     \x20      kremlin fuzz --seeds N [--seed S] [--dump DIR]\n\
-     \x20      kremlin serve [--port=N] [--workers=N] [--queue=N] [--cache-mb=N]\n\
-     \x20              [--jobs=N]\n\
-     \x20      kremlin --metrics-diff A.json B.json"
-}
-
 fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut o = Options {
         input: None,
+        given: Vec::new(),
         personality: "openmp".into(),
         exclude: Vec::new(),
         regions: false,
@@ -142,83 +247,91 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
         metrics: MetricsMode::Off,
         trace: None,
     };
-    let bad = |msg: String| CliError::Usage(format!("{msg}\n{}", usage()));
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        i += 1;
-        if let Some(v) = a.strip_prefix("--personality=") {
-            o.personality = v.to_owned();
-        } else if let Some(v) = a.strip_prefix("--exclude=") {
-            o.exclude.extend(v.split(',').map(|s| s.trim().to_owned()));
-        } else if a == "--regions" {
-            o.regions = true;
-        } else if a == "--evaluate" {
-            o.evaluate = true;
-        } else if let Some(v) = a.strip_prefix("--runs=") {
-            o.runs = v.parse().map_err(|_| bad(format!("bad --runs value `{v}`")))?;
-            if o.runs == 0 {
-                return Err(bad("--runs must be at least 1".into()));
+    let mut r = Flags::new(args);
+    while let Some(arg) = r.next()? {
+        if let Arg::Flag(flag) = arg {
+            o.given.push(flag.to_owned());
+        }
+        match arg {
+            Arg::Positional(p) if o.input.is_none() => o.input = Some(p.to_owned()),
+            Arg::Flag("--personality") => o.personality = r.value()?.to_owned(),
+            Arg::Flag("--exclude") => {
+                o.exclude.extend(r.value()?.split(',').map(|s| s.trim().to_owned()));
             }
-        } else if let Some(v) = a.strip_prefix("--window=") {
+            Arg::Flag("--regions") => o.regions = true,
+            Arg::Flag("--evaluate") => o.evaluate = true,
+            Arg::Flag("--runs") => o.runs = r.number(1)?,
             // Window 0 would track no depth at all and plan nothing.
-            let window = v.parse().ok().filter(|&w| w > 0);
-            o.window =
-                Some(window.ok_or_else(|| bad(format!("bad --window value `{v}` (at least 1)")))?);
-        } else if let Some(v) =
-            a.strip_prefix("--jobs=").or_else(|| a.strip_prefix("--depth-shards="))
-        {
-            o.jobs = v.parse().map_err(|_| bad(format!("bad {a} value")))?;
-            if o.jobs == 0 {
-                return Err(bad("--jobs must be at least 1".into()));
+            Arg::Flag("--window") => o.window = Some(r.number(1)?),
+            Arg::Flag("--jobs" | "--depth-shards") => o.jobs = r.number(1)?,
+            Arg::Flag("--no-break-deps") => o.break_deps = false,
+            Arg::Flag("--save-profile") => o.save_profile = Some(r.value()?.to_owned()),
+            Arg::Flag("--load-profile") => o.load_profile = Some(r.value()?.to_owned()),
+            Arg::Flag("--save-trace") => o.save_trace = Some(r.value()?.to_owned()),
+            Arg::Flag("--metrics-diff") => {
+                o.metrics_diff = Some((r.value()?.to_owned(), r.value()?.to_owned()));
             }
-        } else if a == "--no-break-deps" {
-            o.break_deps = false;
-        } else if let Some(v) = a.strip_prefix("--save-profile=") {
-            o.save_profile = Some(v.to_owned());
-        } else if let Some(v) = a.strip_prefix("--load-profile=") {
-            o.load_profile = Some(v.to_owned());
-        } else if let Some(v) = a.strip_prefix("--save-trace=") {
-            o.save_trace = Some(v.to_owned());
-        } else if a == "--metrics-diff" {
-            let (Some(p1), Some(p2)) = (args.get(i), args.get(i + 1)) else {
-                return Err(bad("--metrics-diff requires two metrics JSON files".into()));
-            };
-            o.metrics_diff = Some((p1.clone(), p2.clone()));
-            i += 2;
-        } else if a == "--dump-ir" {
-            o.dump_ir = true;
-        } else if a == "--report" {
-            o.report = true;
-        } else if a == "--audit-plan" {
-            o.audit_plan = true;
-        } else if a == "--verify-ir" {
-            o.verify_ir = true;
-        } else if a == "--metrics" || a == "--metrics=pretty" {
-            o.metrics = MetricsMode::Pretty;
-        } else if a == "--metrics=json" {
-            o.metrics = MetricsMode::Json;
-        } else if let Some(v) = a.strip_prefix("--metrics=") {
-            return Err(bad(format!("bad --metrics value `{v}` (expected json or pretty)")));
-        } else if a == "--trace" {
-            let Some(path) = args.get(i) else {
-                return Err(bad("--trace requires a file argument".into()));
-            };
-            o.trace = Some(path.clone());
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--trace=") {
-            o.trace = Some(v.to_owned());
-        } else if a == "--help" || a == "-h" {
-            return Err(CliError::Help);
-        } else if a.starts_with("--") {
-            return Err(bad(format!("unknown option `{a}`")));
-        } else if o.input.is_none() {
-            o.input = Some(a.clone());
-        } else {
-            return Err(bad(format!("unexpected argument `{a}`")));
+            Arg::Flag("--dump-ir") => o.dump_ir = true,
+            Arg::Flag("--report") => o.report = true,
+            Arg::Flag("--audit-plan") => o.audit_plan = true,
+            Arg::Flag("--verify-ir") => o.verify_ir = true,
+            Arg::Flag("--metrics") => o.metrics = r.metrics()?,
+            Arg::Flag("--trace") => o.trace = Some(r.value()?.to_owned()),
+            arg => return Err(r.unknown(arg)),
         }
     }
     Ok(o)
+}
+
+/// What a plan is computed from.
+enum Input<'a> {
+    /// A mini-C program to compile, run and profile.
+    Program(&'a str),
+    /// A recorded `.ktrace` to replay (`kremlin replay`).
+    Trace(&'a str),
+    /// A saved profile to plan from directly (`--load-profile`).
+    Profile(&'a str),
+}
+
+/// Flags that need the program to run.
+const RUN_FLAGS: [&str; 6] =
+    ["--runs", "--jobs", "--depth-shards", "--window", "--no-break-deps", "--save-trace"];
+
+/// Flags that need the compiled program. Re-saving a loaded profile
+/// would only copy the file.
+const PROGRAM_FLAGS: [&str; 5] =
+    ["--report", "--audit-plan", "--dump-ir", "--verify-ir", "--save-profile"];
+
+/// Resolves what `o` plans from, and rejects, in this one place, every
+/// flag that input cannot honour.
+fn plan_input(o: &Options, replay: bool) -> Result<Input<'_>, CliError> {
+    let reject =
+        |input: &str, flags: &[&str]| match o.given.iter().find(|f| flags.contains(&f.as_str())) {
+            Some(flag) => Err(usage_error(format!("{flag} cannot be used with {input}"))),
+            None => Ok(()),
+        };
+    if replay {
+        reject("replay", &["--runs", "--save-trace", "--load-profile", "--metrics-diff"])?;
+        let trace = o.input.as_deref();
+        return trace.map(Input::Trace).ok_or_else(|| usage_error("replay takes one trace file"));
+    }
+    if let Some(path) = &o.load_profile {
+        if let Some(program) = &o.input {
+            return Err(usage_error(format!(
+                "--load-profile plans without a program (`{program}`)"
+            )));
+        }
+        reject("--load-profile", &RUN_FLAGS)?;
+        reject("--load-profile", &PROGRAM_FLAGS)?;
+        return Ok(Input::Profile(path));
+    }
+    if o.runs > 1 {
+        if o.jobs > 1 {
+            return Err(usage_error("--jobs and --runs cannot be combined"));
+        }
+        reject("--runs", &["--save-trace"])?;
+    }
+    o.input.as_deref().map(Input::Program).ok_or_else(|| CliError::Usage(usage().to_owned()))
 }
 
 fn personality(name: &str) -> Result<Box<dyn Personality>, CliError> {
@@ -227,81 +340,25 @@ fn personality(name: &str) -> Result<Box<dyn Personality>, CliError> {
         "cilk" => Box::new(CilkPlanner::default()),
         "work-only" => Box::new(WorkOnlyPlanner::default()),
         "self-parallelism" => Box::new(SelfPFilterPlanner::default()),
-        other => {
-            return Err(CliError::Usage(format!("unknown personality `{other}`\n{}", usage())))
-        }
+        other => return Err(usage_error(format!("unknown personality `{other}`"))),
     })
 }
 
 /// Emits `--metrics` / `--trace` output after the pipeline has run.
-fn emit_observability(o: &Options) -> Result<(), CliError> {
-    match o.metrics {
+fn emit_observability(metrics: MetricsMode, trace: Option<&str>) -> Result<(), CliError> {
+    match metrics {
         MetricsMode::Off => {}
         MetricsMode::Pretty => print!("{}", kremlin::obs::snapshot().render_pretty()),
         // One object as the last stdout line, so scripts can parse it.
         MetricsMode::Json => println!("{}", kremlin::obs::snapshot().to_json()),
     }
-    if let Some(path) = &o.trace {
+    if let Some(path) = trace {
         let events = kremlin::obs::take_trace();
         let jsonl = kremlin::obs::trace_to_jsonl(&events);
         std::fs::write(path, jsonl).map_err(|e| fail(format!("{path}: {e}")))?;
         eprintln!("[kremlin] {} spans written to {path}", events.len());
     }
     Ok(())
-}
-
-/// Parses the arguments a subcommand shares with the main mode (metrics,
-/// jobs, personality, evaluate) plus up to `positionals` free arguments.
-fn parse_sub_args(
-    args: &[String],
-    positionals: &mut Vec<String>,
-    allow_out: bool,
-) -> Result<Options, CliError> {
-    let bad = |msg: String| CliError::Usage(format!("{msg}\n{}", usage()));
-    let mut o = parse_args(&[])?;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        i += 1;
-        if a == "--help" || a == "-h" {
-            return Err(CliError::Help);
-        } else if a == "--metrics" || a == "--metrics=pretty" {
-            o.metrics = MetricsMode::Pretty;
-        } else if a == "--metrics=json" {
-            o.metrics = MetricsMode::Json;
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            o.jobs = v.parse().map_err(|_| bad(format!("bad --jobs value `{v}`")))?;
-            if o.jobs == 0 {
-                return Err(bad("--jobs must be at least 1".into()));
-            }
-        } else if a == "--jobs" {
-            let Some(v) = args.get(i) else {
-                return Err(bad("--jobs requires a value".into()));
-            };
-            o.jobs = v.parse().map_err(|_| bad(format!("bad --jobs value `{v}`")))?;
-            if o.jobs == 0 {
-                return Err(bad("--jobs must be at least 1".into()));
-            }
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--personality=") {
-            o.personality = v.to_owned();
-        } else if a == "--evaluate" {
-            o.evaluate = true;
-        } else if allow_out && a == "-o" {
-            let Some(v) = args.get(i) else {
-                return Err(bad("-o requires a file argument".into()));
-            };
-            o.save_trace = Some(v.clone());
-            i += 1;
-        } else if allow_out && a.starts_with("--out=") {
-            o.save_trace = Some(a["--out=".len()..].to_owned());
-        } else if a.starts_with('-') {
-            return Err(bad(format!("unknown option `{a}`")));
-        } else {
-            positionals.push(a.clone());
-        }
-    }
-    Ok(o)
 }
 
 /// Runs the IR verifier when `--verify-ir` was passed; always runs it in
@@ -320,29 +377,19 @@ fn maybe_verify(module: &kremlin::ir::Module, requested: bool) -> Result<(), Cli
 /// `kremlin analyze <program.kc> [--json]`: compile-time dependence lint
 /// over every loop region — no execution, no profile.
 fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
-    let mut input = None;
-    let mut json = false;
-    let mut verify_ir = false;
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            "--verify-ir" => verify_ir = true,
-            "--help" | "-h" => return Err(CliError::Help),
-            _ if a.starts_with('-') => {
-                return Err(CliError::Usage(format!("unknown option `{a}`\n{}", usage())))
-            }
-            _ if input.is_none() => input = Some(a.clone()),
-            _ => return Err(CliError::Usage(format!("unexpected argument `{a}`\n{}", usage()))),
+    let (mut input, mut json, mut verify_ir) = (None, false, false);
+    let mut r = Flags::new(args);
+    while let Some(arg) = r.next()? {
+        match arg {
+            Arg::Positional(p) if input.is_none() => input = Some(p),
+            Arg::Flag("--json") => json = true,
+            Arg::Flag("--verify-ir") => verify_ir = true,
+            arg => return Err(r.unknown(arg)),
         }
     }
-    let Some(input) = input else {
-        return Err(CliError::Usage(format!(
-            "analyze takes exactly one program file\n{}",
-            usage()
-        )));
-    };
-    let src = std::fs::read_to_string(&input).map_err(|e| fail(format!("{input}: {e}")))?;
-    let name = source_name(&input);
+    let input = input.ok_or_else(|| usage_error("analyze takes exactly one program file"))?;
+    let src = read_source(input)?;
+    let name = source_name(input);
     let unit = kremlin::ir::compile(&src, &name).map_err(fail)?;
     maybe_verify(&unit.module, verify_ir)?;
     let diags = kremlin::diag::static_diagnostics(&unit);
@@ -364,71 +411,207 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `kremlin record <program.kc> [-o FILE]`: execute once, capture the
-/// event stream, and write a self-contained trace file.
-fn cmd_record(args: &[String]) -> Result<(), CliError> {
-    let mut positionals = Vec::new();
-    let o = parse_sub_args(args, &mut positionals, true)?;
-    let [input] = positionals.as_slice() else {
-        return Err(CliError::Usage(format!("record takes exactly one program file\n{}", usage())));
-    };
-    if o.metrics != MetricsMode::Off {
-        kremlin::obs::set_metrics(true);
-    }
-    let out = o.save_trace.clone().unwrap_or_else(|| format!("{input}.ktrace"));
-    let src = std::fs::read_to_string(input).map_err(|e| fail(format!("{input}: {e}")))?;
-    let name = source_name(input);
-    let unit = kremlin::ir::compile(&src, &name).map_err(fail)?;
-    let mut trace = kremlin::interp::trace::record(&unit.module, kremlin::MachineConfig::default())
-        .map_err(fail)?;
-    trace.source = src;
-    save_trace(Path::new(&out), &trace).map_err(fail)?;
-    kremlin::obs::gauge!("trace.file.bytes").set(trace.to_bytes().len() as u64);
+/// Compiles `src` through `engine`, records one execution with the
+/// source embedded, and saves the trace to `out`: `kremlin record` and
+/// `--save-trace`.
+fn record_to(engine: &Engine, src: &str, name: &str, out: &str) -> Result<Trace, CliError> {
+    let (unit, _) = engine.compile(src, name).map_err(fail)?;
+    let trace = engine.config().tool.record(&unit, src).map_err(fail)?;
+    let bytes = save_trace(Path::new(out), &trace).map_err(fail)?;
+    kremlin::obs::gauge!("trace.file.bytes").set(bytes as u64);
     eprintln!(
-        "[kremlin] trace: {} events, {} payload bytes -> {out}",
+        "[kremlin] trace saved to {out} ({} events, {} payload bytes)",
         trace.events(),
         trace.encoded_len()
     );
-    print!("{}", kremlin::report::render_trace_info(&trace));
-    emit_observability(&o)
+    Ok(trace)
 }
 
-/// `kremlin replay <trace> [--jobs=N]`: recompile the embedded source and
-/// profile by replaying the recorded event stream — no execution at all.
-fn cmd_replay(args: &[String]) -> Result<(), CliError> {
-    let mut positionals = Vec::new();
-    let o = parse_sub_args(args, &mut positionals, false)?;
-    let [path] = positionals.as_slice() else {
-        return Err(CliError::Usage(format!("replay takes exactly one trace file\n{}", usage())));
-    };
+/// `kremlin record <program.kc> [-o FILE]`: execute once, capture the
+/// event stream, and write a self-contained trace file.
+fn cmd_record(args: &[String]) -> Result<(), CliError> {
+    let (mut input, mut out, mut metrics) = (None, None, MetricsMode::Off);
+    let mut r = Flags::new(args);
+    while let Some(arg) = r.next()? {
+        match arg {
+            Arg::Positional(p) if input.is_none() => input = Some(p),
+            Arg::Flag("-o" | "--out") => out = Some(r.value()?.to_owned()),
+            Arg::Flag("--metrics") => metrics = r.metrics()?,
+            arg => return Err(r.unknown(arg)),
+        }
+    }
+    let input = input.ok_or_else(|| usage_error("record takes exactly one program file"))?;
+    if metrics != MetricsMode::Off {
+        kremlin::obs::set_metrics(true);
+    }
+    let out = out.unwrap_or_else(|| format!("{input}.ktrace"));
+    let src = read_source(input)?;
+    let trace = record_to(&Engine::with_tool(Kremlin::new()), &src, &source_name(input), &out)?;
+    print!("{}", kremlin::report::render_trace_info(&trace));
+    emit_observability(metrics, None)
+}
+
+/// The main mode and `kremlin replay`: profile the input through one
+/// engine, then render. A saved profile skips straight to rendering.
+fn cmd_plan(o: &Options, replay: bool) -> Result<(), CliError> {
+    let input = plan_input(o, replay)?;
     let planner = personality(&o.personality)?;
     if o.metrics != MetricsMode::Off {
         kremlin::obs::set_metrics(true);
     }
-    let trace = load_trace(Path::new(path)).map_err(fail)?;
-    if trace.source.is_empty() {
-        return Err(fail(format!("{path}: trace has no embedded source to recompile")));
+    if o.trace.is_some() {
+        kremlin::obs::set_tracing(true);
     }
-    let engine = Engine::with_tool(Kremlin::new());
-    let analysis = engine.analyze_trace(&trace, o.jobs).map_err(fail)?.analysis;
+    let rendered = plan(o, input, planner.as_ref());
+    emit_observability(o.metrics, o.trace.as_deref())?;
+    rendered
+}
+
+fn plan(o: &Options, input: Input, planner: &dyn Personality) -> Result<(), CliError> {
+    let replaying = matches!(input, Input::Trace(_));
+    let (trace, src, name) = match input {
+        Input::Profile(path) => {
+            let saved = load_profile(&read_source(path)?).map_err(fail)?;
+            return render(o, planner, &saved.profile, &saved.regions, None);
+        }
+        Input::Trace(path) => {
+            let trace = load_trace(Path::new(path)).map_err(fail)?;
+            if trace.source.is_empty() {
+                return Err(fail(format!("{path}: trace has no embedded source to recompile")));
+            }
+            let (src, name) = (trace.source.clone(), trace.source_name.clone());
+            (Some(trace), src, name)
+        }
+        Input::Program(path) => (None, read_source(path)?, source_name(path)),
+    };
+
+    let mut tool = Kremlin::new();
+    if let Some(w) = o.window {
+        tool.hcpa.window = w;
+    }
+    tool.hcpa.break_carried_deps = o.break_deps;
+    let engine = Engine::with_tool(tool);
+    if o.dump_ir {
+        let (unit, _) = engine.compile(&src, &name).map_err(fail)?;
+        print!("{}", kremlin::ir::printer::print_module(&unit.module));
+        return Ok(());
+    }
+    // With --save-trace the profile comes from replaying the very trace
+    // being saved, so the file provably reproduces the printed plan.
+    let trace = match (trace, &o.save_trace) {
+        (None, Some(out)) => Some(record_to(&engine, &src, &name, out)?),
+        (trace, _) => trace,
+    };
+    let analysis = match &trace {
+        Some(trace) => engine.analyze_trace(trace, o.jobs).map(|r| r.analysis),
+        None if o.runs > 1 => tool.analyze_runs(&src, &name, o.runs),
+        None => engine.analyze_source(&src, &name, o.jobs).map(|r| r.analysis),
+    }
+    .map_err(fail)?;
+    maybe_verify(&analysis.unit.module, o.verify_ir)?;
+
+    let replayed = match &trace {
+        Some(trace) if replaying => format!("replayed {} events: ", trace.events()),
+        _ => String::new(),
+    };
     eprintln!(
-        "[kremlin] replayed {} events: exit={} instrs={} dynamic-regions={} max-depth={}",
-        trace.events(),
+        "[kremlin] {replayed}exit={} instrs={} dynamic-regions={} max-depth={}",
         analysis.outcome.run.exit,
         analysis.outcome.run.instrs_executed,
         analysis.outcome.stats.dynamic_regions,
         analysis.outcome.stats.max_depth
     );
-    let plan = analysis.plan_with(planner.as_ref(), &HashSet::new());
+    if let Some(path) = &o.save_profile {
+        let unit = &analysis.unit;
+        let text =
+            save_profile(&name, &unit.module.regions, &unit.reduction_loops(), analysis.profile());
+        std::fs::write(path, text).map_err(|e| fail(format!("{path}: {e}")))?;
+        eprintln!("[kremlin] profile saved to {path}");
+    }
+    render(o, planner, analysis.profile(), &analysis.unit.module.regions, Some(&analysis))
+}
+
+/// The one render step of every mode that ends in a plan: the region
+/// table, the report, or the plan with its audit and estimate.
+/// `analysis` is `None` for a saved profile, whose input rejects the
+/// flags that need it ([`plan_input`]).
+fn render(
+    o: &Options,
+    planner: &dyn Personality,
+    profile: &ParallelismProfile,
+    regions: &RegionTable,
+    analysis: Option<&Analysis>,
+) -> Result<(), CliError> {
+    if o.regions {
+        println!(
+            "{:<24} {:>6} {:>10} {:>9} {:>9} {:>8} {:>7} {:>6}",
+            "region", "kind", "instances", "cov.(%)", "self-p", "total-p", "iters", "doall"
+        );
+        for s in profile.iter() {
+            println!(
+                "{:<24} {:>6} {:>10} {:>9.2} {:>9.1} {:>8.1} {:>7.1} {:>6}",
+                s.label,
+                s.kind.to_string(),
+                s.instances,
+                s.coverage * 100.0,
+                s.self_p,
+                s.total_p,
+                s.avg_children,
+                if s.is_doall { "yes" } else { "no" }
+            );
+        }
+        return Ok(());
+    }
+    if o.report {
+        let analysis = analysis.expect("plan_input rejects --report without a program");
+        let options = kremlin::report::ReportOptions::default();
+        print!("{}", kremlin::report::render(analysis, planner, options));
+        return Ok(());
+    }
+
+    let exclude = o
+        .exclude
+        .iter()
+        .map(|l| {
+            regions
+                .by_label(l)
+                .ok_or_else(|| fail(format!("unknown region label `{l}` in --exclude")))
+        })
+        .collect::<Result<HashSet<_>, _>>()?;
+    let mut plan = planner.plan(profile, &exclude);
+    if let Some(analysis) = analysis {
+        plan.annotate(&analysis.unit.depend);
+    }
     print!("{plan}");
+
+    if o.audit_plan {
+        let analysis = analysis.expect("plan_input rejects --audit-plan without a program");
+        let diags = kremlin::diag::audit_plan(analysis, &plan);
+        if diags.is_empty() {
+            println!("\nplan audit: clean (every planned region statically consistent)");
+        } else {
+            println!("\nplan audit:");
+            print!("{}", kremlin::diag::render(&analysis.unit.module.source_name, &diags));
+        }
+        let counts = kremlin::diag::count_severities(&diags);
+        if counts.errors > 0 {
+            return Err(fail(format!(
+                "plan audit found {} hazard(s): dynamic DOALL contradicted by a statically \
+                 proven dependence",
+                counts.errors
+            )));
+        }
+    }
+
     if o.evaluate {
-        let eval = analysis.evaluate(&plan);
+        let eval =
+            Simulator::new(profile, regions, MachineModel::default()).evaluate(&plan.regions());
         println!(
             "\nestimated: {:.2}x speedup on {} cores (serial {:.0} -> {:.0})",
             eval.speedup, eval.best_cores, eval.serial_time, eval.parallel_time
         );
     }
-    emit_observability(&o)
+    Ok(())
 }
 
 /// `kremlin corpus`: run the four-oracle cross-check over the fixed
@@ -437,32 +620,23 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
 /// `--golden FILE` additionally gates observations against the
 /// checked-in `CORPUS_verdicts.json`. Any oracle disagreement exits 1.
 fn cmd_corpus(args: &[String]) -> Result<(), CliError> {
-    let bad = |msg: String| CliError::Usage(format!("{msg}\n{}", usage()));
     let (mut list, mut emit_golden) = (false, false);
     let (mut emit_dir, mut golden, mut filter) = (None, None, None);
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        i += 1;
-        let mut take = |what: &str| -> Result<String, CliError> {
-            let v = args.get(i).cloned().ok_or_else(|| bad(format!("{what} requires a value")))?;
-            i += 1;
-            Ok(v)
-        };
-        match a.as_str() {
-            "--list" => list = true,
-            "--emit-golden" => emit_golden = true,
-            "--emit" => emit_dir = Some(take("--emit")?),
-            "--golden" => golden = Some(take("--golden")?),
-            "--filter" => filter = Some(take("--filter")?),
-            "--help" | "-h" => return Err(CliError::Help),
-            other => return Err(bad(format!("unknown corpus argument `{other}`"))),
+    let mut r = Flags::new(args);
+    while let Some(arg) = r.next()? {
+        match arg {
+            Arg::Flag("--list") => list = true,
+            Arg::Flag("--emit-golden") => emit_golden = true,
+            Arg::Flag("--emit") => emit_dir = Some(r.value()?),
+            Arg::Flag("--golden") => golden = Some(r.value()?),
+            Arg::Flag("--filter") => filter = Some(r.value()?),
+            arg => return Err(r.unknown(arg)),
         }
     }
     let filter = filter
         .map(|f| {
-            kremlin::corpus::class_from_name(&f)
-                .ok_or_else(|| bad(format!("unknown scenario class `{f}`")))
+            kremlin::corpus::class_from_name(f)
+                .ok_or_else(|| usage_error(format!("unknown scenario class `{f}`")))
         })
         .transpose()?;
     let specs: Vec<_> = kremlin_workloads::scenario::corpus()
@@ -473,7 +647,7 @@ fn cmd_corpus(args: &[String]) -> Result<(), CliError> {
         print!("{}", kremlin::corpus::golden_json());
         return Ok(());
     }
-    if let Some(dir) = &emit_dir {
+    if let Some(dir) = emit_dir {
         std::fs::create_dir_all(dir).map_err(|e| fail(format!("{dir}: {e}")))?;
         for spec in &specs {
             let path = format!("{dir}/{}", spec.file_name());
@@ -526,11 +700,11 @@ fn cmd_corpus(args: &[String]) -> Result<(), CliError> {
         }
     }
     let mut failures: Vec<String> = Vec::new();
-    if let Some(path) = &golden {
+    if let Some(path) = golden {
         if filter.is_some() {
-            return Err(bad("--golden gates the full grid; drop --filter".into()));
+            return Err(usage_error("--golden gates the full grid; drop --filter"));
         }
-        let text = std::fs::read_to_string(path).map_err(|e| fail(format!("{path}: {e}")))?;
+        let text = read_source(path)?;
         failures = kremlin::corpus::gate_against_golden(&text, &reports);
         for f in &failures {
             eprintln!("[corpus-gate] {f}");
@@ -556,43 +730,17 @@ fn cmd_corpus(args: &[String]) -> Result<(), CliError> {
 /// disagreement to a minimal repro, and (with `--dump`) write the repro
 /// source + oracle report per finding. Findings exit 1.
 fn cmd_fuzz(args: &[String]) -> Result<(), CliError> {
-    let bad = |msg: String| CliError::Usage(format!("{msg}\n{}", usage()));
     let (mut seeds, mut base_seed, mut dump) = (None, 2026u64, None);
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        i += 1;
-        let mut take = |what: &str| -> Result<String, CliError> {
-            let v = args.get(i).cloned().ok_or_else(|| bad(format!("{what} requires a value")))?;
-            i += 1;
-            Ok(v)
-        };
-        if let Some(v) = a.strip_prefix("--seeds=") {
-            seeds = Some(v.parse().map_err(|_| bad(format!("bad --seeds value `{v}`")))?);
-        } else if a == "--seeds" {
-            let v = take("--seeds")?;
-            seeds = Some(v.parse().map_err(|_| bad(format!("bad --seeds value `{v}`")))?);
-        } else if let Some(v) = a.strip_prefix("--seed=") {
-            base_seed = v.parse().map_err(|_| bad(format!("bad --seed value `{v}`")))?;
-        } else if a == "--seed" {
-            let v = take("--seed")?;
-            base_seed = v.parse().map_err(|_| bad(format!("bad --seed value `{v}`")))?;
-        } else if let Some(v) = a.strip_prefix("--dump=") {
-            dump = Some(v.to_owned());
-        } else if a == "--dump" {
-            dump = Some(take("--dump")?);
-        } else if a == "--help" || a == "-h" {
-            return Err(CliError::Help);
-        } else {
-            return Err(bad(format!("unknown fuzz argument `{a}`")));
+    let mut r = Flags::new(args);
+    while let Some(arg) = r.next()? {
+        match arg {
+            Arg::Flag("--seeds") => seeds = Some(r.number(1)?),
+            Arg::Flag("--seed") => base_seed = r.number(0)?,
+            Arg::Flag("--dump") => dump = Some(r.value()?),
+            arg => return Err(r.unknown(arg)),
         }
     }
-    let Some(seeds) = seeds else {
-        return Err(bad("fuzz requires --seeds N".into()));
-    };
-    if seeds == 0 {
-        return Err(bad("--seeds must be at least 1".into()));
-    }
+    let seeds = seeds.ok_or_else(|| usage_error("fuzz requires --seeds N"))?;
     let outcome = kremlin::corpus::fuzz(base_seed, seeds);
     let classes: Vec<String> = outcome.by_class.iter().map(|(c, n)| format!("{c}:{n}")).collect();
     eprintln!(
@@ -600,7 +748,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), CliError> {
         outcome.checked,
         classes.join(" ")
     );
-    if let Some(dir) = &dump {
+    if let Some(dir) = dump {
         std::fs::create_dir_all(dir).map_err(|e| fail(format!("{dir}: {e}")))?;
         for f in &outcome.findings {
             let stem = format!("{dir}/finding-{:016x}", f.seed);
@@ -649,55 +797,20 @@ fn cmd_fuzz(args: &[String]) -> Result<(), CliError> {
 /// `kremlin serve [--port=N] [--workers=N] [--queue=N] [--cache-mb=N]
 /// [--jobs=N]`: run the profiling pipeline as a long-lived HTTP service.
 /// One engine — and thus one content-addressed artifact cache — is
-/// shared by all requests, so the second submission of a hot module
-/// skips compile, record, and decode.
+/// shared by all requests, so the second submission of a hot program
+/// skips compile and profiling.
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    let bad = |msg: String| CliError::Usage(format!("{msg}\n{}", usage()));
     let mut config = ServeConfig::default();
     let mut cache_mb: usize = 256;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        i += 1;
-        let mut value = |flag: &str, inline: Option<&str>| -> Result<String, CliError> {
-            if let Some(v) = inline {
-                return Ok(v.to_owned());
-            }
-            let v = args.get(i).cloned().ok_or_else(|| bad(format!("{flag} requires a value")))?;
-            i += 1;
-            Ok(v)
-        };
-        let parse_num = |flag: &str, v: &str| -> Result<usize, CliError> {
-            v.parse().map_err(|_| bad(format!("bad {flag} value `{v}`")))
-        };
-        if a == "--help" || a == "-h" {
-            return Err(CliError::Help);
-        } else if a == "--port" || a.starts_with("--port=") {
-            let v = value("--port", a.strip_prefix("--port="))?;
-            config.port = v.parse().map_err(|_| bad(format!("bad --port value `{v}`")))?;
-        } else if a == "--workers" || a.starts_with("--workers=") {
-            let v = value("--workers", a.strip_prefix("--workers="))?;
-            config.workers = parse_num("--workers", &v)?;
-            if config.workers == 0 {
-                return Err(bad("--workers must be at least 1".into()));
-            }
-        } else if a == "--queue" || a.starts_with("--queue=") {
-            let v = value("--queue", a.strip_prefix("--queue="))?;
-            config.queue_depth = parse_num("--queue", &v)?;
-            if config.queue_depth == 0 {
-                return Err(bad("--queue must be at least 1".into()));
-            }
-        } else if a == "--cache-mb" || a.starts_with("--cache-mb=") {
-            let v = value("--cache-mb", a.strip_prefix("--cache-mb="))?;
-            cache_mb = parse_num("--cache-mb", &v)?;
-        } else if a == "--jobs" || a.starts_with("--jobs=") {
-            let v = value("--jobs", a.strip_prefix("--jobs="))?;
-            config.default_jobs = parse_num("--jobs", &v)?;
-            if config.default_jobs == 0 {
-                return Err(bad("--jobs must be at least 1".into()));
-            }
-        } else {
-            return Err(bad(format!("unknown serve argument `{a}`")));
+    let mut r = Flags::new(args);
+    while let Some(arg) = r.next()? {
+        match arg {
+            Arg::Flag("--port") => config.port = r.number(0)?,
+            Arg::Flag("--workers") => config.workers = r.number(1)?,
+            Arg::Flag("--queue") => config.queue_depth = r.number(1)?,
+            Arg::Flag("--cache-mb") => cache_mb = r.number(0)?,
+            Arg::Flag("--jobs") => config.default_jobs = r.number(1)?,
+            arg => return Err(r.unknown(arg)),
         }
     }
     let engine =
@@ -718,7 +831,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 /// saved `kremlin-metrics-v1` snapshots.
 fn cmd_metrics_diff(a: &str, b: &str) -> Result<(), CliError> {
     let load = |path: &str| -> Result<kremlin::obs::Snapshot, CliError> {
-        let text = std::fs::read_to_string(path).map_err(|e| fail(format!("{path}: {e}")))?;
+        let text = read_source(path)?;
         // Snapshots are the last stdout line of `--metrics=json` runs, so
         // accept a file with leading plan output before the JSON object.
         let line = text.lines().rfind(|l| !l.trim().is_empty()).unwrap_or("");
@@ -730,6 +843,11 @@ fn cmd_metrics_diff(a: &str, b: &str) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Reads a text input, naming the path in the error.
+fn read_source(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| fail(format!("{path}: {e}")))
+}
+
 fn source_name(input: &str) -> String {
     std::path::Path::new(input)
         .file_name()
@@ -739,193 +857,25 @@ fn source_name(input: &str) -> String {
 
 fn run() -> Result<(), CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let Some(mode) = args.first() else {
         return Err(CliError::Usage(usage().to_owned()));
-    }
-    match args[0].as_str() {
-        "analyze" => return cmd_analyze(&args[1..]),
-        "record" => return cmd_record(&args[1..]),
-        "replay" => return cmd_replay(&args[1..]),
-        "corpus" => return cmd_corpus(&args[1..]),
-        "fuzz" => return cmd_fuzz(&args[1..]),
-        "serve" => return cmd_serve(&args[1..]),
-        _ => {}
-    }
-    let o = parse_args(&args)?;
-    if let Some((a, b)) = &o.metrics_diff {
-        return cmd_metrics_diff(a, b);
-    }
-    let planner = personality(&o.personality)?;
-    if o.metrics != MetricsMode::Off {
-        kremlin::obs::set_metrics(true);
-    }
-    if o.trace.is_some() {
-        kremlin::obs::set_tracing(true);
-    }
-
-    // Plan from a previously saved profile: no execution needed.
-    if let Some(path) = &o.load_profile {
-        let text = std::fs::read_to_string(path).map_err(|e| fail(format!("{path}: {e}")))?;
-        let saved = load_profile(&text).map_err(fail)?;
-        let exclude = resolve_excludes(&o.exclude, |l| saved.regions.by_label(l))?;
-        let plan = planner.plan(&saved.profile, &exclude);
-        print!("{plan}");
-        if o.evaluate {
-            let sim = kremlin::Simulator::new(
-                &saved.profile,
-                &saved.regions,
-                kremlin::MachineModel::default(),
-            );
-            let eval = sim.evaluate(&plan.regions());
-            println!(
-                "\nestimated: {:.2}x speedup on {} cores (serial {:.0} -> {:.0})",
-                eval.speedup, eval.best_cores, eval.serial_time, eval.parallel_time
-            );
-        }
-        return emit_observability(&o);
-    }
-
-    let input = o.input.as_deref().ok_or_else(|| CliError::Usage(usage().to_owned()))?;
-    let src = std::fs::read_to_string(input).map_err(|e| fail(format!("{input}: {e}")))?;
-    let name = source_name(input);
-
-    if o.dump_ir {
-        let unit = kremlin::ir::compile(&src, &name).map_err(fail)?;
-        print!("{}", kremlin::ir::printer::print_module(&unit.module));
-        return emit_observability(&o);
-    }
-
-    let mut tool = Kremlin::new();
-    if let Some(w) = o.window {
-        tool.hcpa.window = w;
-    }
-    tool.hcpa.break_carried_deps = o.break_deps;
-
-    if o.jobs > 1 && o.runs > 1 {
-        return Err(CliError::Usage(format!("--jobs and --runs cannot be combined\n{}", usage())));
-    }
-    if o.save_trace.is_some() && o.runs > 1 {
-        return Err(CliError::Usage(format!(
-            "--save-trace and --runs cannot be combined\n{}",
-            usage()
-        )));
-    }
-    let analysis = if let Some(path) = &o.save_trace {
-        // Record-once/replay path: the profile below comes from replaying
-        // the very trace being saved, so the file provably reproduces it.
-        let (analysis, trace) = tool.analyze_recorded(&src, &name, o.jobs).map_err(fail)?;
-        save_trace(Path::new(path), &trace).map_err(fail)?;
-        kremlin::obs::gauge!("trace.file.bytes").set(trace.to_bytes().len() as u64);
-        eprintln!(
-            "[kremlin] trace saved to {path} ({} events, {} payload bytes)",
-            trace.events(),
-            trace.encoded_len()
-        );
-        Ok(analysis)
-    } else if o.runs > 1 {
-        tool.analyze_runs(&src, &name, o.runs)
-    } else {
-        // The common one-shot path is a thin client of the session
-        // engine: same staged pipeline (and cache keys) the `serve`
-        // daemon uses, bit-identical profile to the monolithic path.
-        Engine::with_tool(tool).analyze_source(&src, &name, o.jobs).map(|r| r.analysis)
-    }
-    .map_err(fail)?;
-    maybe_verify(&analysis.unit.module, o.verify_ir)?;
-
-    eprintln!(
-        "[kremlin] exit={} instrs={} dynamic-regions={} max-depth={}",
-        analysis.outcome.run.exit,
-        analysis.outcome.run.instrs_executed,
-        analysis.outcome.stats.dynamic_regions,
-        analysis.outcome.stats.max_depth
-    );
-
-    if let Some(path) = &o.save_profile {
-        let text = save_profile(
-            &name,
-            &analysis.unit.module.regions,
-            &analysis.unit.reduction_loops(),
-            analysis.profile(),
-        );
-        std::fs::write(path, text).map_err(|e| fail(format!("{path}: {e}")))?;
-        eprintln!("[kremlin] profile saved to {path}");
-    }
-
-    if o.regions {
-        println!(
-            "{:<24} {:>6} {:>10} {:>9} {:>9} {:>8} {:>7} {:>6}",
-            "region", "kind", "instances", "cov.(%)", "self-p", "total-p", "iters", "doall"
-        );
-        for s in analysis.profile().iter() {
-            println!(
-                "{:<24} {:>6} {:>10} {:>9.2} {:>9.1} {:>8.1} {:>7.1} {:>6}",
-                s.label,
-                s.kind.to_string(),
-                s.instances,
-                s.coverage * 100.0,
-                s.self_p,
-                s.total_p,
-                s.avg_children,
-                if s.is_doall { "yes" } else { "no" }
-            );
-        }
-        return emit_observability(&o);
-    }
-
-    if o.report {
-        print!(
-            "{}",
-            kremlin::report::render(
-                &analysis,
-                planner.as_ref(),
-                kremlin::report::ReportOptions::default()
-            )
-        );
-        return emit_observability(&o);
-    }
-
-    let exclude = resolve_excludes(&o.exclude, |l| analysis.unit.module.regions.by_label(l))?;
-    let plan = analysis.plan_with(planner.as_ref(), &exclude);
-    print!("{plan}");
-
-    if o.audit_plan {
-        let diags = kremlin::diag::audit_plan(&analysis, &plan);
-        if diags.is_empty() {
-            println!("\nplan audit: clean (every planned region statically consistent)");
-        } else {
-            println!("\nplan audit:");
-            print!("{}", kremlin::diag::render(&name, &diags));
-        }
-        let counts = kremlin::diag::count_severities(&diags);
-        if counts.errors > 0 {
-            emit_observability(&o)?;
-            return Err(fail(format!(
-                "plan audit found {} hazard(s): dynamic DOALL contradicted by a statically \
-                 proven dependence",
-                counts.errors
-            )));
+    };
+    let rest = &args[1..];
+    match mode.as_str() {
+        "analyze" => cmd_analyze(rest),
+        "record" => cmd_record(rest),
+        "replay" => cmd_plan(&parse_args(rest)?, true),
+        "corpus" => cmd_corpus(rest),
+        "fuzz" => cmd_fuzz(rest),
+        "serve" => cmd_serve(rest),
+        _ => {
+            let o = parse_args(&args)?;
+            match &o.metrics_diff {
+                Some((a, b)) => cmd_metrics_diff(a, b),
+                None => cmd_plan(&o, false),
+            }
         }
     }
-
-    if o.evaluate {
-        let eval = analysis.evaluate(&plan);
-        println!(
-            "\nestimated: {:.2}x speedup on {} cores (serial {:.0} -> {:.0})",
-            eval.speedup, eval.best_cores, eval.serial_time, eval.parallel_time
-        );
-    }
-    emit_observability(&o)
-}
-
-fn resolve_excludes(
-    labels: &[String],
-    lookup: impl Fn(&str) -> Option<kremlin::RegionId>,
-) -> Result<HashSet<kremlin::RegionId>, CliError> {
-    labels
-        .iter()
-        .map(|l| lookup(l).ok_or_else(|| fail(format!("unknown region label `{l}` in --exclude"))))
-        .collect()
 }
 
 fn main() -> ExitCode {

@@ -1,10 +1,10 @@
 //! Content-addressed artifact cache for the staged pipeline.
 //!
-//! Every stage output is keyed by the content it was derived from: the
-//! module fingerprint already embedded in `kremlin-trace v1` for
-//! trace-derived artifacts (per-depth cost histograms, profiles), and an
-//! FNV-1a hash of `(name, source)` for compiled units. Decoded event
-//! arenas are never cached: the profile built from one is.
+//! Every stage output is keyed by the content it was derived from: an
+//! FNV-1a hash of `(name, source)` for compiled units and, together with
+//! the profiling config, for profiles (an upload is keyed by its
+//! embedded source). Decoded event arenas are never cached: the profile
+//! built from one is.
 //! Identical submissions therefore collapse onto the same cache rows no
 //! matter which client — CLI invocation or `kremlin serve` request —
 //! produced them.
@@ -41,11 +41,11 @@ pub enum ArtifactKey {
         module_fp: u64,
     },
     /// Compressed parallelism profile. Profiling config participates in
-    /// the key: the same module profiled with a different depth window
+    /// the key: the same program profiled with a different depth window
     /// or dependence-breaking mode is a different artifact.
     Profile {
-        /// Module fingerprint of the profiled program.
-        module_fp: u64,
+        /// [`source_fingerprint`] of the profiled program's source.
+        source_fp: u64,
         /// [`kremlin::HcpaConfig`] depth window.
         window: usize,
         /// Whether reduction/induction dependences were broken.

@@ -11,8 +11,8 @@
 //! ```
 //!
 //! caches two artifacts (see [`cache`]): the compiled unit keyed by a
-//! source fingerprint, and the compressed profile keyed by the module
-//! fingerprint already embedded in `kremlin-trace v1` plus profiling
+//! source fingerprint, and the compressed profile keyed by the same
+//! source fingerprint (an upload's embedded source) plus profiling
 //! config. A one-shard source request profiles while the program
 //! executes, as the paper's instrumented binary does; only depth-sharded
 //! requests and trace uploads build a decoded event arena, and it lives
@@ -31,7 +31,6 @@ pub mod serve;
 
 use std::sync::Arc;
 
-use kremlin::hcpa::{self, ParallelConfig};
 use kremlin::interp::trace::{self, DecodedTrace, Trace};
 use kremlin::{Analysis, CompiledUnit, Kremlin, KremlinError, ProfileOutcome};
 
@@ -77,8 +76,9 @@ pub struct EngineAnalysis {
     pub analysis: Analysis,
     /// Per-stage cache reuse for this request.
     pub reused: StageReuse,
-    /// The module fingerprint (the `kremlin-trace v1` identity) the
-    /// profile is keyed by.
+    /// The module fingerprint (the structural `kremlin-trace v1`
+    /// identity) reported on the wire. The cache does not key by it: two
+    /// programs that differ only in a constant share it.
     pub module_fp: u64,
 }
 
@@ -139,8 +139,17 @@ impl Engine {
         src: &str,
         name: &str,
     ) -> Result<(Arc<CompiledUnit>, bool), KremlinError> {
-        let key = ArtifactKey::Unit { source_fp: cache::source_fingerprint(name, src) };
-        let (artifact, hit) = self.cache.get_or_build(key, || {
+        self.compile_keyed(cache::source_fingerprint(name, src), src, name)
+    }
+
+    /// [`Engine::compile`] under an already computed source fingerprint.
+    fn compile_keyed(
+        &self,
+        source_fp: u64,
+        src: &str,
+        name: &str,
+    ) -> Result<(Arc<CompiledUnit>, bool), KremlinError> {
+        let (artifact, hit) = self.cache.get_or_build(ArtifactKey::Unit { source_fp }, || {
             kremlin::ir::compile(src, name)
                 .map(|unit| Artifact::Unit(Arc::new(unit)))
                 .map_err(KremlinError::from)
@@ -168,13 +177,10 @@ impl Engine {
         Ok((Arc::new(decoded), false))
     }
 
-    /// Profile: replays the decoded arena through HCPA, sharded across
-    /// `jobs` workers via
-    /// [`kremlin::hcpa::parallel::profile_decoded_parallel`], and caches
-    /// the result in the same profile row [`Engine::analyze_source`] and
-    /// [`Engine::analyze_trace`] use: module fingerprint plus profiling
-    /// config. `jobs` is deliberately *not* part of the key because
-    /// sharded stitching is bit-identical to the serial replay.
+    /// Profile: replays the decoded arena through HCPA in `jobs` depth
+    /// shards ([`Kremlin::replay`]). An arena carries no source to key a
+    /// profile row by, so this stage neither reads nor fills the cache
+    /// and the `bool` is always `false`.
     ///
     /// # Errors
     ///
@@ -186,16 +192,16 @@ impl Engine {
         decoded: &Arc<DecodedTrace>,
         jobs: usize,
     ) -> Result<(Arc<ProfileOutcome>, bool), KremlinError> {
-        self.profile_row(decoded.fingerprint(), || self.replay(unit, decoded, jobs))
+        Ok((Arc::new(self.config.tool.replay(unit, decoded, jobs)?), false))
     }
 
     /// Full pipeline over submitted source: compile, then the profile
-    /// row of the compiled module. Only a miss on that row runs the
-    /// program: a one-shard request (`jobs <= 1`) executes it under the
-    /// profiler, with no trace at all; a sharded request records and
-    /// decodes it once and replays the arena in `jobs` depth shards.
-    /// This is what both the CLI one-shot path and the `POST
-    /// /v1/profile` endpoint run.
+    /// row of that source. Only a miss on that row runs the program: a
+    /// one-shard request (`jobs <= 1`) executes it under the profiler,
+    /// with no trace at all; a sharded request records and decodes it
+    /// once and replays the arena in `jobs` depth shards. This is what
+    /// both the CLI one-shot path and the `POST /v1/profile` endpoint
+    /// run.
     ///
     /// # Errors
     ///
@@ -206,23 +212,26 @@ impl Engine {
         name: &str,
         jobs: usize,
     ) -> Result<EngineAnalysis, KremlinError> {
-        let (unit, unit_hit) = self.compile(src, name)?;
-        let module_fp = trace::module_fingerprint(&unit.module);
-        let profile = self.profile_row(module_fp, || {
+        let source_fp = cache::source_fingerprint(name, src);
+        let (unit, unit_hit) = self.compile_keyed(source_fp, src, name)?;
+        let tool = &self.config.tool;
+        let profile = self.profile_row(source_fp, || {
             if jobs <= 1 {
-                let tool = self.config.tool;
-                return Ok(hcpa::profile_unit_with_machine(&unit, tool.hcpa, tool.machine)?);
+                return tool.profile(&unit);
             }
             let (decoded, _) = self.decode_unit(&unit)?;
-            self.replay(&unit, &decoded, jobs)
+            tool.replay(&unit, &decoded, jobs)
         })?;
+        let module_fp = trace::module_fingerprint(&unit.module);
         Ok(EngineAnalysis::new((unit, unit_hit), profile, module_fp))
     }
 
     /// Full pipeline over an uploaded trace: recompile the embedded
-    /// source, then the profile row of the trace's module, which only on
-    /// a miss decodes the trace and replays it in `jobs` depth shards.
-    /// The `POST /v1/trace` endpoint and `kremlin replay` run this.
+    /// source, then the profile row of that source, which only on a miss
+    /// decodes the trace and replays it in `jobs` depth shards. A source
+    /// request and an upload of the same program share one row. The
+    /// `POST /v1/trace` endpoint, `kremlin replay` and `kremlin
+    /// --save-trace` run this.
     ///
     /// # Errors
     ///
@@ -234,49 +243,36 @@ impl Engine {
         trace: &Trace,
         jobs: usize,
     ) -> Result<EngineAnalysis, KremlinError> {
-        let (unit, unit_hit) = self.compile(&trace.source, &trace.source_name)?;
+        let source_fp = cache::source_fingerprint(&trace.source_name, &trace.source);
+        let (unit, unit_hit) = self.compile_keyed(source_fp, &trace.source, &trace.source_name)?;
         if !trace.matches(&unit.module) {
             return Err(KremlinError::Trace(kremlin::TraceError::ModuleMismatch));
         }
-        let module_fp = trace.fingerprint();
-        let profile = self.profile_row(module_fp, || {
+        let profile = self.profile_row(source_fp, || {
             let decoded = DecodedTrace::decode(trace, &unit.module)?;
-            self.replay(&unit, &decoded, jobs)
+            self.config.tool.replay(&unit, &decoded, jobs)
         })?;
-        Ok(EngineAnalysis::new((unit, unit_hit), profile, module_fp))
+        Ok(EngineAnalysis::new((unit, unit_hit), profile, trace.fingerprint()))
     }
 
-    /// The profile row of `module_fp` under this engine's HCPA config,
-    /// running `build` only when the row is not resident. Single-flight:
-    /// racing requests for one module build it once. `build` must not
-    /// call [`Engine::profile`], which would wait on this very slot.
+    /// The profile row of the source fingerprinted `source_fp` under this
+    /// engine's HCPA config, running `build` only when the row is not
+    /// resident. Single-flight: racing requests for one program build it
+    /// once.
     fn profile_row(
         &self,
-        module_fp: u64,
+        source_fp: u64,
         build: impl FnOnce() -> Result<ProfileOutcome, KremlinError>,
     ) -> Result<(Arc<ProfileOutcome>, bool), KremlinError> {
         let hcpa_cfg = self.config.tool.hcpa;
         let key = ArtifactKey::Profile {
-            module_fp,
+            source_fp,
             window: hcpa_cfg.window,
             break_deps: hcpa_cfg.break_carried_deps,
         };
         let (artifact, hit) =
             self.cache.get_or_build(key, || build().map(|o| Artifact::Profile(Arc::new(o))))?;
         Ok((artifact.into_profile(), hit))
-    }
-
-    /// Replays `decoded` through HCPA in `jobs` depth shards. The arena
-    /// stays the caller's and is dropped with it.
-    fn replay(
-        &self,
-        unit: &CompiledUnit,
-        decoded: &DecodedTrace,
-        jobs: usize,
-    ) -> Result<ProfileOutcome, KremlinError> {
-        let config =
-            ParallelConfig { jobs, hcpa: self.config.tool.hcpa, ..ParallelConfig::default() };
-        Ok(hcpa::profile_decoded_parallel(unit, decoded, config)?)
     }
 }
 
@@ -324,7 +320,8 @@ mod tests {
 
     #[test]
     fn trace_upload_and_source_share_one_profile_row() {
-        let (_, trace) = Kremlin::default().analyze_recorded(DEMO, "demo.kc", 1).unwrap();
+        let unit = kremlin::ir::compile(DEMO, "demo.kc").unwrap();
+        let trace = Kremlin::default().record(&unit, DEMO).unwrap();
         let upload = |engine: &Engine| engine.analyze_trace(&trace, 1).unwrap();
         let source = |engine: &Engine| engine.analyze_source(DEMO, "demo.kc", 1).unwrap();
         for upload_first in [true, false] {

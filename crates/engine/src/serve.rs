@@ -4,10 +4,11 @@
 //! worker threads behind a **bounded job queue**: the accept loop either
 //! enqueues a connection or — when the queue is full — answers `429 Too
 //! Many Requests` immediately with a `Retry-After` hint. Workers run
-//! decoded sharded replay plans concurrently via the engine's profile
-//! stage ([`kremlin::hcpa::parallel::profile_decoded_parallel`]); the
-//! cache's single-flight population means concurrent submissions of the
-//! same module still compile and decode exactly once.
+//! requests concurrently through the engine: a one-shard source request
+//! profiles while the program executes, a sharded one or an upload
+//! replays a decoded trace in depth shards. The cache's single-flight
+//! population means concurrent submissions of the same program still
+//! compile once and profile once.
 //!
 //! Endpoints (see [`crate::protocol`] for the `kremlin-serve-v1` bodies):
 //!

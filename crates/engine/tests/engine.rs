@@ -8,9 +8,9 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
-use kremlin::interp::trace::{self, Trace};
+use kremlin::interp::trace::Trace;
 use kremlin::persist::save_profile;
-use kremlin::{Analysis, Kremlin, MachineConfig};
+use kremlin::{Analysis, Kremlin};
 use kremlin_engine::cache::{Artifact, ArtifactCache, ArtifactKey};
 use kremlin_engine::{Engine, EngineConfig, StageReuse};
 
@@ -44,8 +44,7 @@ fn record_decode_runs(snap: &kremlin_obs::Snapshot) -> (u64, u64) {
 /// format, as a `.ktrace` upload arrives.
 fn uploaded_trace(source: &str, name: &str) -> Trace {
     let unit = kremlin::ir::compile(source, name).unwrap();
-    let mut recorded = trace::record(&unit.module, MachineConfig::default()).unwrap();
-    recorded.source = source.to_owned();
+    let recorded = Kremlin::new().record(&unit, source).unwrap();
     Trace::from_bytes(&recorded.to_bytes()).unwrap()
 }
 
@@ -237,6 +236,34 @@ fn a_request_never_evicts_the_profile_it_came_for() {
         );
         assert_eq!(after, before, "{variant}: a full hit records and decodes nothing");
         assert_eq!(engine.cache().stats().evictions, 0, "{variant}");
+    }
+}
+
+/// Two programs that differ only in a loop bound share their structural
+/// module fingerprint, so the profile row must be keyed by source: each
+/// misses and returns its own exit code, whether submitted as source or
+/// uploaded as a trace.
+#[test]
+fn programs_that_differ_only_in_a_constant_get_their_own_profile_rows() {
+    let _guard = obs_guard();
+    let program = |n: u32| {
+        format!("int main() {{ int s = 0; for (int i = 0; i < {n}; i++) {{ s += i; }} return s; }}")
+    };
+    let (short, long) = (program(10), program(20));
+    for via in ["source", "upload"] {
+        let engine = Engine::new(EngineConfig::default());
+        let results: Vec<_> = [&short, &long]
+            .into_iter()
+            .map(|src| match via {
+                "source" => engine.analyze_source(src, "x.kc", 1).unwrap(),
+                _ => engine.analyze_trace(&uploaded_trace(src, "x.kc"), 1).unwrap(),
+            })
+            .collect();
+        assert_eq!(results[0].module_fp, results[1].module_fp, "{via}: the shapes are equal");
+        for (result, exit) in results.iter().zip([45, 190]) {
+            assert!(!result.reused.profile, "{via}: exit {exit} must miss the profile row");
+            assert_eq!(result.analysis.outcome.run.exit, exit, "{via}");
+        }
     }
 }
 

@@ -124,7 +124,8 @@ fn second_submit_is_a_cache_hit_with_bit_identical_plan() {
 
 #[test]
 fn trace_upload_profiles_and_reports_fingerprint() {
-    let (_, trace) = Kremlin::new().analyze_recorded(DEMO, "grid.kc", 1).unwrap();
+    let unit = kremlin::ir::compile(DEMO, "grid.kc").unwrap();
+    let trace = Kremlin::new().record(&unit, DEMO).unwrap();
     let expected_fp = format!("{:#018x}", trace.fingerprint());
 
     let server = start_server(2, 8);

@@ -147,11 +147,15 @@ fn scenario_classes_compile_verify_and_replay_bit_identically() {
         let tool = Kremlin::new();
         let live =
             tool.analyze(&src, &name).unwrap_or_else(|e| panic!("{spec}: does not run: {e}"));
-        let (replayed, _) = tool
-            .analyze_recorded(&src, &name, 3)
+        let trace =
+            tool.record(&unit, &src).unwrap_or_else(|e| panic!("{spec}: does not record: {e}"));
+        let decoded = kremlin_repro::interp::trace::DecodedTrace::decode(&trace, &unit.module)
+            .unwrap_or_else(|e| panic!("{spec}: does not decode: {e}"));
+        let replayed = tool
+            .replay(&unit, &decoded, 3)
             .unwrap_or_else(|e| panic!("{spec}: sharded replay fails: {e}"));
         assert!(
-            replayed.profile().identical_stats(live.profile()),
+            replayed.profile.identical_stats(live.profile()),
             "{spec}: sharded replay diverges from the live profile"
         );
     }
