@@ -43,7 +43,12 @@
 //! its value inline only). `replay` takes the options above except
 //! `--runs`, `--save-trace` and `--load-profile`; `--load-profile` takes
 //! only the personality, `--exclude`, `--regions`, `--evaluate` and the
-//! observability flags. A flag the input cannot honour is a usage error.
+//! observability flags. A flag the input cannot honour is a usage error,
+//! and so is a flag the output would drop: at most one of `--dump-ir`,
+//! `--regions` and `--report`; none of them with `--exclude`,
+//! `--evaluate` or `--audit-plan`; `--personality` not with `--regions`
+//! or `--dump-ir`; `--save-trace`, `--save-profile` and `--verify-ir`
+//! not with `--dump-ir`; and `--save-profile` not with `--runs` above 1.
 //!
 //! Exit codes: 0 success, 1 pipeline failure (I/O, compile, runtime,
 //! corrupt trace), 2 usage error.
@@ -56,10 +61,7 @@
 
 use kremlin::ir::RegionTable;
 use kremlin::persist::{load_profile, load_trace, save_profile, save_trace};
-use kremlin::{
-    Analysis, CilkPlanner, Kremlin, MachineModel, OpenMpPlanner, ParallelismProfile, Personality,
-    SelfPFilterPlanner, Simulator, Trace, WorkOnlyPlanner,
-};
+use kremlin::{Analysis, Kremlin, MachineModel, ParallelismProfile, Personality, Simulator, Trace};
 use kremlin_engine::serve::{ServeConfig, Server};
 use kremlin_engine::{Engine, EngineConfig};
 use std::collections::HashSet;
@@ -302,14 +304,34 @@ const RUN_FLAGS: [&str; 6] =
 const PROGRAM_FLAGS: [&str; 5] =
     ["--report", "--audit-plan", "--dump-ir", "--verify-ir", "--save-profile"];
 
+/// Output modes other than the plan; at most one is taken.
+const OUTPUT_MODES: [&str; 3] = ["--dump-ir", "--regions", "--report"];
+
 /// Resolves what `o` plans from, and rejects, in this one place, every
-/// flag that input cannot honour.
+/// flag that input or the chosen output cannot honour.
 fn plan_input(o: &Options, replay: bool) -> Result<Input<'_>, CliError> {
     let reject =
         |input: &str, flags: &[&str]| match o.given.iter().find(|f| flags.contains(&f.as_str())) {
             Some(flag) => Err(usage_error(format!("{flag} cannot be used with {input}"))),
             None => Ok(()),
         };
+    // Rejects a given flag of `a` beside a different given flag of `b`.
+    let conflict = |a: &[&str], b: &[&str]| {
+        for flag in o.given.iter().filter(|f| a.contains(&f.as_str())) {
+            if let Some(other) = o.given.iter().find(|g| *g != flag && b.contains(&g.as_str())) {
+                return Err(usage_error(format!("{flag} cannot be used with {other}")));
+            }
+        }
+        Ok(())
+    };
+    conflict(&OUTPUT_MODES, &OUTPUT_MODES)?;
+    conflict(&["--exclude", "--evaluate", "--audit-plan"], &OUTPUT_MODES)?;
+    conflict(&["--personality"], &["--regions", "--dump-ir"])?;
+    conflict(&["--save-trace", "--save-profile", "--verify-ir"], &["--dump-ir"])?;
+    if o.runs > 1 && o.save_profile.is_some() {
+        // The merged profile keeps one run's dictionary.
+        return Err(usage_error(format!("--save-profile cannot be used with --runs={}", o.runs)));
+    }
     if replay {
         reject("replay", &["--runs", "--save-trace", "--load-profile", "--metrics-diff"])?;
         let trace = o.input.as_deref();
@@ -332,16 +354,6 @@ fn plan_input(o: &Options, replay: bool) -> Result<Input<'_>, CliError> {
         reject("--runs", &["--save-trace"])?;
     }
     o.input.as_deref().map(Input::Program).ok_or_else(|| CliError::Usage(usage().to_owned()))
-}
-
-fn personality(name: &str) -> Result<Box<dyn Personality>, CliError> {
-    Ok(match name {
-        "openmp" => Box::new(OpenMpPlanner::default()),
-        "cilk" => Box::new(CilkPlanner::default()),
-        "work-only" => Box::new(WorkOnlyPlanner::default()),
-        "self-parallelism" => Box::new(SelfPFilterPlanner::default()),
-        other => return Err(usage_error(format!("unknown personality `{other}`"))),
-    })
 }
 
 /// Emits `--metrics` / `--trace` output after the pipeline has run.
@@ -455,7 +467,7 @@ fn cmd_record(args: &[String]) -> Result<(), CliError> {
 /// engine, then render. A saved profile skips straight to rendering.
 fn cmd_plan(o: &Options, replay: bool) -> Result<(), CliError> {
     let input = plan_input(o, replay)?;
-    let planner = personality(&o.personality)?;
+    let planner = kremlin::planner::personality(&o.personality).map_err(usage_error)?;
     if o.metrics != MetricsMode::Off {
         kremlin::obs::set_metrics(true);
     }

@@ -10,14 +10,18 @@
 //!          └─ jobs > 1 or upload: record/load ── decode ── replay ──┘
 //! ```
 //!
-//! caches two artifacts (see [`cache`]): the compiled unit keyed by a
-//! source fingerprint, and the compressed profile keyed by the same
-//! source fingerprint (an upload's embedded source) plus profiling
-//! config. A one-shard source request profiles while the program
+//! caches one kind of row (see [`cache`]): the compiled unit and its
+//! compressed profile together, keyed by the program's source
+//! fingerprint (an upload's embedded source) and the request's shard
+//! count. A one-shard source request profiles while the program
 //! executes, as the paper's instrumented binary does; only depth-sharded
 //! requests and trace uploads build a decoded event arena, and it lives
-//! for that request alone. The second request for a hot module skips
-//! compile, execution and replay entirely and pays only the plan.
+//! for that request alone. The second request for a hot program at the
+//! same shard count skips compile, execution and replay entirely and
+//! pays only the plan. The shard count is in the key because a stitched
+//! profile carries shard 0's dictionary: a sharded row must never answer
+//! a one-shard request. Each [`StageReuse`] flag reports the one row's
+//! hit; `unit` and `decoded` go with the next `kremlin-serve-v1` bump.
 //!
 //! Everything downstream is a thin client of [`Engine`]: the `kremlin`
 //! CLI binary for one-shot runs, and the [`serve`] daemon (`kremlin
@@ -34,15 +38,15 @@ use std::sync::Arc;
 use kremlin::interp::trace::{self, DecodedTrace, Trace};
 use kremlin::{Analysis, CompiledUnit, Kremlin, KremlinError, ProfileOutcome};
 
-use cache::{Artifact, ArtifactCache, ArtifactKey};
+use cache::ArtifactCache;
 
 /// Engine construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// The profiling tool configuration every session of this engine
     /// shares (HCPA window, machine limits, cost model). Fixed per
-    /// engine: artifacts cached under one engine were all produced with
-    /// this configuration.
+    /// engine: rows cached under one engine were all produced with this
+    /// configuration, so it is not part of their key.
     pub tool: Kremlin,
     /// Byte budget for the artifact cache's LRU.
     pub cache_bytes: usize,
@@ -54,17 +58,17 @@ impl Default for EngineConfig {
     }
 }
 
-/// Which pipeline stages were served from cache for one request.
+/// Which pipeline stages were served from cache for one request. The
+/// unit and its profile live in one row, so all three flags report that
+/// row's hit; `unit` and `decoded` go with the next `kremlin-serve-v1`
+/// bump.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageReuse {
-    /// Compile stage skipped (unit was resident).
+    /// Compile skipped: the request's row was resident.
     pub unit: bool,
-    /// This request recorded and decoded nothing. Arenas are never
-    /// cached, so on [`Engine::analyze_source`] and
-    /// [`Engine::analyze_trace`] this equals `profile`: only the profile
-    /// builder records or decodes.
+    /// Nothing recorded or decoded: the row was resident.
     pub decoded: bool,
-    /// Profiling skipped (profile was resident).
+    /// Profiling skipped: the row was resident.
     pub profile: bool,
 }
 
@@ -72,29 +76,26 @@ pub struct StageReuse {
 #[derive(Debug, Clone)]
 pub struct EngineAnalysis {
     /// The compiled program and its parallelism profile, `Arc`-shared
-    /// with every other session that requested the same content.
+    /// with every other session that requested the same row.
     pub analysis: Analysis,
     /// Per-stage cache reuse for this request.
     pub reused: StageReuse,
-    /// The module fingerprint (the structural `kremlin-trace v1`
-    /// identity) reported on the wire. The cache does not key by it: two
-    /// programs that differ only in a constant share it.
+    /// The module fingerprint (the `kremlin-trace v2` identity, which
+    /// covers the source) reported on the wire.
     pub module_fp: u64,
 }
 
 impl EngineAnalysis {
-    fn new(
-        (unit, unit_hit): (Arc<CompiledUnit>, bool),
-        (outcome, profile_hit): (Arc<ProfileOutcome>, bool),
-        module_fp: u64,
-    ) -> Self {
-        EngineAnalysis {
-            analysis: Analysis::from_parts(unit, outcome),
-            reused: StageReuse { unit: unit_hit, decoded: profile_hit, profile: profile_hit },
-            module_fp,
-        }
+    fn new(analysis: Analysis, hit: bool, module_fp: u64) -> Self {
+        let reused = StageReuse { unit: hit, decoded: hit, profile: hit };
+        EngineAnalysis { analysis, reused, module_fp }
     }
 }
+
+/// A cache row's key: the program's source fingerprint
+/// ([`kremlin::ir::source_fingerprint`]; an upload's embedded source)
+/// and the request's shard count, `jobs.max(1)`.
+pub type RowKey = (u64, usize);
 
 /// The session engine: staged pipeline over a content-addressed cache.
 ///
@@ -102,7 +103,7 @@ impl EngineAnalysis {
 /// serve` worker pool shares a single engine behind an `Arc`).
 pub struct Engine {
     config: EngineConfig,
-    cache: ArtifactCache,
+    cache: ArtifactCache<RowKey, Analysis>,
 }
 
 impl Engine {
@@ -123,13 +124,13 @@ impl Engine {
     }
 
     /// The artifact cache (stats and introspection).
-    pub fn cache(&self) -> &ArtifactCache {
+    pub fn cache(&self) -> &ArtifactCache<RowKey, Analysis> {
         &self.cache
     }
 
-    /// Stage 1 — compile: returns the compiled unit for `(src, name)`,
-    /// reusing the cached unit when the identical source was compiled
-    /// before. The `bool` is `true` on reuse.
+    /// Stage 1 — compile `src`. Units are cached only inside rows, so
+    /// this stage neither reads nor fills the cache and the `bool` is
+    /// always `false`.
     ///
     /// # Errors
     ///
@@ -139,29 +140,14 @@ impl Engine {
         src: &str,
         name: &str,
     ) -> Result<(Arc<CompiledUnit>, bool), KremlinError> {
-        self.compile_keyed(cache::source_fingerprint(name, src), src, name)
-    }
-
-    /// [`Engine::compile`] under an already computed source fingerprint.
-    fn compile_keyed(
-        &self,
-        source_fp: u64,
-        src: &str,
-        name: &str,
-    ) -> Result<(Arc<CompiledUnit>, bool), KremlinError> {
-        let (artifact, hit) = self.cache.get_or_build(ArtifactKey::Unit { source_fp }, || {
-            kremlin::ir::compile(src, name)
-                .map(|unit| Artifact::Unit(Arc::new(unit)))
-                .map_err(KremlinError::from)
-        })?;
-        Ok((artifact.into_unit(), hit))
+        Ok((Arc::new(kremlin::ir::compile(src, name)?), false))
     }
 
     /// Record and decode: executes `unit` once while recording its event
     /// stream and decodes the recording into an arena for
-    /// [`Engine::profile`]. Arenas are not cached (the profile built
-    /// from one is), so the `bool` is always `false`. Sharded
-    /// [`Engine::analyze_source`] requests run this inside their profile
+    /// [`Engine::profile`]. Arenas are not cached (the row built from
+    /// one is), so the `bool` is always `false`. Sharded
+    /// [`Engine::analyze_source`] requests run this inside their row
     /// builder; one-shard requests never do.
     ///
     /// # Errors
@@ -179,8 +165,8 @@ impl Engine {
 
     /// Profile: replays the decoded arena through HCPA in `jobs` depth
     /// shards ([`Kremlin::replay`]). An arena carries no source to key a
-    /// profile row by, so this stage neither reads nor fills the cache
-    /// and the `bool` is always `false`.
+    /// row by, so this stage neither reads nor fills the cache and the
+    /// `bool` is always `false`.
     ///
     /// # Errors
     ///
@@ -195,8 +181,8 @@ impl Engine {
         Ok((Arc::new(self.config.tool.replay(unit, decoded, jobs)?), false))
     }
 
-    /// Full pipeline over submitted source: compile, then the profile
-    /// row of that source. Only a miss on that row runs the program: a
+    /// Full pipeline over submitted source: the row of `(name, src)` at
+    /// `jobs` shards. Only a miss compiles and runs the program: a
     /// one-shard request (`jobs <= 1`) executes it under the profiler,
     /// with no trace at all; a sharded request records and decodes it
     /// once and replays the arena in `jobs` depth shards. This is what
@@ -212,68 +198,78 @@ impl Engine {
         name: &str,
         jobs: usize,
     ) -> Result<EngineAnalysis, KremlinError> {
-        let source_fp = cache::source_fingerprint(name, src);
-        let (unit, unit_hit) = self.compile_keyed(source_fp, src, name)?;
         let tool = &self.config.tool;
-        let profile = self.profile_row(source_fp, || {
-            if jobs <= 1 {
-                return tool.profile(&unit);
+        let (analysis, hit) = self.row(src, name, jobs, |unit, jobs| {
+            if jobs == 1 {
+                return tool.profile(unit);
             }
-            let (decoded, _) = self.decode_unit(&unit)?;
-            tool.replay(&unit, &decoded, jobs)
+            let (decoded, _) = self.decode_unit(unit)?;
+            tool.replay(unit, &decoded, jobs)
         })?;
-        let module_fp = trace::module_fingerprint(&unit.module);
-        Ok(EngineAnalysis::new((unit, unit_hit), profile, module_fp))
+        let module_fp = trace::module_fingerprint(&analysis.unit.module);
+        Ok(EngineAnalysis::new(analysis, hit, module_fp))
     }
 
-    /// Full pipeline over an uploaded trace: recompile the embedded
-    /// source, then the profile row of that source, which only on a miss
-    /// decodes the trace and replays it in `jobs` depth shards. A source
-    /// request and an upload of the same program share one row. The
-    /// `POST /v1/trace` endpoint, `kremlin replay` and `kremlin
-    /// --save-trace` run this.
+    /// Full pipeline over an uploaded trace: the row of its embedded
+    /// source at `jobs` shards, which only on a miss recompiles the
+    /// source, decodes the trace and replays it in `jobs` depth shards.
+    /// A source request and an upload of the same program at the same
+    /// shard count share one row. The `POST /v1/trace` endpoint, `kremlin
+    /// replay` and `kremlin --save-trace` run this.
     ///
     /// # Errors
     ///
     /// As the individual stages, plus [`KremlinError::Trace`] when the
-    /// recompiled module no longer matches the trace fingerprint or a
-    /// decoded event stream is corrupt.
+    /// trace was not recorded from its embedded source (module
+    /// fingerprint mismatch), resident row or not, or a decoded event
+    /// stream is corrupt.
     pub fn analyze_trace(
         &self,
         trace: &Trace,
         jobs: usize,
     ) -> Result<EngineAnalysis, KremlinError> {
-        let source_fp = cache::source_fingerprint(&trace.source_name, &trace.source);
-        let (unit, unit_hit) = self.compile_keyed(source_fp, &trace.source, &trace.source_name)?;
-        if !trace.matches(&unit.module) {
+        let (analysis, hit) = self.row(&trace.source, &trace.source_name, jobs, |unit, jobs| {
+            let decoded = DecodedTrace::decode(trace, &unit.module)?;
+            self.config.tool.replay(unit, &decoded, jobs)
+        })?;
+        // A resident row may come from a source request: check the
+        // upload's events against it, hit or miss.
+        if !trace.matches(&analysis.unit.module) {
             return Err(KremlinError::Trace(kremlin::TraceError::ModuleMismatch));
         }
-        let profile = self.profile_row(source_fp, || {
-            let decoded = DecodedTrace::decode(trace, &unit.module)?;
-            self.config.tool.replay(&unit, &decoded, jobs)
-        })?;
-        Ok(EngineAnalysis::new((unit, unit_hit), profile, trace.fingerprint()))
+        Ok(EngineAnalysis::new(analysis, hit, trace.fingerprint()))
     }
 
-    /// The profile row of the source fingerprinted `source_fp` under this
-    /// engine's HCPA config, running `build` only when the row is not
-    /// resident. Single-flight: racing requests for one program build it
-    /// once.
-    fn profile_row(
+    /// The row of `(name, src)` at `jobs.max(1)` shards. Only a miss runs
+    /// anything: it compiles the source and hands the unit and the shard
+    /// count to `profile`. Single-flight: racing requests for one row
+    /// build it once.
+    fn row(
         &self,
-        source_fp: u64,
-        build: impl FnOnce() -> Result<ProfileOutcome, KremlinError>,
-    ) -> Result<(Arc<ProfileOutcome>, bool), KremlinError> {
-        let hcpa_cfg = self.config.tool.hcpa;
-        let key = ArtifactKey::Profile {
-            source_fp,
-            window: hcpa_cfg.window,
-            break_deps: hcpa_cfg.break_carried_deps,
-        };
-        let (artifact, hit) =
-            self.cache.get_or_build(key, || build().map(|o| Artifact::Profile(Arc::new(o))))?;
-        Ok((artifact.into_profile(), hit))
+        src: &str,
+        name: &str,
+        jobs: usize,
+        profile: impl FnOnce(&Arc<CompiledUnit>, usize) -> Result<ProfileOutcome, KremlinError>,
+    ) -> Result<(Analysis, bool), KremlinError> {
+        let jobs = jobs.max(1);
+        self.cache.get_or_build((kremlin::ir::source_fingerprint(name, src), jobs), || {
+            let unit = Arc::new(kremlin::ir::compile(src, name)?);
+            let outcome = profile(&unit, jobs)?;
+            let bytes = row_bytes(&unit, &outcome);
+            Ok((Analysis::from_parts(unit, Arc::new(outcome)), bytes))
+        })
     }
+}
+
+/// A row's charge against the byte budget: structural estimates of the
+/// unit and of the profile. The LRU needs relative weight, not
+/// accounting-grade numbers.
+fn row_bytes(unit: &CompiledUnit, outcome: &ProfileOutcome) -> usize {
+    let values: usize =
+        unit.module.funcs.iter().map(|f| f.values.len() * 96 + f.blocks.len() * 64).sum();
+    let unit_bytes = values + unit.module.regions.len() * 128 + 4096;
+    let profile = &outcome.profile;
+    unit_bytes + profile.dict.compressed_bytes() as usize + profile.executed_regions() * 256 + 1024
 }
 
 #[cfg(test)]
@@ -309,13 +305,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_profile_hits_the_serial_cache_row() {
+    fn sharded_and_one_shard_requests_never_share_a_row() {
         let engine = Engine::new(EngineConfig::default());
         let serial = engine.analyze_source(DEMO, "demo.kc", 1).unwrap();
-        // jobs differ, result is bit-identical, so the key must collide.
+        // A stitched profile carries shard 0's dictionary, so the shard
+        // count is part of the key: a sharded request builds its own row.
         let sharded = engine.analyze_source(DEMO, "demo.kc", 3).unwrap();
-        assert!(sharded.reused.profile);
-        assert!(Arc::ptr_eq(&serial.analysis.outcome, &sharded.analysis.outcome));
+        assert_eq!(sharded.reused, StageReuse::default());
+        assert!(!Arc::ptr_eq(&serial.analysis.outcome, &sharded.analysis.outcome));
+        for (jobs, row) in [(0, &serial), (1, &serial), (3, &sharded)] {
+            let again = engine.analyze_source(DEMO, "demo.kc", jobs).unwrap();
+            assert!(again.reused.profile, "jobs={jobs} must hit its own row");
+            assert!(Arc::ptr_eq(&again.analysis.outcome, &row.analysis.outcome), "jobs={jobs}");
+        }
+        assert_eq!(engine.cache().stats().entries, 2);
     }
 
     #[test]
@@ -336,7 +339,7 @@ mod tests {
             assert!(Arc::ptr_eq(&first.analysis.outcome, &second.analysis.outcome));
             assert_eq!(first.module_fp, second.module_fp);
             let stats = engine.cache().stats();
-            assert_eq!((stats.entries, stats.misses), (2, 2), "one unit row, one profile row");
+            assert_eq!((stats.entries, stats.misses), (1, 1), "one row holds unit and profile");
         }
     }
 

@@ -3,7 +3,7 @@
 //! JSON over HTTP, built with the same zero-dependency
 //! [`kremlin_obs::json`] reader/writer the metrics schema uses. The
 //! version policy mirrors the trace layer's reject-unknown-versions
-//! rule (`kremlin-trace v1`): a request carrying any schema other than
+//! rule (`kremlin-trace v2`): a request carrying any schema other than
 //! [`SCHEMA`], or addressed to any `/vN/` prefix other than `/v1/`, is
 //! rejected with a message naming both the found and the supported
 //! version. Additive response fields do not bump the version; any
@@ -102,9 +102,9 @@ pub fn profile_response(result: &EngineAnalysis, personality: &str, plan: &Plan)
 }
 
 /// The `reused` object: `unit` (compile skipped), `decoded` (nothing
-/// recorded or decoded for this request; it always equals `profile`,
-/// since only a profile miss records or decodes) and `profile`
-/// (profiling skipped). A request is a full hit when all three are true.
+/// recorded or decoded) and `profile` (profiling skipped). The unit and
+/// its profile live in one cache row, so all three report that row's
+/// hit; `unit` and `decoded` go with the next schema bump.
 fn reuse_value(reused: StageReuse) -> Value {
     Value::Obj(vec![
         ("unit".into(), Value::Bool(reused.unit)),

@@ -29,9 +29,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use kremlin::interp::Trace;
-use kremlin::planner::{
-    CilkPlanner, OpenMpPlanner, Personality, SelfPFilterPlanner, WorkOnlyPlanner,
-};
+use kremlin::planner::personality;
 
 use crate::http::{read_request, write_response, Request};
 use crate::{protocol, Engine};
@@ -265,14 +263,9 @@ fn route(engine: &Engine, default_jobs: usize, request: &Request) -> Response {
                 Ok(p) => p,
                 Err(e) => return Response::json(400, protocol::error_response(&e)),
             };
-            let Some(planner) = personality(&parsed.personality) else {
-                return Response::json(
-                    400,
-                    protocol::error_response(&format!(
-                        "unknown personality {:?} (expected openmp, cilk, selfp, or workonly)",
-                        parsed.personality
-                    )),
-                );
+            let planner = match personality(&parsed.personality) {
+                Ok(planner) => planner,
+                Err(e) => return Response::json(400, protocol::error_response(&e)),
             };
             match engine.analyze_source(&parsed.source, &parsed.name, parsed.jobs) {
                 Ok(result) => {
@@ -298,11 +291,9 @@ fn route(engine: &Engine, default_jobs: usize, request: &Request) -> Response {
                 .unwrap_or(default_jobs);
             let personality_name =
                 request.header("x-kremlin-personality").unwrap_or("openmp").to_string();
-            let Some(planner) = personality(&personality_name) else {
-                return Response::json(
-                    400,
-                    protocol::error_response(&format!("unknown personality {personality_name:?}")),
-                );
+            let planner = match personality(&personality_name) {
+                Ok(planner) => planner,
+                Err(e) => return Response::json(400, protocol::error_response(&e)),
             };
             match engine.analyze_trace(&trace, jobs) {
                 Ok(result) => {
@@ -319,17 +310,5 @@ fn route(engine: &Engine, default_jobs: usize, request: &Request) -> Response {
             Response::json(405, protocol::error_response("method not allowed"))
         }
         _ => Response::json(404, protocol::error_response("no such endpoint")),
-    }
-}
-
-/// Planner personalities the service exposes — same names as the CLI's
-/// `--personality` flag.
-fn personality(name: &str) -> Option<Box<dyn Personality>> {
-    match name {
-        "openmp" => Some(Box::<OpenMpPlanner>::default()),
-        "cilk" => Some(Box::<CilkPlanner>::default()),
-        "selfp" => Some(Box::<SelfPFilterPlanner>::default()),
-        "workonly" => Some(Box::<WorkOnlyPlanner>::default()),
-        _ => None,
     }
 }

@@ -144,6 +144,33 @@ fn usage_errors_exit_2_and_print_usage() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: kremlin"), "{args:?}: {stderr}");
     }
+
+    // Flags the chosen output would drop, named in the message, also
+    // before any file is read.
+    for (args, named) in [
+        (
+            &["x.kc", "--regions", "--report", "--evaluate", "--audit-plan"][..],
+            ["--regions", "--report"],
+        ),
+        (&["x.kc", "--dump-ir", "--regions"], ["--dump-ir", "--regions"]),
+        (&["x.kc", "--report", "--evaluate"], ["--evaluate", "--report"]),
+        (&["x.kc", "--regions", "--audit-plan"], ["--audit-plan", "--regions"]),
+        (&["x.kc", "--dump-ir", "--exclude=main#L0"], ["--exclude", "--dump-ir"]),
+        (&["replay", "x.ktrace", "--regions", "--evaluate"], ["--evaluate", "--regions"]),
+        (&["x.kc", "--regions", "--personality=cilk"], ["--personality", "--regions"]),
+        (&["x.kc", "--dump-ir", "--personality", "cilk"], ["--personality", "--dump-ir"]),
+        (&["x.kc", "--dump-ir", "--save-trace=t.ktrace"], ["--save-trace", "--dump-ir"]),
+        (&["x.kc", "--dump-ir", "--save-profile=p.prof"], ["--save-profile", "--dump-ir"]),
+        (&["x.kc", "--verify-ir", "--dump-ir"], ["--verify-ir", "--dump-ir"]),
+        (&["x.kc", "--runs=3", "--save-profile=p.prof"], ["--save-profile", "--runs"]),
+    ] {
+        let out = kremlin().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: kremlin"), "{args:?}: {stderr}");
+        let message = stderr.lines().next().unwrap_or("");
+        assert!(named.iter().all(|flag| message.contains(flag)), "{args:?}: {message}");
+    }
 }
 
 #[test]

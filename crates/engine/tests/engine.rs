@@ -2,16 +2,17 @@
 //! patterns, single-flight population under real concurrency, the
 //! acceptance end-to-end — a warm engine serves every paper workload
 //! without recompiling or reprofiling, bit-identical to the cold CLI
-//! path — and agreement between the two producers of a profile row
-//! (live execution and trace replay).
+//! path — agreement between the two producers of a one-shard row (live
+//! execution and trace replay), and rows that no other request shape or
+//! program can answer.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
-use kremlin::interp::trace::Trace;
+use kremlin::interp::trace::{DecodedTrace, Trace};
 use kremlin::persist::save_profile;
-use kremlin::{Analysis, Kremlin};
-use kremlin_engine::cache::{Artifact, ArtifactCache, ArtifactKey};
+use kremlin::{Analysis, Kremlin, KremlinError, TraceError};
+use kremlin_engine::cache::ArtifactCache;
 use kremlin_engine::{Engine, EngineConfig, StageReuse};
 
 /// The obs registry is process-global; tests that reset or read it must
@@ -23,16 +24,15 @@ fn obs_guard() -> MutexGuard<'static, ()> {
     OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn hist_artifact(len: usize) -> Artifact {
-    Artifact::DepthCost(Arc::new(vec![1; len]))
+/// The byte cost of a [`value`] of `len` words.
+fn value_bytes(len: usize) -> usize {
+    len * 8 + 32
 }
 
-fn hist_key(fp: u64) -> ArtifactKey {
-    ArtifactKey::DepthCost { module_fp: fp }
-}
-
-fn hist_bytes(len: usize) -> usize {
-    hist_artifact(len).cost_bytes()
+/// A plain cache value of `len` words and its byte cost, as a builder
+/// returns them.
+fn value(len: usize) -> Result<(Arc<Vec<u64>>, usize), ()> {
+    Ok((Arc::new(vec![1; len]), value_bytes(len)))
 }
 
 /// The record/decode run counters, read from a metrics snapshot.
@@ -59,17 +59,17 @@ fn hits_refresh_recency_before_eviction() {
     // Cache operations bump global obs counters when the metrics switch
     // is on; serialize against the counter-asserting tests below.
     let _guard = obs_guard();
-    let row = hist_bytes(8);
+    let row = value_bytes(8);
     let cache = ArtifactCache::new(3 * row);
-    for fp in 0..3u64 {
-        cache.get_or_build::<()>(hist_key(fp), || Ok(hist_artifact(8))).unwrap();
+    for key in 0..3u64 {
+        cache.get_or_build(key, || value(8)).unwrap();
     }
     // Touch the LRU victim-to-be, then overflow the budget.
-    assert!(cache.lookup(hist_key(0)).is_some());
-    cache.get_or_build::<()>(hist_key(3), || Ok(hist_artifact(8))).unwrap();
+    assert!(cache.lookup(0).is_some());
+    cache.get_or_build(3, || value(8)).unwrap();
     let resident = cache.keys_lru();
-    assert!(!resident.contains(&hist_key(1)), "key 1 was the true LRU victim");
-    assert_eq!(resident, vec![hist_key(2), hist_key(0), hist_key(3)]);
+    assert!(!resident.contains(&1), "key 1 was the true LRU victim");
+    assert_eq!(resident, vec![2, 0, 3]);
 }
 
 /// Deterministic pseudo-random walk over inserts and lookups, checked
@@ -79,7 +79,7 @@ fn hits_refresh_recency_before_eviction() {
 #[test]
 fn random_walk_matches_reference_lru_model() {
     let _guard = obs_guard();
-    let budget = 10 * hist_bytes(4);
+    let budget = 10 * value_bytes(4);
     let cache = ArtifactCache::new(budget);
 
     // Reference model: (key, bytes) from least- to most-recent.
@@ -95,11 +95,11 @@ fn random_walk_matches_reference_lru_model() {
     for _ in 0..2000 {
         let fp = next() % 24; // small key space => plenty of re-touches
         let len = 1 + (next() % 8) as usize;
-        let bytes = hist_bytes(len);
+        let bytes = value_bytes(len);
         if next() % 3 == 0 {
             // Pure lookup: touches on hit, no insert on miss.
             let present = model.iter().position(|(k, _)| *k == fp);
-            let got = cache.lookup(hist_key(fp));
+            let got = cache.lookup(fp);
             assert_eq!(got.is_some(), present.is_some());
             if let Some(pos) = present {
                 let entry = model.remove(pos);
@@ -107,8 +107,7 @@ fn random_walk_matches_reference_lru_model() {
                 model_hits += 1;
             }
         } else {
-            let (_, was_hit) =
-                cache.get_or_build::<()>(hist_key(fp), || Ok(hist_artifact(len))).unwrap();
+            let (_, was_hit) = cache.get_or_build(fp, || value(len)).unwrap();
             match model.iter().position(|(k, _)| *k == fp) {
                 Some(pos) => {
                     assert!(was_hit);
@@ -133,7 +132,7 @@ fn random_walk_matches_reference_lru_model() {
         let stats = cache.stats();
         assert!(stats.bytes <= budget, "budget violated: {} > {budget}", stats.bytes);
         assert_eq!(stats.bytes, model.iter().map(|(_, b)| *b).sum::<usize>());
-        let model_order: Vec<ArtifactKey> = model.iter().map(|(k, _)| hist_key(*k)).collect();
+        let model_order: Vec<u64> = model.iter().map(|(k, _)| *k).collect();
         assert_eq!(cache.keys_lru(), model_order, "LRU order diverged from model");
     }
 
@@ -149,11 +148,11 @@ fn random_walk_matches_reference_lru_model() {
 // ---------------------------------------------------------------------------
 
 /// Eight threads race to submit the same module; the obs counters must
-/// show exactly one compile and one profile build, with every other
-/// request a hit on each. A sharded (`jobs = 2`) build records and
-/// decodes the program exactly once; a one-shard build profiles while
-/// executing and never records or decodes. All results share one
-/// allocation per artifact.
+/// show exactly one row build (one compile, one profile), with every
+/// other request a hit. A sharded (`jobs = 2`) build records and decodes
+/// the program exactly once; a one-shard build profiles while executing
+/// and never records or decodes. All results share one allocation per
+/// artifact.
 #[test]
 fn concurrent_same_module_compiles_and_decodes_exactly_once() {
     let _guard = obs_guard();
@@ -178,18 +177,16 @@ fn concurrent_same_module_compiles_and_decodes_exactly_once() {
         let snap = kremlin_obs::snapshot();
         kremlin_obs::set_metrics(false);
 
-        for kind in ["unit", "profile"] {
-            assert_eq!(
-                snap.counter(&format!("engine.cache.{kind}.misses")),
-                1,
-                "jobs={jobs}: {kind} must be built exactly once across {THREADS} concurrent submits"
-            );
-            assert_eq!(
-                snap.counter(&format!("engine.cache.{kind}.hits")),
-                (THREADS - 1) as u64,
-                "jobs={jobs}: every other submit must take the {kind} hit path"
-            );
-        }
+        assert_eq!(
+            snap.counter("engine.cache.misses"),
+            1,
+            "jobs={jobs}: the row must be built exactly once across {THREADS} concurrent submits"
+        );
+        assert_eq!(
+            snap.counter("engine.cache.hits"),
+            (THREADS - 1) as u64,
+            "jobs={jobs}: every other submit must take the hit path"
+        );
         let runs = if jobs == 1 { 0 } else { 1 };
         assert_eq!(record_decode_runs(&snap), (runs, runs), "jobs={jobs}: record/decode runs");
         for r in &results[1..] {
@@ -239,10 +236,10 @@ fn a_request_never_evicts_the_profile_it_came_for() {
     }
 }
 
-/// Two programs that differ only in a loop bound share their structural
-/// module fingerprint, so the profile row must be keyed by source: each
-/// misses and returns its own exit code, whether submitted as source or
-/// uploaded as a trace.
+/// Two programs that differ only in a loop bound have the same shapes;
+/// the source fingerprint in the row key and in the module fingerprint
+/// tells them apart: each misses and returns its own exit code, whether
+/// submitted as source or uploaded as a trace.
 #[test]
 fn programs_that_differ_only_in_a_constant_get_their_own_profile_rows() {
     let _guard = obs_guard();
@@ -259,12 +256,46 @@ fn programs_that_differ_only_in_a_constant_get_their_own_profile_rows() {
                 _ => engine.analyze_trace(&uploaded_trace(src, "x.kc"), 1).unwrap(),
             })
             .collect();
-        assert_eq!(results[0].module_fp, results[1].module_fp, "{via}: the shapes are equal");
+        assert_ne!(results[0].module_fp, results[1].module_fp, "{via}: it covers the source");
         for (result, exit) in results.iter().zip([45, 190]) {
             assert!(!result.reused.profile, "{via}: exit {exit} must miss the profile row");
             assert_eq!(result.analysis.outcome.run.exit, exit, "{via}");
         }
     }
+}
+
+/// A trace header carries the fingerprint of the module it was recorded
+/// from, and that fingerprint covers the source: events recorded from
+/// the bound-10 program that carry the bound-20 source are rejected by
+/// the decoder and by the engine, whether or not bound 20's row is
+/// resident, and never fill that row.
+#[test]
+fn an_upload_recorded_from_another_source_is_rejected() {
+    let _guard = obs_guard();
+    let program = |n: u32| {
+        format!("int main() {{ int s = 0; for (int i = 0; i < {n}; i++) {{ s += i; }} return s; }}")
+    };
+    let (short, long) = (program(10), program(20));
+    let short_unit = kremlin::ir::compile(&short, "x.kc").unwrap();
+    let recorded = Kremlin::new().record(&short_unit, &long).unwrap();
+    let mismatched = Trace::from_bytes(&recorded.to_bytes()).unwrap();
+
+    let long_unit = kremlin::ir::compile(&long, "x.kc").unwrap();
+    let decoded = DecodedTrace::decode(&mismatched, &long_unit.module);
+    assert_eq!(decoded.err(), Some(TraceError::ModuleMismatch));
+
+    let engine = Engine::new(EngineConfig::default());
+    let rejected = |engine: &Engine| {
+        matches!(
+            engine.analyze_trace(&mismatched, 1),
+            Err(KremlinError::Trace(TraceError::ModuleMismatch))
+        )
+    };
+    assert!(rejected(&engine), "cold: the upload must be rejected");
+    let source = engine.analyze_source(&long, "x.kc", 1).unwrap();
+    assert!(!source.reused.profile, "the rejected upload must not fill bound 20's row");
+    assert_eq!(source.analysis.outcome.run.exit, 190);
+    assert!(rejected(&engine), "warm: bound 20's row is resident, the upload is still rejected");
 }
 
 // ---------------------------------------------------------------------------
@@ -298,9 +329,8 @@ fn warm_engine_skips_compile_and_decode_for_every_workload() {
     }
 
     let after_cold = kremlin_obs::snapshot();
-    assert_eq!(after_cold.counter("engine.cache.unit.misses"), 12);
-    assert_eq!(after_cold.counter("engine.cache.profile.misses"), 12);
-    assert_eq!(after_cold.counter("engine.cache.unit.hits"), 0);
+    assert_eq!(after_cold.counter("engine.cache.misses"), 12);
+    assert_eq!(after_cold.counter("engine.cache.hits"), 0);
     assert_eq!(
         record_decode_runs(&after_cold),
         (0, 0),
@@ -327,10 +357,8 @@ fn warm_engine_skips_compile_and_decode_for_every_workload() {
     // schema rather than internal accounting.
     let snap = kremlin_obs::Snapshot::from_json(&kremlin_obs::snapshot().to_json()).unwrap();
     kremlin_obs::set_metrics(false);
-    assert_eq!(snap.counter("engine.cache.unit.misses"), 12, "no recompiles on warm requests");
-    assert_eq!(snap.counter("engine.cache.profile.misses"), 12, "no reprofiling on warm requests");
-    assert!(snap.counter("engine.cache.unit.hits") >= 12);
-    assert!(snap.counter("engine.cache.profile.hits") >= 12);
+    assert_eq!(snap.counter("engine.cache.misses"), 12, "no rebuilds on warm requests");
+    assert!(snap.counter("engine.cache.hits") >= 12);
     assert_eq!(record_decode_runs(&snap), (0, 0), "warm requests record and decode nothing");
     assert_eq!(snap.counter("engine.cache.evictions"), 0);
 
@@ -392,5 +420,34 @@ fn live_and_replayed_profile_rows_agree_for_every_consumer() {
         assert_eq!(ld.raw_summaries(), rd.raw_summaries(), "{}", w.name);
         assert!(live.profile().identical_stats(replayed.profile()), "{}: stats differ", w.name);
         assert_eq!(consumer_view(live), consumer_view(replayed), "{}", w.name);
+    }
+}
+
+/// A stitched profile carries shard 0's dictionary, so a sharded row must
+/// never answer a one-shard request. On every workload, a `jobs = 1`
+/// source request and a `jobs = 1` upload of the workload's own trace,
+/// each on its own engine right after a `jobs = 3` request for the same
+/// program, miss and give every consumer what a fresh engine gives.
+#[test]
+fn one_shard_requests_never_read_a_sharded_row() {
+    // Recording bumps the global trace counters other tests assert on.
+    let _guard = obs_guard();
+    for w in kremlin_workloads::all() {
+        let name = w.file_name();
+        let fresh =
+            Engine::new(EngineConfig::default()).analyze_source(w.source, &name, 1).unwrap();
+        let want = consumer_view(&fresh.analysis);
+        let upload = uploaded_trace(w.source, &name);
+        for via in ["source", "upload"] {
+            let engine = Engine::new(EngineConfig::default());
+            engine.analyze_source(w.source, &name, 3).unwrap();
+            let one = match via {
+                "source" => engine.analyze_source(w.source, &name, 1),
+                _ => engine.analyze_trace(&upload, 1),
+            }
+            .unwrap();
+            assert_eq!(one.reused, StageReuse::default(), "{} {via}: must miss", w.name);
+            assert_eq!(consumer_view(&one.analysis), want, "{} {via}", w.name);
+        }
     }
 }

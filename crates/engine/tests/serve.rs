@@ -119,6 +119,19 @@ fn second_submit_is_a_cache_hit_with_bit_identical_plan() {
     assert_eq!(cold_plan, warm_plan, "plans must be byte-identical across requests");
     assert_eq!(cold_doc.get("module_fingerprint"), warm_doc.get("module_fingerprint"));
 
+    // The CLI's personality names plan from the same row.
+    for personality in ["work-only", "self-parallelism"] {
+        let body = request.replacen('{', &format!("{{\"personality\":\"{personality}\","), 1);
+        let reply = post_json(addr, "/v1/profile", &body);
+        assert_eq!(reply.status, 200, "{personality}: {}", String::from_utf8_lossy(&reply.body));
+        let doc = body_json(&reply);
+        assert_eq!(doc.get("personality").and_then(Value::as_str), Some(personality));
+        let plan = doc.get("plan").and_then(Value::as_str).expect("plan text");
+        assert!(plan.contains(&format!("[{personality}]")), "{plan}");
+        let reused = doc.get("reused").and_then(|r| r.get("profile"));
+        assert_eq!(reused, Some(&Value::Bool(true)), "{personality}");
+    }
+
     server.shutdown();
 }
 
@@ -129,17 +142,21 @@ fn trace_upload_profiles_and_reports_fingerprint() {
     let expected_fp = format!("{:#018x}", trace.fingerprint());
 
     let server = start_server(2, 8);
-    let reply = roundtrip(
-        server.addr(),
-        "POST",
-        "/v1/trace",
-        &[("x-kremlin-jobs", "2"), ("x-kremlin-personality", "openmp")],
-        &trace.to_bytes(),
-    );
-    assert_eq!(reply.status, 200, "{}", String::from_utf8_lossy(&reply.body));
-    let doc = body_json(&reply);
-    assert_eq!(doc.get("module_fingerprint").and_then(Value::as_str), Some(expected_fp.as_str()));
-    assert!(doc.get("entries").and_then(Value::as_arr).is_some());
+    for personality in ["openmp", "work-only", "self-parallelism"] {
+        let reply = roundtrip(
+            server.addr(),
+            "POST",
+            "/v1/trace",
+            &[("x-kremlin-jobs", "2"), ("x-kremlin-personality", personality)],
+            &trace.to_bytes(),
+        );
+        assert_eq!(reply.status, 200, "{personality}: {}", String::from_utf8_lossy(&reply.body));
+        let doc = body_json(&reply);
+        let fp = doc.get("module_fingerprint").and_then(Value::as_str);
+        assert_eq!(fp, Some(expected_fp.as_str()));
+        assert!(doc.get("entries").and_then(Value::as_arr).is_some());
+        assert_eq!(doc.get("personality").and_then(Value::as_str), Some(personality));
+    }
 
     let garbage = roundtrip(server.addr(), "POST", "/v1/trace", &[], b"not a ktrace");
     assert_eq!(garbage.status, 400);
@@ -199,6 +216,18 @@ fn method_and_route_errors_are_clean() {
     assert_eq!(wrong_schema.status, 400);
     let error = body_json(&wrong_schema).get("error").and_then(Value::as_str).unwrap().to_string();
     assert!(error.contains("kremlin-serve-v9") && error.contains("kremlin-serve-v1"), "{error}");
+
+    // Personalities go by the CLI's names; the 400 lists them.
+    let unknown = post_json(
+        addr,
+        "/v1/profile",
+        r#"{"schema":"kremlin-serve-v1","source":"int main() { return 0; }","personality":"selfp"}"#,
+    );
+    assert_eq!(unknown.status, 400);
+    let error = body_json(&unknown).get("error").and_then(Value::as_str).unwrap().to_string();
+    for name in ["selfp", "openmp", "cilk", "work-only", "self-parallelism"] {
+        assert!(error.contains(name), "{error}");
+    }
 
     server.shutdown();
 }

@@ -26,7 +26,7 @@
 //! # File format
 //!
 //! [`Trace::to_bytes`] follows the `core/persist.rs` conventions (magic,
-//! version, integrity check, graceful errors): a `kremlin-trace v1\n`
+//! version, integrity check, graceful errors): a `kremlin-trace v2\n`
 //! magic line, little-endian header fields, the embedded source (so a
 //! trace file is self-contained and replayable without the original
 //! `.kc` file), the event payload, and a trailing FNV-1a checksum over
@@ -40,9 +40,11 @@
 //! The magic line carries the format version. Readers reject any version
 //! they do not know ([`TraceError::UnsupportedVersion`]); the encoding is
 //! append-only within a version (new tags would bump it). A trace also
-//! embeds a structural fingerprint of the module it was recorded from,
-//! so replaying against a different (or recompiled-and-changed) program
-//! fails fast instead of producing garbage.
+//! embeds a fingerprint of the module it was recorded from (its source
+//! fingerprint and its shapes, see [`module_fingerprint`]), so replaying
+//! against a different (or recompiled-and-changed) program fails fast
+//! instead of producing garbage. Version 2 folded the source into that
+//! fingerprint; v1 files are rejected.
 
 use crate::error::InterpError;
 use crate::hooks::{CallCtx, ExecHook, InstrCtx, RetCtx};
@@ -52,7 +54,7 @@ use std::fmt;
 
 /// Magic line opening every trace file; the trailing digit is the format
 /// version.
-pub const TRACE_MAGIC: &[u8] = b"kremlin-trace v1\n";
+pub const TRACE_MAGIC: &[u8] = b"kremlin-trace v2\n";
 
 // Event tags (low 4 bits of the head varint).
 const TAG_INSTR: u8 = 0;
@@ -98,7 +100,7 @@ impl fmt::Display for TraceError {
         match self {
             TraceError::BadMagic => write!(f, "not a kremlin trace (bad magic)"),
             TraceError::UnsupportedVersion => {
-                write!(f, "unsupported kremlin-trace version (this reader knows v1)")
+                write!(f, "unsupported kremlin-trace version (this reader knows v2)")
             }
             TraceError::Truncated { offset } => {
                 write!(f, "trace truncated at byte {offset}")
@@ -155,13 +157,13 @@ impl Trace {
         self.bytes.len()
     }
 
-    /// Structural fingerprint of the module this trace was recorded from.
+    /// [`module_fingerprint`] of the module this trace was recorded from.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
-    /// True when this trace was recorded from (a module structurally
-    /// identical to) `module`.
+    /// True when this trace was recorded from `module`: the same source,
+    /// compiled to the same shapes.
     pub fn matches(&self, module: &Module) -> bool {
         self.fingerprint == module_fingerprint(module)
     }
@@ -251,11 +253,16 @@ fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
-/// A structural fingerprint of `module`: source name, function shapes,
-/// and region count. Two modules with the same fingerprint decode every
-/// recorded id to the same entity, which is all replay relies on.
+/// The fingerprint of `module`: its source fingerprint
+/// ([`kremlin_ir::source_fingerprint`], which covers every instruction
+/// and constant), source name, function shapes and region count. Two
+/// modules with the same fingerprint were compiled from the same source
+/// and decode every recorded id to the same entity, which is all replay
+/// relies on. Hashing a few words per function keeps it cheap: nothing
+/// prints the module.
 pub fn module_fingerprint(module: &Module) -> u64 {
-    let mut buf = Vec::with_capacity(64 + module.funcs.len() * 16);
+    let mut buf = Vec::with_capacity(64 + module.funcs.len() * 24);
+    push_u64(&mut buf, module.source_fp);
     buf.extend_from_slice(module.source_name.as_bytes());
     push_u64(&mut buf, module.funcs.len() as u64);
     for f in &module.funcs {
@@ -674,7 +681,7 @@ fn replay_into<H: ExecHook>(
 /// work per pass.
 ///
 /// This is an in-memory *representation*, not a format: the on-disk
-/// trace stays `kremlin-trace v1`, and [`DecodedTrace::decode`] accepts
+/// trace stays `kremlin-trace v2`, and [`DecodedTrace::decode`] accepts
 /// exactly the traces [`replay`] accepts (it runs the same validating
 /// decode loop). K depth-shard workers replaying a shared
 /// `&DecodedTrace` pay the LEB128/zigzag decode once instead of K times;
@@ -868,13 +875,13 @@ impl DecodedTrace {
         self.max_depth
     }
 
-    /// Structural fingerprint of the module this trace was recorded from.
+    /// [`module_fingerprint`] of the module this trace was recorded from.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
-    /// True when this trace was recorded from (a module structurally
-    /// identical to) `module`.
+    /// True when this trace was recorded from `module`: the same source,
+    /// compiled to the same shapes.
     pub fn matches(&self, module: &Module) -> bool {
         self.fingerprint == module_fingerprint(module)
     }
@@ -951,8 +958,8 @@ impl DecodedTrace {
 ///
 /// # Errors
 ///
-/// [`TraceError::ModuleMismatch`] when `module` is not (structurally
-/// identical to) the module the trace was decoded against.
+/// [`TraceError::ModuleMismatch`] when `module` does not have the
+/// [`module_fingerprint`] of the module the trace was decoded against.
 pub fn replay_decoded<H: ExecHook>(
     decoded: &DecodedTrace,
     module: &Module,
@@ -1111,6 +1118,14 @@ mod tests {
             dam[i] ^= 0x40;
             assert!(Trace::from_bytes(&dam).is_err(), "flip at byte {i} must not parse");
         }
+    }
+
+    #[test]
+    fn version_1_files_are_unsupported() {
+        let (_, trace) = recorded();
+        let mut bytes = trace.to_bytes();
+        bytes[..TRACE_MAGIC.len()].copy_from_slice(b"kremlin-trace v1\n");
+        assert_eq!(Trace::from_bytes(&bytes).unwrap_err(), TraceError::UnsupportedVersion);
     }
 
     #[test]

@@ -130,6 +130,7 @@ pub fn compile(src: &str, source_name: &str) -> Result<CompiledUnit, CompileErro
     let prog = kremlin_minic::compile_frontend(src)?;
     let _span = kremlin_obs::span("lower");
     let mut module = lower::lower(&prog, source_name);
+    module.source_fp = source_fingerprint(source_name, src);
     verify::verify_module(&module)?;
     let mut indvars = Vec::with_capacity(module.funcs.len());
     let mut m2r = Vec::with_capacity(module.funcs.len());
@@ -143,6 +144,21 @@ pub fn compile(src: &str, source_name: &str) -> Result<CompiledUnit, CompileErro
     kremlin_obs::counter!("ir.regions").add(module.regions.len() as u64);
     kremlin_obs::counter!("ir.promoted_allocas").add(m2r.iter().map(|s| s.promoted as u64).sum());
     Ok(CompiledUnit { module, indvars, mem2reg: m2r, depend })
+}
+
+/// FNV-1a over `(name, NUL, source)`: the identity of a program before
+/// compilation. [`compile`] stores it on the module, the trace layer's
+/// module fingerprint hashes it, and the engine keys its cache rows by
+/// it.
+pub fn source_fingerprint(name: &str, source: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for chunk in [name.as_bytes(), &[0u8], source.as_bytes()] {
+        for &b in chunk {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// [`compile`] followed by the marker-preserving cleanup passes of
@@ -204,5 +220,15 @@ mod tests {
         )
         .expect("test source compiles");
         assert_eq!(unit.module.regions.len(), 2); // two function regions
+    }
+
+    #[test]
+    fn source_fingerprint_separates_name_and_source() {
+        assert_ne!(source_fingerprint("a.kc", "x"), source_fingerprint("a.kcx", ""));
+        assert_ne!(source_fingerprint("a.kc", "x"), source_fingerprint("a.kc", "y"));
+        assert_eq!(source_fingerprint("a.kc", "x"), source_fingerprint("a.kc", "x"));
+        let src = "int main() { return 0; }";
+        let unit = compile(src, "z.kc").unwrap();
+        assert_eq!(unit.module.source_fp, source_fingerprint("z.kc", src));
     }
 }

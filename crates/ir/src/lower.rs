@@ -72,7 +72,7 @@ pub fn lower(program: &ast::Program, source_name: &str) -> Module {
     }
 
     let main = func_ids.get("main").copied();
-    Module { source_name: source_name.to_owned(), funcs, globals, regions, main }
+    Module { source_name: source_name.to_owned(), source_fp: 0, funcs, globals, regions, main }
 }
 
 /// Where a surface variable lives.

@@ -34,6 +34,10 @@ pub struct Global {
 pub struct Module {
     /// Source file name used in region labels and plans.
     pub source_name: String,
+    /// [`source_fingerprint`](crate::source_fingerprint) of the name and
+    /// source this module was compiled from, set by
+    /// [`compile`](crate::compile); `0` for a module lowered directly.
+    pub source_fp: u64,
     /// Functions, indexed by [`FuncId`].
     pub funcs: Vec<Function>,
     /// Globals, indexed by [`GlobalId`].
@@ -86,6 +90,7 @@ mod tests {
         };
         let m = Module {
             source_name: "t.kc".into(),
+            source_fp: 0,
             funcs: vec![],
             globals: vec![g("a", 4), g("b", 1), g("c", 16)],
             regions: RegionTable::new(),

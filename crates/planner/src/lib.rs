@@ -56,6 +56,33 @@ pub trait Personality {
     fn plan(&self, profile: &ParallelismProfile, exclude: &HashSet<RegionId>) -> Plan;
 }
 
+/// The four provided personalities, each under its own
+/// [`Personality::name`]: `openmp`, `cilk`, `work-only` and
+/// `self-parallelism`.
+pub fn personalities() -> [Box<dyn Personality>; 4] {
+    [
+        Box::<OpenMpPlanner>::default(),
+        Box::<CilkPlanner>::default(),
+        Box::<WorkOnlyPlanner>::default(),
+        Box::<SelfPFilterPlanner>::default(),
+    ]
+}
+
+/// The provided personality whose [`Personality::name`] is `name`: the
+/// one lookup behind the CLI's `--personality` flag and `kremlin serve`'s
+/// `personality` field and `x-kremlin-personality` header.
+///
+/// # Errors
+///
+/// A message naming `name` and the four known names.
+pub fn personality(name: &str) -> Result<Box<dyn Personality>, String> {
+    if let Some(found) = personalities().into_iter().find(|p| p.name() == name) {
+        return Ok(found);
+    }
+    let known: Vec<&str> = personalities().iter().map(|p| p.name()).collect();
+    Err(format!("unknown personality `{name}` (expected one of {})", known.join(", ")))
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
     use kremlin_hcpa::{profile_unit, HcpaConfig, ParallelismProfile};
@@ -81,15 +108,23 @@ mod tests {
              int main() { for (int i = 0; i < 128; i++) { a[i] = (float) i * 3.0; } return 0; }",
         );
         let none = HashSet::new();
-        let planners: Vec<Box<dyn Personality>> = vec![
-            Box::new(OpenMpPlanner::default()),
-            Box::new(CilkPlanner::default()),
-            Box::new(WorkOnlyPlanner::default()),
-            Box::new(SelfPFilterPlanner::default()),
-        ];
-        for p in planners {
+        for p in personalities() {
             let plan = p.plan(&profile, &none);
             assert_eq!(plan.personality, p.name());
+        }
+    }
+
+    #[test]
+    fn personalities_are_found_by_their_own_names_only() {
+        for p in personalities() {
+            assert_eq!(personality(p.name()).unwrap().name(), p.name());
+        }
+        for unknown in ["selfp", "workonly", "mpi"] {
+            let e = personality(unknown).err().expect("unknown name");
+            assert!(e.contains(unknown), "{e}");
+            for known in ["openmp", "cilk", "work-only", "self-parallelism"] {
+                assert!(e.contains(known), "{e}");
+            }
         }
     }
 }
