@@ -25,12 +25,7 @@
 use crate::{Kremlin, KremlinError};
 use kremlin_interp::MachineConfig;
 use kremlin_workloads::rng::XorShift;
-use kremlin_workloads::scenario::{corpus, ScenarioClass, ScenarioSpec};
-
-/// Resolves a CLI `--filter` class name ([`ScenarioClass::from_name`]).
-pub fn class_from_name(name: &str) -> Option<ScenarioClass> {
-    ScenarioClass::from_name(name)
-}
+use kremlin_workloads::scenario::{corpus, ScenarioSpec};
 
 /// Trip count below which a DOALL loop is too small for the
 /// static-DOALL-but-dynamic-serial pairwise check to be meaningful.
@@ -322,16 +317,6 @@ pub fn fuzz(base_seed: u64, seeds: usize) -> FuzzOutcome {
         findings.push(Finding { seed, original: spec, report: shrunk_report });
     }
     FuzzOutcome { checked, by_class, findings }
-}
-
-/// Runs the four oracles over the whole fixed corpus grid, in order.
-///
-/// # Errors
-///
-/// Propagates the first infrastructure failure; disagreements are data
-/// in the returned reports.
-pub fn check_corpus() -> Result<Vec<OracleReport>, KremlinError> {
-    corpus().iter().map(run_oracles).collect()
 }
 
 /// Renders the checked-in golden table for the corpus grid — the

@@ -27,6 +27,7 @@
 
 use crate::{Analysis, Plan};
 use kremlin_ir::{CompiledUnit, LoopVerdict, RegionId};
+use kremlin_obs::json::Value;
 use kremlin_planner::PlanKind;
 use std::collections::HashSet;
 use std::fmt;
@@ -263,71 +264,56 @@ pub fn render(source_name: &str, diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes the verdicts and diagnostics as a `kremlin-analyze-v1` JSON
 /// document (stable key order, deterministic across runs).
 pub fn to_json(unit: &CompiledUnit, diags: &[Diagnostic]) -> String {
-    let counts = unit.depend.counts();
-    let mut out = String::new();
-    out.push_str("{\"schema\":\"kremlin-analyze-v1\"");
-    out.push_str(&format!(",\"source\":\"{}\"", json_escape(&unit.module.source_name)));
-    out.push_str(&format!(
-        ",\"verdicts\":{{\"provably-doall\":{},\"doall-after-breaking\":{},\"carried\":{},\"unknown\":{}}}",
-        counts[0], counts[1], counts[2], counts[3]
-    ));
-    out.push_str(",\"loops\":[");
-    for (i, l) in unit.depend.loops.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let line = unit.module.regions.info(l.region).span.line_start;
-        let distance = match l.verdict {
-            LoopVerdict::Carried { distance: Some(d) } => d.to_string(),
-            _ => "null".to_owned(),
-        };
-        out.push_str(&format!(
-            "{{\"label\":\"{}\",\"line\":{},\"verdict\":\"{}\",\"distance\":{},\
-             \"inductions\":{},\"reductions\":{}}}",
-            json_escape(&l.label),
-            line,
-            l.verdict.name(),
-            distance,
-            l.inductions,
-            l.reductions
-        ));
-    }
-    out.push_str("],\"diagnostics\":[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"label\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-            d.code,
-            d.severity,
-            json_escape(&d.label),
-            d.line,
-            json_escape(&d.message)
-        ));
-    }
-    out.push_str("]}");
-    out
+    let text = |s: &str| Value::Str(s.to_owned());
+    let names = ["provably-doall", "doall-after-breaking", "carried", "unknown"];
+    let verdicts = names
+        .iter()
+        .zip(unit.depend.counts())
+        .map(|(name, c)| ((*name).to_owned(), Value::Num(c as f64)))
+        .collect();
+    let loops = unit
+        .depend
+        .loops
+        .iter()
+        .map(|l| {
+            let distance = match l.verdict {
+                LoopVerdict::Carried { distance: Some(d) } => Value::Num(d as f64),
+                _ => Value::Null,
+            };
+            let line = unit.module.regions.info(l.region).span.line_start;
+            Value::Obj(vec![
+                ("label".into(), text(&l.label)),
+                ("line".into(), Value::Num(line.into())),
+                ("verdict".into(), text(l.verdict.name())),
+                ("distance".into(), distance),
+                ("inductions".into(), Value::Num(l.inductions as f64)),
+                ("reductions".into(), Value::Num(l.reductions as f64)),
+            ])
+        })
+        .collect();
+    let diagnostics = diags
+        .iter()
+        .map(|d| {
+            Value::Obj(vec![
+                ("code".into(), text(d.code)),
+                ("severity".into(), text(d.severity.name())),
+                ("label".into(), text(&d.label)),
+                ("line".into(), Value::Num(d.line.into())),
+                ("message".into(), text(&d.message)),
+            ])
+        })
+        .collect();
+    Value::Obj(vec![
+        ("schema".into(), text("kremlin-analyze-v1")),
+        ("source".into(), text(&unit.module.source_name)),
+        ("verdicts".into(), Value::Obj(verdicts)),
+        ("loops".into(), Value::Arr(loops)),
+        ("diagnostics".into(), Value::Arr(diagnostics)),
+    ])
+    .to_string()
 }
 
 #[cfg(test)]
@@ -447,11 +433,5 @@ mod tests {
         assert!(j1.contains("\"verdicts\":{\"provably-doall\":1"), "{j1}");
         assert!(j1.contains("\"label\":\"main#L1\""), "{j1}");
         assert!(j1.contains("\"distance\":1"), "{j1}");
-    }
-
-    #[test]
-    fn json_escaping_handles_special_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

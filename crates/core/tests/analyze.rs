@@ -1,8 +1,7 @@
 //! Golden tests for the static loop-dependence analyzer.
 //!
-//! The verdict tables live next to the workloads
-//! (`kremlin_workloads::expected_verdicts`) so the CI analyze-smoke job
-//! and these tests gate the same expectations:
+//! The verdict tables live in `ANALYZE_verdicts.json`, which the CI
+//! analyze-smoke job reads too, so both gate the same expectations:
 //!
 //! * every loop of every workload gets exactly the checked-in verdict;
 //! * the suite exercises all four verdict classes;
@@ -11,19 +10,45 @@
 //! * the `--json` output is schema-versioned and deterministic.
 
 use kremlin::diag::{audit_plan, static_diagnostics, to_json, Severity};
+use kremlin::obs::json::{self, Value};
 use kremlin::planner::PlanKind;
 use kremlin::{Kremlin, LoopVerdict, OpenMpPlanner};
 use std::collections::HashSet;
+
+/// The four verdict names, as `LoopVerdict::name()` spells them.
+const VERDICTS: [&str; 4] = ["provably-doall", "doall-after-breaking", "carried", "unknown"];
+
+/// The parsed `ANALYZE_verdicts.json`.
+fn golden() -> Value {
+    let doc = json::parse(include_str!("../../../ANALYZE_verdicts.json"))
+        .expect("ANALYZE_verdicts.json is valid JSON");
+    assert_eq!(doc.get("schema").and_then(Value::as_str), Some("kremlin-analyze-expected-v1"));
+    doc
+}
+
+/// One workload's checked-in `(loop label, verdict)` list, in region order.
+fn expected_verdicts(golden: &Value, name: &str) -> Vec<(String, String)> {
+    let table = golden.get("workloads").and_then(|w| w.get(name)).and_then(Value::as_obj);
+    let table = table.unwrap_or_else(|| panic!("{name} missing from ANALYZE_verdicts.json"));
+    table
+        .iter()
+        .map(|(label, verdict)| {
+            let verdict =
+                verdict.as_str().unwrap_or_else(|| panic!("{name}: {label} not a string"));
+            (label.clone(), verdict.to_owned())
+        })
+        .collect()
+}
 
 /// Compiles one workload (no execution) and checks its verdict table.
 fn check_verdicts(name: &str) {
     let w = kremlin_workloads::by_name(name).expect("workload exists");
     let unit = kremlin::ir::compile(w.source, &w.file_name()).expect("workload compiles");
-    let expected = kremlin_workloads::expected_verdicts(name).expect("golden table exists");
+    let expected = expected_verdicts(&golden(), name);
 
-    let got: Vec<(&str, &str)> =
-        unit.depend.loops.iter().map(|l| (l.label.as_str(), l.verdict.name())).collect();
-    assert_eq!(got, expected.to_vec(), "{name}: verdict table drifted from golden");
+    let got: Vec<(String, String)> =
+        unit.depend.loops.iter().map(|l| (l.label.clone(), l.verdict.name().to_owned())).collect();
+    assert_eq!(got, expected, "{name}: verdict table drifted from golden");
 }
 
 /// Runs one workload end to end and checks the plan audit finds no
@@ -86,9 +111,32 @@ fn suite_exercises_all_four_verdicts() {
             *t += c;
         }
     }
-    let names = ["provably-doall", "doall-after-breaking", "carried", "unknown"];
-    for (name, total) in names.iter().zip(totals) {
+    for (name, total) in VERDICTS.iter().zip(totals) {
         assert!(total > 0, "no workload loop is classified `{name}`");
+    }
+}
+
+#[test]
+fn golden_tables_cover_every_workload() {
+    let golden = golden();
+    let workloads = golden.get("workloads").and_then(Value::as_obj).expect("a workloads object");
+    let mut names: Vec<&str> = workloads.iter().map(|(name, _)| name.as_str()).collect();
+    let mut registry: Vec<&str> = kremlin_workloads::all().iter().map(|w| w.name).collect();
+    names.sort_unstable();
+    registry.sort_unstable();
+    assert_eq!(names, registry, "ANALYZE_verdicts.json has extra or missing workloads");
+    let mut seen = HashSet::new();
+    for name in registry {
+        let table = expected_verdicts(&golden, name);
+        assert!(!table.is_empty(), "{name} table is empty");
+        for (label, verdict) in table {
+            assert!(label.contains("#L"), "{label} is not a loop region label");
+            assert!(VERDICTS.contains(&verdict.as_str()), "{name} has unknown verdict `{verdict}`");
+            seen.insert(verdict);
+        }
+    }
+    for verdict in VERDICTS {
+        assert!(seen.contains(verdict), "no workload exercises verdict `{verdict}`");
     }
 }
 
@@ -100,12 +148,10 @@ fn k012_count_stays_within_the_checked_in_budget() {
     // budget in lockstep here: it must be spendable (actual ≤ budget)
     // and tight (actual == budget), so coverage regressions AND stale
     // over-generous budgets both fail.
-    let file = include_str!("../../../ANALYZE_verdicts.json");
-    let budget: usize = file
-        .lines()
-        .find_map(|l| l.trim().strip_prefix("\"k012_budget\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
-        .expect("ANALYZE_verdicts.json declares a k012_budget");
+    let budget = golden()
+        .get("k012_budget")
+        .and_then(Value::as_f64)
+        .expect("ANALYZE_verdicts.json declares a k012_budget") as usize;
 
     let mut actual = 0;
     for w in kremlin_workloads::all() {

@@ -21,8 +21,6 @@
 //!   --evaluate                    simulate the plan on the machine model
 //!   --runs=<n>                    profile n runs and aggregate (§2.4)
 //!   --window=<n>                  HCPA depth window (§4.2's flag)
-//!   --jobs=<n>                    depth-sharded parallel collection with
-//!                                 n worker threads (§4.2; alias --depth-shards)
 //!   --no-break-deps               disable induction/reduction breaking
 //!   --save-profile=<path>         write the parallelism profile
 //!   --load-profile=<path>         plan from a saved profile (no program, no run)
@@ -94,7 +92,7 @@ fn usage_error(msg: impl Display) -> CliError {
 fn usage() -> &'static str {
     "usage: kremlin <program.kc> [--personality=openmp|cilk|work-only|self-parallelism]\n\
      \x20              [--exclude=l1,l2] [--regions] [--evaluate] [--runs=N]\n\
-     \x20              [--window=N] [--jobs=N|--depth-shards=N] [--no-break-deps]\n\
+     \x20              [--window=N] [--no-break-deps]\n\
      \x20              [--save-profile=PATH] [--save-trace=PATH]\n\
      \x20              [--dump-ir] [--report] [--audit-plan] [--verify-ir]\n\
      \x20              [--metrics[=json|pretty]] [--trace FILE]\n\
@@ -108,7 +106,6 @@ fn usage() -> &'static str {
      \x20              [--filter CLASS]\n\
      \x20      kremlin fuzz --seeds N [--seed S] [--dump DIR]\n\
      \x20      kremlin serve [--port=N] [--workers=N] [--queue=N] [--cache-mb=N]\n\
-     \x20              [--jobs=N]\n\
      \x20      kremlin --metrics-diff A.json B.json\n\
      every value flag takes --flag=V or --flag V"
 }
@@ -212,7 +209,6 @@ struct Options {
     evaluate: bool,
     runs: usize,
     window: Option<usize>,
-    jobs: usize,
     break_deps: bool,
     save_profile: Option<String>,
     load_profile: Option<String>,
@@ -236,7 +232,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
         evaluate: false,
         runs: 1,
         window: None,
-        jobs: 1,
         break_deps: true,
         save_profile: None,
         load_profile: None,
@@ -265,7 +260,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             Arg::Flag("--runs") => o.runs = r.number(1)?,
             // Window 0 would track no depth at all and plan nothing.
             Arg::Flag("--window") => o.window = Some(r.number(1)?),
-            Arg::Flag("--jobs" | "--depth-shards") => o.jobs = r.number(1)?,
             Arg::Flag("--no-break-deps") => o.break_deps = false,
             Arg::Flag("--save-profile") => o.save_profile = Some(r.value()?.to_owned()),
             Arg::Flag("--load-profile") => o.load_profile = Some(r.value()?.to_owned()),
@@ -296,8 +290,7 @@ enum Input<'a> {
 }
 
 /// Flags that need the program to run.
-const RUN_FLAGS: [&str; 6] =
-    ["--runs", "--jobs", "--depth-shards", "--window", "--no-break-deps", "--save-trace"];
+const RUN_FLAGS: [&str; 4] = ["--runs", "--window", "--no-break-deps", "--save-trace"];
 
 /// Flags that need the compiled program. Re-saving a loaded profile
 /// would only copy the file.
@@ -348,9 +341,6 @@ fn plan_input(o: &Options, replay: bool) -> Result<Input<'_>, CliError> {
         return Ok(Input::Profile(path));
     }
     if o.runs > 1 {
-        if o.jobs > 1 {
-            return Err(usage_error("--jobs and --runs cannot be combined"));
-        }
         reject("--runs", &["--save-trace"])?;
     }
     o.input.as_deref().map(Input::Program).ok_or_else(|| CliError::Usage(usage().to_owned()))
@@ -515,9 +505,9 @@ fn plan(o: &Options, input: Input, planner: &dyn Personality) -> Result<(), CliE
         (trace, _) => trace,
     };
     let analysis = match &trace {
-        Some(trace) => engine.analyze_trace(trace, o.jobs).map(|r| r.analysis),
+        Some(trace) => engine.analyze_trace(trace, 1).map(|r| r.analysis),
         None if o.runs > 1 => tool.analyze_runs(&src, &name, o.runs),
-        None => engine.analyze_source(&src, &name, o.jobs).map(|r| r.analysis),
+        None => engine.analyze_source(&src, &name, 1).map(|r| r.analysis),
     }
     .map_err(fail)?;
     maybe_verify(&analysis.unit.module, o.verify_ir)?;
@@ -647,7 +637,7 @@ fn cmd_corpus(args: &[String]) -> Result<(), CliError> {
     }
     let filter = filter
         .map(|f| {
-            kremlin::corpus::class_from_name(f)
+            kremlin_workloads::scenario::ScenarioClass::from_name(f)
                 .ok_or_else(|| usage_error(format!("unknown scenario class `{f}`")))
         })
         .transpose()?;
@@ -806,8 +796,8 @@ fn cmd_fuzz(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `kremlin serve [--port=N] [--workers=N] [--queue=N] [--cache-mb=N]
-/// [--jobs=N]`: run the profiling pipeline as a long-lived HTTP service.
+/// `kremlin serve [--port=N] [--workers=N] [--queue=N] [--cache-mb=N]`:
+/// run the profiling pipeline as a long-lived HTTP service.
 /// One engine — and thus one content-addressed artifact cache — is
 /// shared by all requests, so the second submission of a hot program
 /// skips compile and profiling.
@@ -821,7 +811,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             Arg::Flag("--workers") => config.workers = r.number(1)?,
             Arg::Flag("--queue") => config.queue_depth = r.number(1)?,
             Arg::Flag("--cache-mb") => cache_mb = r.number(0)?,
-            Arg::Flag("--jobs") => config.default_jobs = r.number(1)?,
             arg => return Err(r.unknown(arg)),
         }
     }

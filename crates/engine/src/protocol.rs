@@ -54,17 +54,25 @@ pub fn parse_profile_request(body: &str) -> Result<ProfileRequest, String> {
     let name = doc.get("name").and_then(Value::as_str).unwrap_or("submitted.kc").to_string();
     let jobs = match doc.get("jobs") {
         None => 1,
-        Some(v) => {
-            let n = v.as_f64().ok_or("\"jobs\" must be a number")?;
-            if !(1.0..=64.0).contains(&n) || n.fract() != 0.0 {
-                return Err("\"jobs\" must be an integer in 1..=64".into());
-            }
-            n as usize
-        }
+        Some(v) => parse_jobs(v.as_f64())?,
     };
     let personality =
         doc.get("personality").and_then(Value::as_str).unwrap_or("openmp").to_string();
     Ok(ProfileRequest { source, name, jobs, personality })
+}
+
+/// The one check of a requested shard count, for the `jobs` body field
+/// and the `x-kremlin-jobs` header alike: `n` must be an integer in
+/// `1..=64`, and `None` (a value that is not a number) fails too.
+///
+/// # Errors
+///
+/// `"jobs" must be an integer in 1..=64`.
+pub(crate) fn parse_jobs(n: Option<f64>) -> Result<usize, String> {
+    match n {
+        Some(n) if (1.0..=64.0).contains(&n) && n.fract() == 0.0 => Ok(n as usize),
+        _ => Err("\"jobs\" must be an integer in 1..=64".into()),
+    }
 }
 
 /// Renders a successful profile/trace response.

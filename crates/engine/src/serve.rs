@@ -34,7 +34,8 @@ use kremlin::planner::personality;
 use crate::http::{read_request, write_response, Request};
 use crate::{protocol, Engine};
 
-/// Daemon configuration (`kremlin serve` flags).
+/// Daemon configuration: the `kremlin serve` flags, and `default_jobs`,
+/// which only library callers set.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Port to bind on 127.0.0.1; `0` picks an ephemeral port (tests).
@@ -46,7 +47,8 @@ pub struct ServeConfig {
     /// Bounded queue depth; a connection arriving when `queue_depth`
     /// jobs are already waiting is answered 429.
     pub queue_depth: usize,
-    /// Shard count used for requests that don't specify `jobs`.
+    /// Shard count of a `/v1/trace` upload without an `x-kremlin-jobs`
+    /// header.
     pub default_jobs: usize,
 }
 
@@ -284,11 +286,13 @@ fn route(engine: &Engine, default_jobs: usize, request: &Request) -> Response {
                 Ok(t) => t,
                 Err(e) => return Response::json(400, protocol::error_response(&e.to_string())),
             };
-            let jobs = request
-                .header("x-kremlin-jobs")
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|j| (1..=64).contains(j))
-                .unwrap_or(default_jobs);
+            let jobs = match request.header("x-kremlin-jobs") {
+                None => default_jobs,
+                Some(v) => match protocol::parse_jobs(v.parse().ok()) {
+                    Ok(jobs) => jobs,
+                    Err(e) => return Response::json(400, protocol::error_response(&e)),
+                },
+            };
             let personality_name =
                 request.header("x-kremlin-personality").unwrap_or("openmp").to_string();
             let planner = match personality(&personality_name) {

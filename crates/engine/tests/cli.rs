@@ -116,8 +116,16 @@ fn usage_errors_exit_2_and_print_usage() {
     let out = kremlin().output().expect("runs");
     assert_eq!(out.status.code(), Some(2));
 
-    // Removed options are unknown, in the main mode and in `replay`.
-    for args in [&["x.kc", "--streaming"][..], &["replay", "x.ktrace", "--streaming"]] {
+    // Removed options are unknown, in the main mode, in `replay` and in
+    // `serve` (where the bad port keeps a daemon from starting).
+    for args in [
+        &["x.kc", "--streaming"][..],
+        &["replay", "x.ktrace", "--streaming"],
+        &["x.kc", "--jobs=2"],
+        &["x.kc", "--depth-shards=2"],
+        &["replay", "x.ktrace", "--jobs=2"],
+        &["serve", "--jobs=2", "--port=x"],
+    ] {
         let out = kremlin().args(args).output().expect("runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"), "{args:?}");
@@ -129,7 +137,7 @@ fn usage_errors_exit_2_and_print_usage() {
     // file is read.
     for args in [
         &["/nonexistent.kc", "--load-profile=cg.prof", "--report"][..],
-        &["--load-profile=cg.prof", "--regions", "--jobs=3", "--runs=2", "--window=4"],
+        &["--load-profile=cg.prof", "--regions", "--runs=2", "--window=4"],
         &["--load-profile=cg.prof", "--audit-plan"],
         &["--load-profile=cg.prof", "--report"],
         &["--load-profile=cg.prof", "--no-break-deps"],
@@ -171,16 +179,6 @@ fn usage_errors_exit_2_and_print_usage() {
         let message = stderr.lines().next().unwrap_or("");
         assert!(named.iter().all(|flag| message.contains(flag)), "{args:?}: {message}");
     }
-}
-
-#[test]
-fn jobs_do_not_change_a_one_depth_window_plan() {
-    let src = write_temp("demo_window1.kc", DEMO);
-    let serial = kremlin().arg(&src).arg("--window=1").output().expect("runs");
-    assert!(serial.status.success(), "stderr: {}", String::from_utf8_lossy(&serial.stderr));
-    let sharded = kremlin().arg(&src).arg("--window=1").arg("--jobs=2").output().expect("runs");
-    assert!(sharded.status.success(), "stderr: {}", String::from_utf8_lossy(&sharded.stderr));
-    assert_eq!(String::from_utf8_lossy(&sharded.stdout), String::from_utf8_lossy(&serial.stdout));
 }
 
 #[test]
@@ -287,32 +285,18 @@ fn record_then_replay_reproduces_the_plan() {
     assert!(stdout.contains("Recorded trace"), "{stdout}");
     assert!(stdout.contains("bytes/event"), "{stdout}");
 
-    // Live and replayed runs share one render step, so at one job their
-    // whole stdout agrees, estimate included. At three jobs only the
-    // plan is compared: the stitched profile carries shard 0's
-    // dictionary, which the simulator reads.
-    let cases: [(&str, &[&str]); 4] = [
-        ("1", &[]),
-        ("3", &[]),
-        ("1", &["--evaluate", "--personality=cilk"]),
-        ("1", &["--regions"]),
-    ];
-    for (jobs, args) in cases {
+    // Live and replayed runs share one render step, so their whole
+    // stdout agrees, estimate included.
+    let cases: [&[&str]; 3] = [&[], &["--evaluate", "--personality=cilk"], &["--regions"]];
+    for args in cases {
         let live = kremlin().arg(&src).args(args).output().expect("runs");
         assert!(live.status.success(), "stderr: {}", String::from_utf8_lossy(&live.stderr));
-        let out = kremlin()
-            .arg("replay")
-            .arg(&trace)
-            .arg("--jobs")
-            .arg(jobs)
-            .args(args)
-            .output()
-            .expect("runs");
+        let out = kremlin().arg("replay").arg(&trace).args(args).output().expect("runs");
         assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
         assert_eq!(
             String::from_utf8_lossy(&out.stdout),
             String::from_utf8_lossy(&live.stdout),
-            "replay ({jobs} jobs, {args:?}) must print what the live analysis prints"
+            "replay ({args:?}) must print what the live analysis prints"
         );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("replayed"), "{stderr}");
@@ -326,14 +310,13 @@ fn save_trace_writes_a_replayable_file() {
     let out = kremlin()
         .arg(&src)
         .arg(format!("--save-trace={}", trace.display()))
-        .arg("--jobs=2")
         .output()
         .expect("runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stderr).contains("trace saved"), "stderr");
 
     // The printed plan came from replaying the saved file.
-    let replayed = kremlin().arg("replay").arg(&trace).arg("--jobs=2").output().expect("runs");
+    let replayed = kremlin().arg("replay").arg(&trace).output().expect("runs");
     assert!(replayed.status.success(), "stderr: {}", String::from_utf8_lossy(&replayed.stderr));
     assert_eq!(String::from_utf8_lossy(&replayed.stdout), String::from_utf8_lossy(&out.stdout));
 }
@@ -378,40 +361,6 @@ fn write_temp_bytes(name: &str, content: &[u8]) -> std::path::PathBuf {
     let path = dir.join(name);
     std::fs::write(&path, content).expect("write temp file");
     path
-}
-
-#[test]
-fn replay_with_jobs_reports_per_shard_metrics() {
-    let src = write_temp("demo_shardmetrics.kc", DEMO);
-    let trace = std::env::temp_dir().join("kremlin-cli-tests").join("demo_sm.ktrace");
-    let out = kremlin().arg("record").arg(&src).arg("-o").arg(&trace).output().expect("runs");
-    assert!(out.status.success());
-    let out = kremlin()
-        .arg("replay")
-        .arg(&trace)
-        .arg("--jobs=3")
-        .arg("--metrics=json")
-        .output()
-        .expect("runs");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let json_line = stdout.lines().last().expect("metrics line");
-    let snap = kremlin::obs::Snapshot::from_json(json_line).expect("valid metrics JSON");
-    assert!(snap.counter("trace.replay.events") > 0, "{json_line}");
-    // Each worker publishes its own shard.N.* counter set.
-    for shard in 0..2 {
-        assert!(
-            snap.counter(&format!("shard.{shard}.events")) > 0,
-            "shard {shard} events missing: {json_line}"
-        );
-        assert!(
-            snap.gauge(&format!("shard.{shard}.wall_us")) > 0
-                || snap.counter(&format!("shard.{shard}.instr_events")) > 0,
-            "shard {shard} worker metrics missing: {json_line}"
-        );
-    }
-    let (count, _) = snap.phase("replay").expect("replay phase");
-    assert!(count >= 2, "one replay span per shard: {json_line}");
 }
 
 #[test]
@@ -658,7 +607,6 @@ fn serve_usage_errors_exit_2() {
     for bad_args in [
         &["serve", "--workers=0"][..],
         &["serve", "--queue=0"],
-        &["serve", "--jobs=0"],
         &["serve", "--port"],
         &["serve", "--cache-mb=lots"],
         &["serve", "--daemonize"],

@@ -158,6 +158,17 @@ fn trace_upload_profiles_and_reports_fingerprint() {
         assert_eq!(doc.get("personality").and_then(Value::as_str), Some(personality));
     }
 
+    // The header takes the body field's shard counts and its 400.
+    for (jobs, status) in [("1", 200), ("2", 200), ("0", 400), ("999", 400), ("abc", 400)] {
+        let headers = [("x-kremlin-jobs", jobs)];
+        let reply = roundtrip(server.addr(), "POST", "/v1/trace", &headers, &trace.to_bytes());
+        assert_eq!(reply.status, status, "jobs {jobs}: {}", String::from_utf8_lossy(&reply.body));
+        if status == 400 {
+            let error = body_json(&reply).get("error").and_then(Value::as_str).map(str::to_owned);
+            assert_eq!(error.as_deref(), Some("\"jobs\" must be an integer in 1..=64"));
+        }
+    }
+
     let garbage = roundtrip(server.addr(), "POST", "/v1/trace", &[], b"not a ktrace");
     assert_eq!(garbage.status, 400);
 

@@ -203,9 +203,10 @@ pub fn plan_shards_weighted(per_depth_cost: &[u64], window: usize, jobs: usize) 
 /// Profiles a recorded trace with depth-sharded parallel collection,
 /// without any execution at all: decodes the shared immutable `trace`
 /// **once** into a [`DecodedTrace`] arena and hands it to
-/// [`profile_decoded_parallel`], whatever `config.jobs` is. This is the
-/// one path by which a recording reaches the profiler — `kremlin replay
-/// FILE --jobs N` and `--save-trace` run it.
+/// [`profile_decoded_parallel`], whatever `config.jobs` is. The tool
+/// itself does not call it: `kremlin replay`, `--save-trace` and trace
+/// uploads decode in the engine and replay through `Kremlin::replay`,
+/// which calls [`profile_decoded_parallel`].
 ///
 /// # Errors
 ///
@@ -603,22 +604,24 @@ mod tests {
     #[test]
     fn single_shard_falls_back_to_serial() {
         // A flat program plans one shard, and a window below 2 cannot be
-        // split at all: either way `jobs` must not change the result.
+        // split at all: either way `jobs` must not change the result. A
+        // one-depth window with two jobs once panicked in the planner.
         let flat = kremlin_ir::compile("int main() { return 7; }", "t.kc").unwrap();
         let deep = kremlin_ir::compile(DEEP_SRC, "deep.kc").unwrap();
         for (unit, window) in [(&flat, HcpaConfig::default().window), (&deep, 0), (&deep, 1)] {
             let hcpa = HcpaConfig { window, ..HcpaConfig::default() };
             let trace =
                 kremlin_interp::trace::record(&unit.module, MachineConfig::default()).unwrap();
-            let out = profile_trace_parallel(
-                unit,
-                &trace,
-                ParallelConfig { jobs: 4, hcpa, ..ParallelConfig::default() },
-            )
-            .unwrap();
+            let decoded = DecodedTrace::decode(&trace, &unit.module).unwrap();
             let serial = profile_unit(unit, hcpa).unwrap();
-            assert!(out.profile.identical_stats(&serial.profile), "window {window}");
-            assert_eq!(out.run, serial.run, "window {window}");
+            for jobs in [2, 4] {
+                let config = ParallelConfig { jobs, hcpa, ..ParallelConfig::default() };
+                let out = profile_decoded_parallel(unit, &decoded, config).unwrap();
+                let at = format!("window {window}, {jobs} jobs");
+                assert!(out.profile.identical_stats(&serial.profile), "{at}");
+                assert!(out.profile.dict == serial.profile.dict, "{at}");
+                assert_eq!(out.run, serial.run, "{at}");
+            }
         }
     }
 }

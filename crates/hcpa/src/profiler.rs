@@ -104,11 +104,6 @@ pub struct ProfilerStats {
     /// Shadow memory footprint in bytes of the live pages: one stamp and
     /// `window` times (`8 × (window + 1)` bytes) per location.
     pub shadow_bytes: u64,
-    /// Minimum dynamic nesting depth observed per static region (indexed
-    /// by region id); `None` for regions never entered. Diagnostic: a
-    /// region may also appear at deeper depths (stitching accounts for
-    /// every depth separately).
-    pub region_min_depth: Vec<Option<usize>>,
 }
 
 /// Where an instruction's input times come from.
@@ -255,10 +250,7 @@ impl<'m> Profiler<'m> {
             call_pool: Vec::new(),
             next_tag: 1,
             work_counter: 0,
-            stats: ProfilerStats {
-                region_min_depth: vec![None; module.regions.len()],
-                ..ProfilerStats::default()
-            },
+            stats: ProfilerStats::default(),
             t_scratch: vec![0; config.window],
             ret_scratch: Vec::new(),
         }
@@ -299,9 +291,6 @@ impl<'m> Profiler<'m> {
     fn push_region(&mut self, static_id: RegionId) {
         let tag = self.next_tag;
         self.next_tag += 1;
-        let depth = self.regions.len();
-        let slot = &mut self.stats.region_min_depth[static_id.index()];
-        *slot = Some(slot.map_or(depth, |d| d.min(depth)));
         self.regions.push(ActiveRegion {
             static_id,
             work_base: self.work_counter,

@@ -199,10 +199,7 @@ impl<'m> SeedProfiler<'m> {
             frames: Vec::new(),
             calls: Vec::new(),
             next_tag: 1,
-            stats: ProfilerStats {
-                region_min_depth: vec![None; module.regions.len()],
-                ..ProfilerStats::default()
-            },
+            stats: ProfilerStats::default(),
             ops: Vec::new(),
         }
     }
@@ -230,9 +227,6 @@ impl<'m> SeedProfiler<'m> {
 
     fn push_region(&mut self, static_id: RegionId) {
         let tag = self.fresh_tag();
-        let depth = self.regions.len();
-        let slot = &mut self.stats.region_min_depth[static_id.index()];
-        *slot = Some(slot.map_or(depth, |d| d.min(depth)));
         self.regions.push(ActiveRegion {
             static_id,
             tag,

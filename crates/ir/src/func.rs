@@ -134,15 +134,6 @@ impl Function {
     pub fn block_ids(&self) -> impl Iterator<Item = BlockId> {
         (0..self.blocks.len()).map(BlockId::from_index)
     }
-
-    /// Total number of non-marker instructions (a rough size metric).
-    pub fn instr_count(&self) -> usize {
-        self.blocks
-            .iter()
-            .flat_map(|b| &b.instrs)
-            .filter(|v| !self.values[v.index()].kind.is_marker())
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -196,19 +187,6 @@ mod tests {
         let f = tiny_func();
         assert_eq!(f.param_value(0), ValueId(0));
         assert!(matches!(f.value(ValueId(0)).kind, InstrKind::Param(0)));
-    }
-
-    #[test]
-    fn instr_count_skips_markers() {
-        let mut f = tiny_func();
-        f.values.push(ValueData {
-            kind: InstrKind::CdPop,
-            ty: Ty::Unit,
-            span: Span::dummy(),
-            break_dep_on: None,
-        });
-        f.blocks[0].instrs.push(ValueId(3));
-        assert_eq!(f.instr_count(), 2);
     }
 
     #[test]

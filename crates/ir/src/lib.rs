@@ -40,7 +40,6 @@ pub mod loops;
 pub mod lower;
 pub mod mem2reg;
 pub mod module;
-pub mod opt;
 pub mod printer;
 pub mod regions;
 pub mod verify;
@@ -159,22 +158,6 @@ pub fn source_fingerprint(name: &str, source: &str) -> u64 {
         }
     }
     h
-}
-
-/// [`compile`] followed by the marker-preserving cleanup passes of
-/// [`opt::optimize`] (the paper's post-instrumentation optimization, §3).
-///
-/// # Errors
-///
-/// As [`compile`].
-pub fn compile_optimized(
-    src: &str,
-    source_name: &str,
-) -> Result<(CompiledUnit, opt::OptStats), CompileError> {
-    let mut unit = compile(src, source_name)?;
-    let stats = opt::optimize(&mut unit.module);
-    verify::verify_module(&unit.module)?;
-    Ok((unit, stats))
 }
 
 #[cfg(test)]

@@ -377,6 +377,8 @@ mod tests {
     #[test]
     fn escape_handles_controls() {
         assert_eq!(escape("a\u{1}b"), "\"a\\u0001b\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(parse(&escape("tab\t\"q\"")).unwrap(), Value::Str("tab\t\"q\"".into()));
     }
 }

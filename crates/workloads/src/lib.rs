@@ -341,197 +341,6 @@ pub fn by_name(name: &str) -> Option<Workload> {
     all().into_iter().find(|w| w.name == name)
 }
 
-/// Expected static dependence verdicts for every loop of a workload, in
-/// region order, as `(region label, verdict name)` pairs. Verdict names
-/// match `kremlin_ir::LoopVerdict::name()`: `provably-doall`,
-/// `doall-after-breaking`, `carried`, and `unknown`.
-///
-/// These are the golden tables for `kremlin analyze`: the analyzer's
-/// integration tests and the CI `analyze-smoke` gate assert that the
-/// static dependence analyzer still produces exactly these verdicts.
-pub fn expected_verdicts(name: &str) -> Option<&'static [(&'static str, &'static str)]> {
-    let table: &'static [(&'static str, &'static str)] = match name {
-        "ammp" => &[
-            ("init_atoms#L0", "provably-doall"),
-            ("compute_forces#L0", "provably-doall"),
-            ("compute_forces#L1", "doall-after-breaking"),
-            ("update_positions#L0", "provably-doall"),
-            ("zero_forces#L0", "provably-doall"),
-            ("kinetic_energy#L0", "doall-after-breaking"),
-            ("potential_energy#L0", "doall-after-breaking"),
-            ("bond_energy#L0", "doall-after-breaking"),
-            ("main#L0", "carried"),
-        ],
-        "art" => &[
-            ("init_net#L0", "provably-doall"),
-            ("init_net#L1", "provably-doall"),
-            ("f1_layer#L0", "carried"),
-            ("train_weights#L0", "carried"),
-            ("compute_match#L0", "provably-doall"),
-            ("compute_match#L1", "doall-after-breaking"),
-            ("normalize_y#L0", "provably-doall"),
-            ("find_winner#L0", "unknown"),
-            ("resonate#L0", "provably-doall"),
-            ("main#L0", "carried"),
-        ],
-        "equake" => &[
-            ("init_mesh#L0", "provably-doall"),
-            ("smvp#L0", "provably-doall"),
-            ("element_forces#L0", "provably-doall"),
-            ("integrate_accvel#L0", "provably-doall"),
-            ("integrate_disp#L0", "provably-doall"),
-            ("boundary#L0", "provably-doall"),
-            ("damp_edges#L0", "provably-doall"),
-            ("probe_history#L0", "provably-doall"),
-            ("scale_stiffness#L0", "provably-doall"),
-            ("seismic_energy#L0", "doall-after-breaking"),
-            ("main#L0", "carried"),
-        ],
-        "bt" => &[
-            ("init_bt#L0", "provably-doall"),
-            ("init_bt#L1", "provably-doall"),
-            ("assemble_rhs#L0", "provably-doall"),
-            ("assemble_rhs#L1", "provably-doall"),
-            ("x_solve#L0", "provably-doall"),
-            ("x_solve#L1", "carried"),
-            ("x_solve#L2", "carried"),
-            ("y_solve#L0", "provably-doall"),
-            ("y_solve#L1", "carried"),
-            ("y_solve#L2", "carried"),
-            ("compute_speed#L0", "provably-doall"),
-            ("zero_edges_x#L0", "provably-doall"),
-            ("zero_edges_y#L0", "provably-doall"),
-            ("fix_corners#L0", "provably-doall"),
-            ("scale_speed#L0", "provably-doall"),
-            ("add_update#L0", "provably-doall"),
-            ("add_update#L1", "provably-doall"),
-            ("residual#L0", "provably-doall"),
-            ("residual#L1", "doall-after-breaking"),
-            ("main#L0", "carried"),
-        ],
-        "cg" => &[
-            ("init_system#L0", "provably-doall"),
-            ("init_system#L1", "provably-doall"),
-            ("matvec#L0", "provably-doall"),
-            ("matvec#L1", "doall-after-breaking"),
-            ("dot_rr#L0", "doall-after-breaking"),
-            ("dot_pq#L0", "doall-after-breaking"),
-            ("axpy_z#L0", "provably-doall"),
-            ("axpy_r#L0", "provably-doall"),
-            ("update_p#L0", "provably-doall"),
-            ("norm_z#L0", "doall-after-breaking"),
-            ("sum_x#L0", "doall-after-breaking"),
-            ("trace_a#L0", "doall-after-breaking"),
-            ("copy_rp#L0", "provably-doall"),
-            ("main#L0", "carried"),
-        ],
-        "ep" => &[("main#L0", "doall-after-breaking"), ("main#L1", "carried")],
-        "ft" => &[
-            ("init_twiddle#L0", "carried"),
-            ("shuffle_rows#L0", "provably-doall"),
-            ("init_grid#L0", "provably-doall"),
-            ("init_grid#L1", "provably-doall"),
-            ("pass_rows#L0", "provably-doall"),
-            ("pass_rows#L1", "carried"),
-            ("pass_cols#L0", "provably-doall"),
-            ("pass_cols#L1", "carried"),
-            ("evolve#L0", "provably-doall"),
-            ("evolve#L1", "provably-doall"),
-            ("checksum_grid#L0", "provably-doall"),
-            ("checksum_grid#L1", "doall-after-breaking"),
-            ("main#L0", "carried"),
-        ],
-        "is" => &[
-            ("make_keys#L0", "carried"),
-            ("global_hist#L0", "provably-doall"),
-            ("global_hist#L1", "unknown"),
-            ("blocked_rank#L0", "unknown"),
-            ("blocked_rank#L1", "provably-doall"),
-            ("blocked_rank#L2", "unknown"),
-            ("blocked_rank#L3", "carried"),
-            ("blocked_rank#L4", "unknown"),
-            ("main#L0", "carried"),
-        ],
-        "lu" => &[
-            ("init_fields#L0", "provably-doall"),
-            ("init_fields#L1", "provably-doall"),
-            ("compute_rhs#L0", "provably-doall"),
-            ("compute_rhs#L1", "provably-doall"),
-            ("compute_flux#L0", "provably-doall"),
-            ("compute_flux#L1", "provably-doall"),
-            ("lower_solve#L0", "carried"),
-            ("lower_solve#L1", "provably-doall"),
-            ("upper_solve#L0", "carried"),
-            ("upper_solve#L1", "provably-doall"),
-            ("update_u#L0", "provably-doall"),
-            ("update_u#L1", "provably-doall"),
-            ("scale_tmp#L0", "provably-doall"),
-            ("zero_tmp#L0", "provably-doall"),
-            ("boundary_u#L0", "provably-doall"),
-            ("max_tmp#L0", "unknown"),
-            ("copy_edge#L0", "provably-doall"),
-            ("norm_rsd#L0", "provably-doall"),
-            ("norm_rsd#L1", "doall-after-breaking"),
-            ("main#L0", "carried"),
-        ],
-        "mg" => &[
-            ("init_grid#L0", "provably-doall"),
-            ("smooth_fine#L0", "provably-doall"),
-            ("smooth_fine#L1", "provably-doall"),
-            ("restrict_fine#L0", "provably-doall"),
-            ("smooth_mid#L0", "carried"),
-            ("smooth_mid#L1", "provably-doall"),
-            ("coarse_cycle#L0", "provably-doall"),
-            ("coarse_cycle#L1", "carried"),
-            ("prolong#L0", "provably-doall"),
-            ("prolong#L1", "provably-doall"),
-            ("fix_boundary#L0", "provably-doall"),
-            ("fix_boundary#L1", "provably-doall"),
-            ("residual_norm#L0", "doall-after-breaking"),
-            ("main#L0", "carried"),
-        ],
-        "sp" => &[
-            ("init_sp#L0", "provably-doall"),
-            ("init_sp#L1", "provably-doall"),
-            ("tx_sweep#L0", "provably-doall"),
-            ("tx_sweep#L1", "provably-doall"),
-            ("ty_sweep#L0", "provably-doall"),
-            ("ty_sweep#L1", "provably-doall"),
-            ("tz_sweep#L0", "provably-doall"),
-            ("tz_sweep#L1", "provably-doall"),
-            ("norm_edges#L0", "provably-doall"),
-            ("relax_serial#L0", "carried"),
-            ("rms#L0", "provably-doall"),
-            ("rms#L1", "doall-after-breaking"),
-            ("main#L0", "carried"),
-        ],
-        "tracking" => &[
-            ("load_image#L0", "provably-doall"),
-            ("load_image#L1", "provably-doall"),
-            ("blur_h#L0", "provably-doall"),
-            ("blur_h#L1", "provably-doall"),
-            ("blur_v#L0", "provably-doall"),
-            ("blur_v#L1", "provably-doall"),
-            ("sobel_dx_h#L0", "provably-doall"),
-            ("sobel_dx_h#L1", "provably-doall"),
-            ("sobel_dx_v#L0", "provably-doall"),
-            ("sobel_dx_v#L1", "provably-doall"),
-            ("interp_patch#L0", "provably-doall"),
-            ("interp_patch#L1", "provably-doall"),
-            ("calc_lambda#L0", "provably-doall"),
-            ("calc_lambda#L1", "provably-doall"),
-            ("fill_features#L0", "unknown"),
-            ("fill_features#L1", "unknown"),
-            ("fill_features#L2", "provably-doall"),
-            ("main#L0", "provably-doall"),
-            ("main#L1", "carried"),
-            ("main#L2", "doall-after-breaking"),
-        ],
-        _ => return None,
-    };
-    Some(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,61 +380,9 @@ mod tests {
     }
 
     #[test]
-    fn expected_verdicts_cover_every_workload() {
-        let names = ["provably-doall", "doall-after-breaking", "carried", "unknown"];
-        for w in all() {
-            let table = expected_verdicts(w.name)
-                .unwrap_or_else(|| panic!("{} has no expected-verdict table", w.name));
-            assert!(!table.is_empty(), "{} table is empty", w.name);
-            for (label, verdict) in table {
-                assert!(label.contains("#L"), "{label} is not a loop region label");
-                assert!(names.contains(verdict), "{} has unknown verdict `{verdict}`", w.name);
-            }
-        }
-        assert!(expected_verdicts("nope").is_none());
-        // Every verdict class is exercised somewhere in the suite.
-        for needle in names {
-            assert!(
-                all().iter().any(|w| {
-                    expected_verdicts(w.name).is_some_and(|t| t.iter().any(|(_, v)| *v == needle))
-                }),
-                "no workload exercises verdict `{needle}`"
-            );
-        }
-    }
-
-    #[test]
-    fn checked_in_expectations_file_matches_tables() {
-        // `ANALYZE_verdicts.json` is the CI analyze-smoke gate's source of
-        // expectations; keep it in lockstep with `expected_verdicts`.
-        let file = include_str!("../../../ANALYZE_verdicts.json");
-        assert!(file.contains("\"schema\": \"kremlin-analyze-expected-v1\""));
-        let mut total = 0;
-        for w in all() {
-            let start = file
-                .find(&format!("\"{}\": {{", w.name))
-                .unwrap_or_else(|| panic!("{} missing from ANALYZE_verdicts.json", w.name));
-            let section = &file[start..];
-            let section = &section[..section.find('}').expect("section is closed")];
-            let table = expected_verdicts(w.name).expect("golden table exists");
-            for (label, verdict) in table {
-                assert!(
-                    section.contains(&format!("\"{label}\": \"{verdict}\"")),
-                    "{}: `{label}` should be `{verdict}` in ANALYZE_verdicts.json",
-                    w.name
-                );
-            }
-            total += table.len();
-        }
-        let lines = file.lines().filter(|l| l.contains("#L")).count();
-        assert_eq!(lines, total, "ANALYZE_verdicts.json has extra or missing verdict lines");
-    }
-
-    #[test]
     fn corpus_expectations_file_matches_scenario_grid() {
         // `CORPUS_verdicts.json` is the CI corpus-fuzz gate's source of
-        // expectations; keep it in lockstep with `scenario::corpus()`,
-        // mirroring the `ANALYZE_verdicts.json` pattern above.
+        // expectations; keep it in lockstep with `scenario::corpus()`.
         let file = include_str!("../../../CORPUS_verdicts.json");
         assert!(file.contains("\"schema\": \"kremlin-corpus-expected-v1\""));
         let specs = scenario::corpus();
