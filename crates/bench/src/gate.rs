@@ -13,6 +13,10 @@
 //!   (critical-path-speedup regression);
 //! * **`instr_events`** is deterministic per workload and must match
 //!   exactly (a mismatch means the pipeline changed semantics, not speed);
+//! * **`shadow_commits`** (the profiler's committed instruction events;
+//!   the rest are folded) is deterministic too and must match exactly: a
+//!   lost fold or an over-eager commit rule changes it on any host, with
+//!   no timing noise;
 //! * **`shadow_bytes_baseline`** is deterministic too, but a small growth
 //!   band (`Tolerance::shadow_growth`) is allowed for intentional layout
 //!   tweaks — beyond it is a shadow-footprint blowup. (Old baselines
@@ -106,10 +110,12 @@ pub fn check(baseline: &str, fresh: &str, tol: Tolerance) -> Result<GateReport, 
         report.compared.push(name.to_owned());
         let mut violation = |msg: String| report.violations.push(format!("{name}: {msg}"));
 
-        // Deterministic pipeline identity.
-        if let (Some(b), Some(n)) = (num(bw, "instr_events"), num(nw, "instr_events")) {
-            if b != n {
-                violation(format!("instr_events changed: baseline {b} -> fresh {n}"));
+        // Deterministic pipeline identity and profiler work.
+        for key in ["instr_events", "shadow_commits"] {
+            if let (Some(b), Some(n)) = (num(bw, key), num(nw, key)) {
+                if b != n {
+                    violation(format!("{key} changed: baseline {b} -> fresh {n}"));
+                }
             }
         }
 
@@ -255,6 +261,24 @@ mod tests {
         let bad = doc("cg", 1001, 4096, 2.0, "");
         let r = check(&base, &bad, Tolerance::default()).unwrap();
         assert!(r.violations.iter().any(|v| v.contains("instr_events")), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn shadow_commits_must_match_exactly() {
+        let mk = |commits: u64| {
+            format!(
+                r#"{{"workloads":[{{"name":"cg","instr_events":9,"shadow_commits":{commits}}}]}}"#
+            )
+        };
+        assert!(check(&mk(4), &mk(4), Tolerance::default()).unwrap().passed());
+        for changed in [3, 5] {
+            let r = check(&mk(4), &mk(changed), Tolerance::default()).unwrap();
+            assert!(
+                r.violations.iter().any(|v| v.contains("shadow_commits changed")),
+                "{:?}",
+                r.violations
+            );
+        }
     }
 
     #[test]

@@ -47,6 +47,31 @@ pub fn bench<T>(name: &str, warmup: usize, iters: usize, mut f: impl FnMut() -> 
     Measurement { name: name.to_owned(), median_s, min_s: samples[0], iters }
 }
 
+/// Times several passes interleaved: every iteration runs each pass once,
+/// in order, so drift of a shared host reaches all of them alike. Returns
+/// one row per timed iteration holding each pass's seconds, for the
+/// caller to take per-pass minimums or per-iteration ratios from.
+pub fn interleaved(warmup: usize, iters: usize, passes: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
+    assert!(iters >= 1, "need at least one timed iteration");
+    for _ in 0..warmup {
+        for pass in passes.iter_mut() {
+            pass();
+        }
+    }
+    (0..iters)
+        .map(|_| {
+            passes
+                .iter_mut()
+                .map(|pass| {
+                    let t0 = Instant::now();
+                    pass();
+                    t0.elapsed().as_secs_f64()
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// A named group of measurements with aligned console output, loosely
 /// mirroring criterion's group API.
 pub struct Group {
@@ -96,6 +121,23 @@ mod tests {
         assert!(m.median_s >= 0.0);
         assert!(m.min_s <= m.median_s);
         assert_eq!(m.iters, 5);
+    }
+
+    #[test]
+    fn interleaved_passes_run_in_order_one_row_per_iteration() {
+        let log = std::cell::RefCell::new(Vec::new());
+        let mut a = || log.borrow_mut().push('a');
+        let mut b = || {
+            log.borrow_mut().push('b');
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        };
+        let rows = interleaved(1, 3, &mut [&mut a, &mut b]);
+        assert_eq!(log.borrow().iter().collect::<String>(), "abababab");
+        assert_eq!(rows.len(), 3);
+        for row in &rows {
+            assert_eq!(row.len(), 2);
+            assert!(row[0] < row[1] && row[1] >= 0.002, "{row:?}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   --regions                     dump per-region profile stats instead
 //!   --evaluate                    simulate the plan on the machine model
 //!   --runs=<n>                    profile n runs and aggregate (§2.4)
-//!   --window=<n>                  HCPA depth window (§4.2's flag)
+//!   --window=<n>                  HCPA depth window (§4.2's flag), 1..=256
 //!   --no-break-deps               disable induction/reduction breaking
 //!   --save-profile=<path>         write the parallelism profile
 //!   --load-profile=<path>         plan from a saved profile (no program, no run)
@@ -64,6 +64,7 @@ use kremlin_engine::serve::{ServeConfig, Server};
 use kremlin_engine::{Engine, EngineConfig};
 use std::collections::HashSet;
 use std::fmt::Display;
+use std::ops::RangeInclusive;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -92,7 +93,7 @@ fn usage_error(msg: impl Display) -> CliError {
 fn usage() -> &'static str {
     "usage: kremlin <program.kc> [--personality=openmp|cilk|work-only|self-parallelism]\n\
      \x20              [--exclude=l1,l2] [--regions] [--evaluate] [--runs=N]\n\
-     \x20              [--window=N] [--no-break-deps]\n\
+     \x20              [--window=N (1..=256)] [--no-break-deps]\n\
      \x20              [--save-profile=PATH] [--save-trace=PATH]\n\
      \x20              [--dump-ir] [--report] [--audit-plan] [--verify-ir]\n\
      \x20              [--metrics[=json|pretty]] [--trace FILE]\n\
@@ -167,6 +168,21 @@ impl<'a> Flags<'a> {
         let v = self.value()?;
         v.parse().ok().filter(|n| *n >= min).ok_or_else(|| {
             usage_error(format!("bad {} value `{v}` (expected a whole number >= {min})", self.flag))
+        })
+    }
+
+    /// The current flag's value as a number in `range`.
+    fn number_in<T: FromStr + PartialOrd + Display>(
+        &mut self,
+        range: RangeInclusive<T>,
+    ) -> Result<T, CliError> {
+        let v = self.value()?;
+        v.parse().ok().filter(|n| range.contains(n)).ok_or_else(|| {
+            let (lo, hi) = (range.start(), range.end());
+            usage_error(format!(
+                "bad {} value `{v}` (expected a whole number in {lo}..={hi})",
+                self.flag
+            ))
         })
     }
 
@@ -258,8 +274,7 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             Arg::Flag("--regions") => o.regions = true,
             Arg::Flag("--evaluate") => o.evaluate = true,
             Arg::Flag("--runs") => o.runs = r.number(1)?,
-            // Window 0 would track no depth at all and plan nothing.
-            Arg::Flag("--window") => o.window = Some(r.number(1)?),
+            Arg::Flag("--window") => o.window = Some(r.number_in(WINDOW)?),
             Arg::Flag("--no-break-deps") => o.break_deps = false,
             Arg::Flag("--save-profile") => o.save_profile = Some(r.value()?.to_owned()),
             Arg::Flag("--load-profile") => o.load_profile = Some(r.value()?.to_owned()),
@@ -288,6 +303,13 @@ enum Input<'a> {
     /// A saved profile to plan from directly (`--load-profile`).
     Profile(&'a str),
 }
+
+/// The `--window` values the CLI accepts. Window 0 would track no depth
+/// at all and plan nothing. The window sizes the control-dependence stack, the
+/// scratch buffer and every shadow run, so a huge one only exhausts
+/// memory: 256 is more than ten times the default of 24, and no workload
+/// nests deeper than 8.
+const WINDOW: RangeInclusive<usize> = 1..=256;
 
 /// Flags that need the program to run.
 const RUN_FLAGS: [&str; 4] = ["--runs", "--window", "--no-break-deps", "--save-trace"];

@@ -103,9 +103,13 @@ fn usage_errors_exit_2_and_print_usage() {
     let out = kremlin().arg("x.kc").arg("--runs=zero").output().expect("runs");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad --runs"));
-    let out = kremlin().arg("x.kc").arg("--window=0").output().expect("runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --window value"));
+    // A window outside 1..=256 is a usage error: 0 tracks nothing, and a
+    // huge one would size every shadow run past any memory.
+    for window in ["--window=0", "--window=257", "--window=1000000000000"] {
+        let out = kremlin().arg("x.kc").arg(window).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{window}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("bad --window value"), "{window}");
+    }
 
     // Unknown personality.
     let out = kremlin().arg("x.kc").arg("--personality=mpi").output().expect("runs");

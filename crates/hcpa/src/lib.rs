@@ -20,7 +20,9 @@
 //!   cross-instance reuse (§4.2's tags, encoded exactly);
 //! * [`profiler`] — the [`kremlin_interp::ExecHook`] implementation:
 //!   per-depth time propagation, control-dependence stack, induction/
-//!   reduction breaking, and online dictionary compression (§4.1, §4.4);
+//!   reduction breaking, segment folding (shadow work only for values
+//!   whose times leave their straight-line run), and online dictionary
+//!   compression (§4.1, §4.4);
 //! * [`profile`] — per-static-region aggregation ([`RegionStats`]:
 //!   self-parallelism, coverage, DOALL classification) computed in the
 //!   compressed domain.

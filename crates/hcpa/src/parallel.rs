@@ -352,6 +352,7 @@ fn run_shards(
                 s.shadow_pages += o.stats.shadow_pages;
                 s.shadow_live_pages += o.stats.shadow_live_pages;
                 s.shadow_bytes += o.stats.shadow_bytes;
+                s.shadow_commits += o.stats.shadow_commits;
             }
         }
         slices.push(o.profile);

@@ -25,25 +25,48 @@
 //! dependence work HCPA defines:
 //!
 //! * **Pre-resolved op table.** [`Profiler::new`] resolves every value of
-//!   every function once: its latency, its class (parameter, phi, load,
-//!   store or other) and its operand list with the broken dependence
-//!   already removed. An event indexes the table by function and value
-//!   instead of matching on the instruction.
-//! * **One commit pass.** The per-depth times start as a slice copy of
-//!   the control-dependence top; each input (operand, phi source, call
-//!   argument or loaded location) folds in its valid times with one
-//!   [`ShadowRegs::read_run`] / [`ShadowMemory::read_run`]; then one loop
-//!   adds the latency, writes the destination's stamped run and folds
-//!   each open region's critical path, kept in a flat array beside the
-//!   region tags.
+//!   every function once: its latency, its class (folded, parameter,
+//!   phi, load, store or other) and its committed inputs, with the
+//!   broken dependence already removed. An event indexes the table by
+//!   function and value instead of matching on the instruction.
+//! * **Segment folding.** Most values never leave the straight-line run
+//!   that computes them. Each block is split into *segments* at region
+//!   and control-dependence markers and at calls; inside a segment the
+//!   control-dependence top, the open region tags and the tracked range
+//!   are constant. A value is **committed** if it is a parameter, phi,
+//!   load or store, if it is used outside its segment or by a phi, a
+//!   call, a `cd.push`, a branch or a return, or if nothing in its
+//!   segment reads it (a consumer that breaks its dependence on the value
+//!   does not read it). Every other value is **folded**: its event only
+//!   counts and accrues its latency, with no shadow read, no write and no
+//!   per-depth loop. A committed value reads its committed inputs
+//!   instead, each with the longest static latency path to the value
+//!   through folded values (the value's own latency included), and seeds
+//!   its times with the control-dependence top plus one more offset, the
+//!   longest such path of all. This is exact: times are max-plus
+//!   expressions and `+` distributes over `max`; a folded value's run
+//!   would have been written and read back in the same segment with a
+//!   full valid prefix, so its formula can stand in for it; an input
+//!   still reads only its own valid prefix, and the seed offset covers
+//!   every input's offset on the depths past it; and a folded value's
+//!   time never exceeds that of the committed value that reads it
+//!   (transitively), so the region critical paths do not change.
+//! * **One commit pass.** The per-depth times start as the
+//!   control-dependence top plus the seed offset; each committed input
+//!   (operand, phi source, call argument or loaded location) folds in
+//!   its valid times plus its offset with one [`ShadowRegs::read_run`] /
+//!   [`ShadowMemory::read_run`]; then one loop writes the destination's
+//!   stamped run and folds each open region's critical path, kept in a
+//!   flat array beside the region tags. The latency is already in the
+//!   offsets, so the commit adds nothing.
 //! * **O(1) work.** A single global latency counter advances per event,
 //!   and each region's work is the counter delta across its lifetime
 //!   (plus call latencies credited at tracked depths).
 //! * **Allocation-free region exit.** The children of every open region
 //!   share one stack, innermost region on top; a child appended right
 //!   after an equal child merges into its run (a loop appends the same
-//!   body entry again and again). At exit the region's segment is
-//!   interned by reference ([`Dictionary::intern`] sorts and merges it
+//!   body entry again and again). At exit the region's children are
+//!   interned by reference ([`Dictionary::intern`] sorts and merges them
 //!   and allocates only for a new summary) and truncated.
 //!
 //! Shadow state lives in the stamped stores of [`crate::shadow`]. The
@@ -55,8 +78,8 @@ use crate::cost::CostModel;
 use crate::shadow::{ShadowMemory, ShadowRegs};
 use kremlin_compress::{Dictionary, EntryId};
 use kremlin_interp::{CallCtx, ExecHook, InstrCtx, RetCtx};
-use kremlin_ir::instr::InstrKind;
-use kremlin_ir::{FuncId, Module, RegionId, ValueId};
+use kremlin_ir::instr::{InstrKind, Terminator};
+use kremlin_ir::{FuncId, Function, Module, RegionId, ValueId};
 
 /// HCPA configuration.
 #[derive(Debug, Clone, Copy)]
@@ -104,20 +127,27 @@ pub struct ProfilerStats {
     /// Shadow memory footprint in bytes of the live pages: one stamp and
     /// `window` times (`8 × (window + 1)` bytes) per location.
     pub shadow_bytes: u64,
+    /// Instruction events of committed values that did shadow work (at
+    /// least one tracked depth open); folded values never count.
+    pub shadow_commits: u64,
 }
 
 /// Where an instruction's input times come from.
 #[derive(Debug, Clone, Copy)]
 enum OpClass {
+    /// Folded into the committed values that read it: the event only
+    /// counts and accrues its latency.
+    Folded,
     /// Parameter `i`: the call site's argument times.
     Param(u32),
     /// Phi: the incoming value taken, unless it is the broken dependence.
     Phi { broken: Option<ValueId> },
-    /// Load: the operands and the loaded location.
+    /// Load: the committed inputs and the loaded location.
     Load,
-    /// Store: the operands; the result goes to the stored location.
+    /// Store: the committed inputs; the result goes to the stored
+    /// location.
     Store,
-    /// Anything else: the operands.
+    /// Anything else: the committed inputs.
     Other,
 }
 
@@ -126,9 +156,21 @@ enum OpClass {
 struct Op {
     lat: u64,
     class: OpClass,
-    /// `Profiler::operands[start..end]`: distinct operands, the broken
-    /// dependence removed.
-    operands: (u32, u32),
+    /// Offset of the control-dependence seed: the longest latency path
+    /// from the value back through the folded values it reads, its own
+    /// latency included. It is at least every input's offset.
+    cd_off: u64,
+    /// `Profiler::inputs[start..end]`: the distinct committed inputs.
+    inputs: (u32, u32),
+}
+
+/// A committed value read by a committed value.
+#[derive(Debug, Clone, Copy)]
+struct Input {
+    value: ValueId,
+    /// The longest latency path from `value` to its reader through
+    /// folded values: the reader's latency included, `value`'s excluded.
+    off: u64,
 }
 
 struct ActiveRegion {
@@ -161,7 +203,7 @@ pub struct Profiler<'m> {
     /// `op_table[op_base[f] + v]`.
     op_table: Vec<Op>,
     op_base: Vec<usize>,
-    operands: Vec<ValueId>,
+    inputs: Vec<Input>,
     regions: Vec<ActiveRegion>,
     /// `region_tags[d]`: the tag of the region instance open at depth `d`.
     region_tags: Vec<u64>,
@@ -169,7 +211,7 @@ pub struct Profiler<'m> {
     /// depth `d`.
     region_cp: Vec<u64>,
     /// `(entry, count)` children of every open region, each region's
-    /// segment starting at its `children_start`.
+    /// own starting at its `children_start`.
     children: Vec<(EntryId, u64)>,
     cd_stack: Vec<Vec<u64>>,
     /// Retired control-dependence vectors, reused by `on_cd_push`.
@@ -189,11 +231,161 @@ pub struct Profiler<'m> {
     ret_scratch: Vec<u64>,
 }
 
-/// `t[i] = max(t[i], run[i])` over the shorter of the two.
+/// `t[i] = max(t[i], run[i] + off)` over the shorter of the two.
 #[inline]
-fn fold_max(t: &mut [u64], run: &[u64]) {
+fn fold_max(t: &mut [u64], run: &[u64], off: u64) {
     for (slot, &time) in t.iter_mut().zip(run) {
-        *slot = (*slot).max(time);
+        *slot = (*slot).max(time + off);
+    }
+}
+
+/// Adds `(value, off)` to `inputs`; a repeated input keeps the longer
+/// path.
+fn merge_input(inputs: &mut Vec<Input>, value: ValueId, off: u64) {
+    match inputs.iter_mut().find(|i| i.value == value) {
+        Some(i) => i.off = i.off.max(off),
+        None => inputs.push(Input { value, off }),
+    }
+}
+
+/// Appends the op table entries of `f` to `op_table` and their committed
+/// inputs to `inputs` (see "Segment folding" in the module docs).
+fn resolve_ops(f: &Function, config: &HcpaConfig, op_table: &mut Vec<Op>, inputs: &mut Vec<Input>) {
+    let n = f.values.len();
+    let mut gathered = Vec::new();
+    // The operands whose times each value reads: distinct, the broken
+    // dependence removed. Parameters and phis read theirs at run time.
+    let reads: Vec<Vec<ValueId>> = f
+        .values
+        .iter()
+        .map(|v| {
+            let broken = if config.break_carried_deps { v.break_dep_on } else { None };
+            let mut reads = Vec::new();
+            if !matches!(v.kind, InstrKind::Param(_) | InstrKind::Phi { .. }) {
+                gathered.clear();
+                v.kind.operands(&mut gathered);
+                for &o in &gathered {
+                    if Some(o) != broken && !reads.contains(&o) {
+                        reads.push(o);
+                    }
+                }
+            }
+            reads
+        })
+        .collect();
+
+    // Segments: each block split at region and control-dependence markers
+    // and at calls. Lowered mini-C opens or closes a block at every cd
+    // marker, so splitting there changes no commit today; it keeps the
+    // rule exact on any IR at no cost. Markers, calls and values in no
+    // block belong to no segment (`NONE`).
+    const NONE: u32 = u32::MAX;
+    let mut segment = vec![NONE; n];
+    let mut next = 0;
+    for b in &f.blocks {
+        next += 1;
+        for &v in &b.instrs {
+            let kind = &f.values[v.index()].kind;
+            if kind.is_marker() || matches!(kind, InstrKind::Call { .. }) {
+                next += 1;
+            } else {
+                segment[v.index()] = next;
+            }
+        }
+    }
+
+    let mut committed: Vec<bool> = f
+        .values
+        .iter()
+        .zip(&segment)
+        .map(|(v, &seg)| {
+            seg == NONE
+                || matches!(
+                    v.kind,
+                    InstrKind::Param(_)
+                        | InstrKind::Phi { .. }
+                        | InstrKind::Load(_)
+                        | InstrKind::Store { .. }
+                )
+        })
+        .collect();
+    let mut read = vec![false; n];
+    for b in &f.blocks {
+        for &u in &b.instrs {
+            let kind = &f.values[u.index()].kind;
+            // A phi, a call and a `cd.push` read their operands' runs.
+            let boundary = matches!(
+                kind,
+                InstrKind::Phi { .. } | InstrKind::Call { .. } | InstrKind::CdPush(_)
+            );
+            gathered.clear();
+            kind.operands(&mut gathered);
+            for &o in &gathered {
+                if boundary || segment[o.index()] != segment[u.index()] {
+                    committed[o.index()] = true;
+                }
+            }
+            for &o in &reads[u.index()] {
+                read[o.index()] = true;
+            }
+        }
+        match b.term {
+            Some(Terminator::CondBr { cond: v, .. }) | Some(Terminator::Ret(Some(v))) => {
+                committed[v.index()] = true;
+            }
+            _ => {}
+        }
+    }
+    // The sink rule: a value nothing in its segment reads is committed.
+    // Every folded value then has a committed reader later in its
+    // segment, directly or through folded values.
+    for (c, &r) in committed.iter_mut().zip(&read) {
+        *c |= !r;
+    }
+
+    // Each value's seed offset and committed inputs, in block order so a
+    // folded value is resolved before the values of its segment that
+    // read it. A value in no block never executes and keeps none.
+    let mut formula: Vec<(u64, Vec<Input>)> = vec![(0, Vec::new()); n];
+    for v in f.blocks.iter().flat_map(|b| &b.instrs).map(|v| v.index()) {
+        let lat = config.cost.latency(&f.values[v].kind);
+        let mut cd_off = lat;
+        let mut ins = Vec::new();
+        for &o in &reads[v] {
+            if committed[o.index()] {
+                merge_input(&mut ins, o, lat);
+            } else {
+                let (o_cd_off, o_ins) = &formula[o.index()];
+                cd_off = cd_off.max(o_cd_off + lat);
+                for i in o_ins {
+                    merge_input(&mut ins, i.value, i.off + lat);
+                }
+            }
+        }
+        formula[v] = (cd_off, ins);
+    }
+
+    let index = |i: usize| u32::try_from(i).expect("input table fits u32 indices");
+    for ((v, (cd_off, ins)), &c) in f.values.iter().zip(formula).zip(&committed) {
+        let broken = if config.break_carried_deps { v.break_dep_on } else { None };
+        let class = match v.kind {
+            _ if !c => OpClass::Folded,
+            InstrKind::Param(i) => OpClass::Param(i),
+            InstrKind::Phi { .. } => OpClass::Phi { broken },
+            InstrKind::Load(_) => OpClass::Load,
+            InstrKind::Store { .. } => OpClass::Store,
+            _ => OpClass::Other,
+        };
+        let start = inputs.len();
+        if c {
+            inputs.extend(ins);
+        }
+        op_table.push(Op {
+            lat: config.cost.latency(&v.kind),
+            class,
+            cd_off,
+            inputs: (index(start), index(inputs.len())),
+        });
     }
 }
 
@@ -202,34 +394,10 @@ impl<'m> Profiler<'m> {
     pub fn new(module: &'m Module, config: HcpaConfig) -> Self {
         let mut op_table = Vec::new();
         let mut op_base = Vec::with_capacity(module.funcs.len());
-        let mut operands = Vec::new();
-        let mut gathered = Vec::new();
+        let mut inputs = Vec::new();
         for f in &module.funcs {
             op_base.push(op_table.len());
-            for v in &f.values {
-                let broken = if config.break_carried_deps { v.break_dep_on } else { None };
-                let class = match v.kind {
-                    InstrKind::Param(i) => OpClass::Param(i),
-                    InstrKind::Phi { .. } => OpClass::Phi { broken },
-                    InstrKind::Load(_) => OpClass::Load,
-                    InstrKind::Store { .. } => OpClass::Store,
-                    _ => OpClass::Other,
-                };
-                let start = operands.len();
-                if !matches!(class, OpClass::Param(_) | OpClass::Phi { .. }) {
-                    gathered.clear();
-                    v.kind.operands(&mut gathered);
-                    for &o in &gathered {
-                        // A repeated operand folds the same times twice.
-                        if Some(o) != broken && !operands[start..].contains(&o) {
-                            operands.push(o);
-                        }
-                    }
-                }
-                let index = |i: usize| u32::try_from(i).expect("operand table fits u32 indices");
-                let range = (index(start), index(operands.len()));
-                op_table.push(Op { lat: config.cost.latency(&v.kind), class, operands: range });
-            }
+            resolve_ops(f, &config, &mut op_table, &mut inputs);
         }
         Profiler {
             module,
@@ -237,7 +405,7 @@ impl<'m> Profiler<'m> {
             dict: Dictionary::new(),
             op_table,
             op_base,
-            operands,
+            inputs,
             regions: Vec::new(),
             region_tags: Vec::new(),
             region_cp: Vec::new(),
@@ -272,6 +440,7 @@ impl<'m> Profiler<'m> {
             // instruction on the hot path.
             kremlin_obs::counter!("hcpa.instr_events").add(self.stats.instr_events);
             kremlin_obs::counter!("hcpa.dynamic_regions").add(self.stats.dynamic_regions);
+            kremlin_obs::counter!("hcpa.shadow.commits").add(self.stats.shadow_commits);
             kremlin_obs::counter!("hcpa.shadow.pages_allocated").add(self.stats.shadow_pages);
             kremlin_obs::gauge!("hcpa.shadow.live_pages").set_max(self.stats.shadow_live_pages);
             kremlin_obs::gauge!("hcpa.shadow.footprint_bytes").set_max(self.stats.shadow_bytes);
@@ -341,6 +510,10 @@ impl ExecHook for Profiler<'_> {
         // stands in for incrementing each open region (the region's work
         // is reconstructed as a counter delta at exit).
         self.work_counter += op.lat;
+        if let OpClass::Folded = op.class {
+            // The committed values that read it fold its times in.
+            return;
+        }
 
         let (lo, hi) = self.tracked_range();
         if lo >= hi {
@@ -348,43 +521,48 @@ impl ExecHook for Profiler<'_> {
             // the execution has not reached): nothing else to update.
             return;
         }
+        self.stats.shadow_commits += 1;
         let stamp = self.stamp();
 
         // Per-depth availability times seeded from the control dependence
-        // on the enclosing branch condition.
+        // on the enclosing branch condition, plus the seed offset.
         let t = &mut self.t_scratch[..hi - lo];
-        t.copy_from_slice(&self.cd_stack.last().expect("base cd entry")[lo..hi]);
+        let cd = &self.cd_stack.last().expect("base cd entry")[lo..hi];
+        for (slot, &time) in t.iter_mut().zip(cd) {
+            *slot = time + op.cd_off;
+        }
 
         let tags = &self.region_tags[lo..hi];
         let frame = self.frames.last().expect("shadow frame");
         match op.class {
+            OpClass::Folded => unreachable!("folded values return early"),
             OpClass::Param(i) => {
                 // Parameter times come from the call site's argument times
                 // (depths beyond the caller's depth default to 0).
                 if let Some(call) = self.calls.last().filter(|c| c.depths > lo) {
                     let row = i as usize * call.depths;
                     let m = call.depths.min(hi) - lo;
-                    fold_max(t, &call.arg_times[row + lo..row + lo + m]);
+                    fold_max(t, &call.arg_times[row + lo..row + lo + m], op.lat);
                 }
             }
             OpClass::Phi { broken } => {
                 if let Some(src) = ctx.phi_source.filter(|&src| Some(src) != broken) {
-                    fold_max(t, frame.read_run(src.index(), tags));
+                    fold_max(t, frame.read_run(src.index(), tags), op.lat);
                 }
             }
             class => {
-                let (start, end) = op.operands;
-                for &o in &self.operands[start as usize..end as usize] {
-                    fold_max(t, frame.read_run(o.index(), tags));
+                let (start, end) = op.inputs;
+                for input in &self.inputs[start as usize..end as usize] {
+                    fold_max(t, frame.read_run(input.value.index(), tags), input.off);
                 }
                 if let (OpClass::Load, Some(addr)) = (class, ctx.mem_addr) {
-                    fold_max(t, self.mem.read_run(addr, tags));
+                    fold_max(t, self.mem.read_run(addr, tags), op.lat);
                 }
             }
         }
 
-        // Commit: add the latency, write the destination's run and fold
-        // each open region's critical path, in one pass.
+        // Commit: write the destination's run and fold each open region's
+        // critical path, in one pass (the offsets hold the latency).
         let dst = if let OpClass::Store = op.class {
             let addr = ctx.mem_addr.expect("store has an address");
             self.mem.write_run(addr, stamp, t.len())
@@ -393,7 +571,6 @@ impl ExecHook for Profiler<'_> {
             frame.write_run(ctx.value.index(), stamp, t.len())
         };
         for ((slot, &time), cp) in dst.iter_mut().zip(t.iter()).zip(&mut self.region_cp[lo..hi]) {
-            let time = time + op.lat;
             *slot = time;
             *cp = (*cp).max(time);
         }
@@ -481,7 +658,7 @@ impl ExecHook for Profiler<'_> {
         let top = self.cd_stack.last().expect("base cd entry");
         entry[lo..hi].copy_from_slice(&top[lo..hi]);
         let frame = self.frames.last().expect("shadow frame");
-        fold_max(&mut entry[lo..hi], frame.read_run(cond.index(), &self.region_tags[lo..hi]));
+        fold_max(&mut entry[lo..hi], frame.read_run(cond.index(), &self.region_tags[lo..hi]), 0);
         self.cd_stack.push(entry);
     }
 

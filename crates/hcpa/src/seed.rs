@@ -484,6 +484,23 @@ mod tests {
             // body's child, not merge into `main`'s.
             "int g(int x) { return x * 2 + 1; }\n\
              int main() { int s = g(1); for (int i = 0; i < 3; i++) { s += g(1); } return s; }",
+            // Segment folding, sink rule: `dead` is read by nothing, so
+            // it is committed, and `g`'s critical path still includes
+            // its `sqrt`. (A dead local inside a loop would not test
+            // this: mem2reg routes it into a header phi, which is
+            // committed anyway.)
+            "float out[8];\n\
+             float g(float x) { float dead = sqrt(x) * 40.0; return 1.0; }\n\
+             int main() { for (int i = 0; i < 8; i++) { out[i] = g((float) i); } return (int) out[3]; }",
+            // Segment folding, longest paths: the store reads `x` through
+            // a short path found first and a long one found second, and
+            // its input offset must be the longer.
+            "float a[16]; float b[16];\n\
+             int main() {\n\
+               for (int i = 0; i < 16; i++) { a[i] = (float) (i * i); }\n\
+               for (int i = 0; i < 16; i++) { float x = a[i]; b[i] = (x + 1.0) + (x * x * x * 2.0); }\n\
+               return (int) b[5];\n\
+             }",
         ];
         let configs = [
             HcpaConfig::default(),
@@ -492,13 +509,13 @@ mod tests {
             HcpaConfig { window: 4, min_depth: 3, ..HcpaConfig::default() },
             HcpaConfig { break_carried_deps: false, ..HcpaConfig::default() },
         ];
-        for src in srcs {
+        for (i, src) in srcs.iter().enumerate() {
             let unit = kremlin_ir::compile(src, "t.kc").unwrap();
             for config in configs {
                 let opt = profile_unit(&unit, config).unwrap();
                 let seed = profile_unit_seed(&unit, config, MachineConfig::default()).unwrap();
                 let at = format!(
-                    "window {}, min_depth {}, break {}",
+                    "program {i}, window {}, min_depth {}, break {}",
                     config.window, config.min_depth, config.break_carried_deps
                 );
                 assert!(opt.profile.identical_stats(&seed.profile), "profiles differ ({at})");

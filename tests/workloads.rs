@@ -95,3 +95,30 @@ fn kremlin_never_recommends_more_total_regions_than_manual_overall() {
         "plan-size reduction {ratio:.2} out of the paper's ballpark (1.57x)"
     );
 }
+
+#[test]
+fn profiler_matches_the_seed_profiler_on_every_workload() {
+    // Segment folding skips the shadow work of most instruction events;
+    // the frozen seed profiler does it all. Every profile must agree on
+    // every program and in the configs that move the tracked range.
+    use kremlin_repro::hcpa::{profile_unit, profile_unit_seed, HcpaConfig};
+    let configs = [
+        HcpaConfig::default(),
+        HcpaConfig { window: 2, ..HcpaConfig::default() },
+        HcpaConfig { window: 4, min_depth: 2, ..HcpaConfig::default() },
+        HcpaConfig { break_carried_deps: false, ..HcpaConfig::default() },
+    ];
+    for w in kremlin_repro::workloads::all() {
+        let unit = kremlin_repro::ir::compile(w.source, &w.file_name()).unwrap();
+        for config in configs {
+            let at = format!("{}, {config:?}", w.name);
+            let live = profile_unit(&unit, config).unwrap();
+            let seed = profile_unit_seed(&unit, config, Default::default()).unwrap();
+            assert!(live.profile.dict == seed.profile.dict, "dictionaries differ ({at})");
+            assert!(live.profile.identical_stats(&seed.profile), "profiles differ ({at})");
+            assert_eq!(live.run, seed.run, "{at}");
+            assert_eq!(live.stats.instr_events, seed.stats.instr_events, "{at}");
+            assert_eq!(live.stats.dynamic_regions, seed.stats.dynamic_regions, "{at}");
+        }
+    }
+}
