@@ -17,6 +17,12 @@
 //!   the rest are folded) is deterministic too and must match exactly: a
 //!   lost fold or an over-eager commit rule changes it on any host, with
 //!   no timing noise;
+//! * the embedded **`hcpa.dynamic_regions`** (region instances
+//!   summarized) and **`hcpa.shadow.cache_misses`** (shadow-memory
+//!   accesses past the last-page cache) counters are deterministic work
+//!   counts and must match exactly too: an event source that drops or repeats
+//!   region events, or an access pattern that stops hitting the cache,
+//!   changes them with no timing noise;
 //! * **`shadow_bytes_baseline`** is deterministic too, but a small growth
 //!   band (`Tolerance::shadow_growth`) is allowed for intentional layout
 //!   tweaks — beyond it is a shadow-footprint blowup. (Old baselines
@@ -35,6 +41,10 @@
 //! is itself a violation.
 
 use kremlin_obs::json::{self, Value};
+
+/// Embedded metrics counters that are deterministic per workload and
+/// must match the baseline exactly.
+const EXACT_COUNTERS: [&str; 2] = ["hcpa.dynamic_regions", "hcpa.shadow.cache_misses"];
 
 /// Allowed drift between baseline and fresh reports.
 #[derive(Debug, Clone, Copy)]
@@ -158,12 +168,25 @@ pub fn check(baseline: &str, fresh: &str, tol: Tolerance) -> Result<GateReport, 
             }
         }
 
-        // Embedded metrics: every counter the baseline saw nonzero must
-        // still be nonzero (instrumentation silently lost otherwise).
+        // Embedded metrics: the deterministic work counters must match
+        // exactly, and every counter the baseline saw nonzero must still
+        // be nonzero (instrumentation silently lost otherwise).
         if let (Some(bm), Some(nm)) = (
             bw.get("metrics").and_then(|m| m.get("counters")).and_then(Value::as_obj),
             nw.get("metrics").and_then(|m| m.get("counters")).and_then(Value::as_obj),
         ) {
+            let counter = |m: &[(String, Value)], key: &str| {
+                m.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.as_f64())
+            };
+            for key in EXACT_COUNTERS {
+                if let (Some(b), Some(n)) = (counter(bm, key), counter(nm, key)) {
+                    if b != n {
+                        violation(format!(
+                            "metrics counter {key} changed: baseline {b} -> fresh {n}"
+                        ));
+                    }
+                }
+            }
             for (cname, bval) in bm {
                 let b = bval.as_f64().unwrap_or(0.0);
                 if b <= 0.0 {
@@ -279,6 +302,31 @@ mod tests {
                 r.violations
             );
         }
+    }
+
+    #[test]
+    fn dynamic_regions_and_cache_misses_must_match_exactly() {
+        let counters = |regions: u64, misses: u64| {
+            format!(r#""hcpa.dynamic_regions":{regions},"hcpa.shadow.cache_misses":{misses}"#)
+        };
+        let base = doc("bt", 1000, 4096, 2.0, &counters(91_567, 108_825));
+        assert!(check(&base, &base, Tolerance::default()).unwrap().passed());
+        for (fresh, key) in [
+            (counters(91_568, 108_825), "hcpa.dynamic_regions"),
+            (counters(91_567, 108_824), "hcpa.shadow.cache_misses"),
+        ] {
+            let r =
+                check(&base, &doc("bt", 1000, 4096, 2.0, &fresh), Tolerance::default()).unwrap();
+            assert!(
+                r.violations.iter().any(|v| v.contains(&format!("{key} changed"))),
+                "{:?}",
+                r.violations
+            );
+        }
+        // A fresh report without the counter is checked by the nonzero
+        // rule, not this one.
+        let r = check(&base, &doc("bt", 1000, 4096, 2.0, ""), Tolerance::default()).unwrap();
+        assert!(!r.violations.iter().any(|v| v.contains(" changed")), "{:?}", r.violations);
     }
 
     #[test]

@@ -127,8 +127,16 @@ pub fn profile_decoded(
     decoded: &DecodedTrace,
     config: HcpaConfig,
 ) -> Result<ProfileOutcome, TraceError> {
+    replay_profile(unit, decoded, Profiler::new(&unit.module, config))
+}
+
+/// Replays `decoded` into `profiler` and builds the profile.
+fn replay_profile(
+    unit: &CompiledUnit,
+    decoded: &DecodedTrace,
+    mut profiler: Profiler<'_>,
+) -> Result<ProfileOutcome, TraceError> {
     let _span = kremlin_obs::span("shadow");
-    let mut profiler = Profiler::new(&unit.module, config);
     let run = kremlin_interp::trace::replay_decoded(decoded, &unit.module, &mut profiler)?;
     let (dict, stats) = profiler.finish();
     let _build = kremlin_obs::span("profile.build");

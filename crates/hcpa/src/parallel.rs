@@ -27,8 +27,8 @@
 //! histogram guarantees when no hint is supplied.
 
 use crate::profile::ParallelismProfile;
-use crate::profiler::HcpaConfig;
-use crate::{profile_decoded, ProfileOutcome};
+use crate::profiler::{HcpaConfig, Profiler};
+use crate::{profile_decoded, replay_profile, ProfileOutcome};
 use kremlin_interp::trace::{DecodedTrace, Trace, TraceError};
 use kremlin_interp::MachineConfig;
 use kremlin_ir::CompiledUnit;
@@ -244,10 +244,14 @@ pub fn profile_trace_parallel(
 /// plan of one shard, this is the serial [`profile_decoded`] pass, so
 /// `jobs` never changes the result.
 ///
-/// When metrics are enabled, each worker additionally publishes its own
-/// counter set under a `shard.N.` prefix: `events` (events replayed),
-/// `instr_events` and `shadow_live_pages` (shadow slots touched), and a
-/// `wall_us` gauge (worker wall time).
+/// When metrics are enabled, the run-wide counters (`hcpa.instr_events`,
+/// `hcpa.dynamic_regions`, the `hcpa.region_work` histogram) are
+/// published once, by shard 0, as a serial pass would publish them; the
+/// shadow-work counters (`hcpa.shadow.*`) sum every shard's work. Each
+/// worker additionally publishes its own counter set under a `shard.N.`
+/// prefix: `events` (events replayed), `instr_events` and
+/// `shadow_live_pages` (shadow slots touched), and a `wall_us` gauge
+/// (worker wall time).
 ///
 /// # Errors
 ///
@@ -328,7 +332,11 @@ fn run_shards(
             let metrics = metrics_on.then(|| ShardMetrics::resolve(k));
             scope.spawn(move || {
                 let started = Instant::now();
-                let res = profile_decoded(unit, decoded, hcpa);
+                // Every shard sees the whole run: shard 0 alone publishes
+                // its run-wide metrics.
+                let profiler = Profiler::new(&unit.module, hcpa);
+                let profiler = if k == 0 { profiler } else { profiler.without_run_metrics() };
+                let res = replay_profile(unit, decoded, profiler);
                 if let (Some(m), Ok(o)) = (&metrics, &res) {
                     m.publish(decoded.events(), o, started);
                 }

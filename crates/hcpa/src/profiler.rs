@@ -20,7 +20,7 @@
 //!
 //! # Hot path
 //!
-//! [`Profiler::on_instr`] runs once per executed instruction and is
+//! [`Profiler::on_instr`] runs once per committed instruction and is
 //! where nearly all profiling time goes, so each event does only the
 //! dependence work HCPA defines:
 //!
@@ -37,20 +37,25 @@
 //!   load or store, if it is used outside its segment or by a phi, a
 //!   call, a `cd.push`, a branch or a return, or if nothing in its
 //!   segment reads it (a consumer that breaks its dependence on the value
-//!   does not read it). Every other value is **folded**: its event only
-//!   counts and accrues its latency, with no shadow read, no write and no
-//!   per-depth loop. A committed value reads its committed inputs
-//!   instead, each with the longest static latency path to the value
-//!   through folded values (the value's own latency included), and seeds
-//!   its times with the control-dependence top plus one more offset, the
-//!   longest such path of all. This is exact: times are max-plus
-//!   expressions and `+` distributes over `max`; a folded value's run
-//!   would have been written and read back in the same segment with a
-//!   full valid prefix, so its formula can stand in for it; an input
-//!   still reads only its own valid prefix, and the seed offset covers
-//!   every input's offset on the depths past it; and a folded value's
-//!   time never exceeds that of the committed value that reads it
-//!   (transitively), so the region critical paths do not change.
+//!   does not read it). Every other value is **folded**: no shadow read,
+//!   no write, no per-depth loop, and no event at all — the profiler
+//!   selects only committed values ([`ExecHook::selects_instr`]), and
+//!   each committed value's event also counts the folded values run
+//!   since the previous committed value of its segment and accrues their
+//!   latency. The sink rule ends every segment in a committed value, so
+//!   the counts and the work stay exact. A committed value reads its
+//!   committed inputs instead, each with the longest static latency path
+//!   to the value through folded values (the value's own latency
+//!   included), and seeds its times with the control-dependence top plus
+//!   one more offset, the longest such path of all. This is exact: times
+//!   are max-plus expressions and `+` distributes over `max`; a folded
+//!   value's run would have been written and read back in the same
+//!   segment with a full valid prefix, so its formula can stand in for
+//!   it; an input still reads only its own valid prefix, and the seed
+//!   offset covers every input's offset on the depths past it; and a
+//!   folded value's time never exceeds that of the committed value that
+//!   reads it (transitively), so the region critical paths do not
+//!   change.
 //! * **One commit pass.** The per-depth times start as the
 //!   control-dependence top plus the seed offset; each committed input
 //!   (operand, phi source, call argument or loaded location) folds in
@@ -156,6 +161,12 @@ enum OpClass {
 struct Op {
     lat: u64,
     class: OpClass,
+    /// Instruction events a committed value's event stands for: its own
+    /// and those of the folded values executed since the previous
+    /// committed value of its segment. 0 for a folded value.
+    events: u64,
+    /// The latency of those events.
+    work: u64,
     /// Offset of the control-dependence seed: the longest latency path
     /// from the value back through the folded values it reads, its own
     /// latency included. It is at least every input's offset.
@@ -225,6 +236,10 @@ pub struct Profiler<'m> {
     /// Total instruction latency observed so far (O(1) work accrual).
     work_counter: u64,
     stats: ProfilerStats,
+    /// Whether this profiler publishes the run-wide metrics (instruction
+    /// events, dynamic regions, region work). Every depth shard sees the
+    /// whole run, so only one of them does.
+    publishes_run: bool,
     /// Scratch: per tracked depth, the availability time being computed.
     t_scratch: Vec<u64>,
     /// Scratch: returned-value times captured across the callee teardown.
@@ -365,8 +380,31 @@ fn resolve_ops(f: &Function, config: &HcpaConfig, op_table: &mut Vec<Op>, inputs
         formula[v] = (cd_off, ins);
     }
 
+    // The events and latency each committed value accounts for: its own
+    // and those of the folded values run since the previous committed
+    // value of its segment. The sink rule makes every segment end in a
+    // committed value, so no folded event goes unaccounted.
+    let mut credit = vec![(0u64, 0u64); n];
+    for b in &f.blocks {
+        let mut folded = (0, 0);
+        for &v in &b.instrs {
+            let lat = config.cost.latency(&f.values[v.index()].kind);
+            if segment[v.index()] == NONE {
+                assert_eq!(folded, (0, 0), "a segment ends in a committed value");
+            } else if committed[v.index()] {
+                credit[v.index()] = (folded.0 + 1, folded.1 + lat);
+                folded = (0, 0);
+            } else {
+                folded = (folded.0 + 1, folded.1 + lat);
+            }
+        }
+        assert_eq!(folded, (0, 0), "a segment ends in a committed value");
+    }
+
     let index = |i: usize| u32::try_from(i).expect("input table fits u32 indices");
-    for ((v, (cd_off, ins)), &c) in f.values.iter().zip(formula).zip(&committed) {
+    for (((v, (cd_off, ins)), &c), (events, work)) in
+        f.values.iter().zip(formula).zip(&committed).zip(credit)
+    {
         let broken = if config.break_carried_deps { v.break_dep_on } else { None };
         let class = match v.kind {
             _ if !c => OpClass::Folded,
@@ -383,6 +421,8 @@ fn resolve_ops(f: &Function, config: &HcpaConfig, op_table: &mut Vec<Op>, inputs
         op_table.push(Op {
             lat: config.cost.latency(&v.kind),
             class,
+            events,
+            work,
             cd_off,
             inputs: (index(start), index(inputs.len())),
         });
@@ -419,9 +459,18 @@ impl<'m> Profiler<'m> {
             next_tag: 1,
             work_counter: 0,
             stats: ProfilerStats::default(),
+            publishes_run: true,
             t_scratch: vec![0; config.window],
             ret_scratch: Vec::new(),
         }
+    }
+
+    /// A profiler that leaves the run-wide metrics (instruction events,
+    /// dynamic regions, region work) to another profiler of the same run:
+    /// a depth shard other than the first.
+    pub(crate) fn without_run_metrics(mut self) -> Self {
+        self.publishes_run = false;
+        self
     }
 
     /// Consumes the profiler, returning the compressed parallelism profile
@@ -438,8 +487,10 @@ impl<'m> Profiler<'m> {
         if kremlin_obs::metrics_enabled() {
             // Flush run-local tallies in one shot; nothing is counted per
             // instruction on the hot path.
-            kremlin_obs::counter!("hcpa.instr_events").add(self.stats.instr_events);
-            kremlin_obs::counter!("hcpa.dynamic_regions").add(self.stats.dynamic_regions);
+            if self.publishes_run {
+                kremlin_obs::counter!("hcpa.instr_events").add(self.stats.instr_events);
+                kremlin_obs::counter!("hcpa.dynamic_regions").add(self.stats.dynamic_regions);
+            }
             kremlin_obs::counter!("hcpa.shadow.commits").add(self.stats.shadow_commits);
             kremlin_obs::counter!("hcpa.shadow.pages_allocated").add(self.stats.shadow_pages);
             kremlin_obs::gauge!("hcpa.shadow.live_pages").set_max(self.stats.shadow_live_pages);
@@ -480,7 +531,9 @@ impl<'m> Profiler<'m> {
         let id = self.dict.intern(r.static_id.0, work, cp, &self.children[r.children_start..]);
         self.children.truncate(r.children_start);
         self.stats.dynamic_regions += 1;
-        kremlin_obs::histogram!("hcpa.region_work").record(work);
+        if self.publishes_run {
+            kremlin_obs::histogram!("hcpa.region_work").record(work);
+        }
         let Some(parent) = self.regions.last() else {
             self.dict.set_root(id);
             return;
@@ -502,16 +555,24 @@ impl<'m> Profiler<'m> {
 }
 
 impl ExecHook for Profiler<'_> {
-    fn on_instr(&mut self, ctx: &InstrCtx<'_>) {
-        self.stats.instr_events += 1;
-        let op = self.op_table[self.op_base[ctx.func.id.index()] + ctx.value.index()];
+    /// Only committed values: a folded value's event is accounted for by
+    /// the next committed value of its segment.
+    fn selects_instr(&self, func: FuncId, value: ValueId) -> bool {
+        !matches!(self.op_table[self.op_base[func.index()] + value.index()].class, OpClass::Folded)
+    }
 
-        // Work accrues at every active depth: a single counter advance
-        // stands in for incrementing each open region (the region's work
-        // is reconstructed as a counter delta at exit).
-        self.work_counter += op.lat;
+    fn on_instr(&mut self, ctx: &InstrCtx<'_>) {
+        let op = self.op_table[self.op_base[ctx.func.id.index()] + ctx.value.index()];
+        // The event counts for the folded events before it in its segment
+        // too. Work accrues at every active depth: a single counter
+        // advance stands in for incrementing each open region (the
+        // region's work is reconstructed as a counter delta at exit).
+        self.stats.instr_events += op.events;
+        self.work_counter += op.work;
         if let OpClass::Folded = op.class {
-            // The committed values that read it fold its times in.
+            // Delivered only when the selection is ignored: the
+            // committed values that read it fold its times in, and the
+            // next committed value counts it.
             return;
         }
 

@@ -42,9 +42,13 @@
 //! computes the prefix length once and returns that many contiguous
 //! times, with no per-depth tag compare; a write stores the stamp and the
 //! times of the tracked depths. [`ShadowMemory`] resolves the page
-//! **once per access** and keeps a one-entry **last-page cache** — loop
-//! bodies hit the same page repeatedly, so most accesses skip the hash
-//! lookup entirely.
+//! **once per access** and keeps a one-entry **last-page cache** in front
+//! of its page index. The cache misses on about half of all accesses
+//! (loop bodies alternate between arrays on different pages), so the
+//! index hashes page keys with two Fibonacci multiplies (`PageHashing`)
+//! instead of SipHash's rounds. The index stays a hash map: pages are
+//! allocated only where a location is written, so a replayed trace's
+//! arbitrary addresses cost only the pages they touch.
 //!
 //! Every depth is *relative* to the profiler's tracked range
 //! (`d - min_depth`): a `tags` argument lists the tags of the instances
@@ -54,7 +58,9 @@
 //! tests and the benchmark baseline compare against.
 
 use std::cell::Cell;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 /// Slots per shadow-memory page (power of two).
 const PAGE_SLOTS: u64 = 1024;
@@ -73,6 +79,64 @@ fn valid_prefix(stamp: u64, tags: &[u64]) -> usize {
 #[inline]
 fn valid_times<'r>(run: &'r [u64], tags: &[u64]) -> &'r [u64] {
     &run[1..1 + valid_prefix(run[0], tags)]
+}
+
+/// 2^64/φ, the Fibonacci hashing multiplier.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Hashing for the shadow page index: Fibonacci hashing of the page key
+/// XORed with a random per-index seed, folded and multiplied once more so
+/// that every key bit reaches the bits `HashMap` takes its bucket index
+/// and tag from.
+///
+/// Page keys come from replayed traces, which arrive from outside the
+/// program. One bare multiply is invertible, so page keys that collide
+/// could be computed offline and uploaded to make every lookup a linear
+/// probe; the unknown seed rules that out, as SipHash's random keys do.
+#[derive(Debug, Clone)]
+struct PageHashing {
+    seed: u64,
+}
+
+impl PageHashing {
+    fn new() -> Self {
+        PageHashing { seed: RandomState::new().hash_one(0u64) }
+    }
+}
+
+impl BuildHasher for PageHashing {
+    type Hasher = PageHasher;
+
+    fn build_hasher(&self) -> PageHasher {
+        PageHasher { seed: self.seed, hash: 0 }
+    }
+}
+
+#[derive(Debug)]
+struct PageHasher {
+    seed: u64,
+    hash: u64,
+}
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.hash.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let h = (key ^ self.seed).wrapping_mul(FIBONACCI);
+        self.hash = (h ^ (h >> 32)).wrapping_mul(FIBONACCI);
+    }
+
+    /// The product's high bits mix every bit of its input: rotate them
+    /// down to the bucket index.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(32)
+    }
 }
 
 /// A per-frame shadow register table: one stamped, depth-contiguous run
@@ -117,7 +181,7 @@ impl ShadowRegs {
 pub struct ShadowMemory {
     /// Words per location: the stamp plus one time per tracked depth.
     stride: usize,
-    index: HashMap<u64, u32>,
+    index: HashMap<u64, u32, PageHashing>,
     pages: Vec<Box<[u64]>>,
     /// `(page key, index into pages)` of the most recently touched page.
     /// `u64::MAX` is an impossible key (addresses are `< u64::MAX`), so
@@ -139,7 +203,7 @@ impl ShadowMemory {
     pub fn new(window: usize) -> Self {
         ShadowMemory {
             stride: window + 1,
-            index: HashMap::new(),
+            index: HashMap::with_hasher(PageHashing::new()),
             pages: Vec::new(),
             last: Cell::new((u64::MAX, 0)),
             pages_allocated: 0,
@@ -369,6 +433,20 @@ mod tests {
         assert_eq!(mem.live_pages(), pages.len() as u64);
         assert_eq!(mem.footprint_bytes(), mem.live_pages() * PAGE_SLOTS * (window as u64 + 1) * 8);
         assert!(mem.read_run(7 << 40, &[1]).is_empty(), "unallocated page reads empty");
+    }
+
+    /// Keys that differ only in their high bits (far-apart pages) and
+    /// sequential keys (neighbouring pages) both spread over the bucket
+    /// bits, under any seed.
+    #[test]
+    fn page_hashing_spreads_high_and_low_key_bits() {
+        for hashing in [PageHashing::new(), PageHashing { seed: 0 }] {
+            for keys in [(0..4096u64).map(|i| i << 40).collect::<Vec<_>>(), (0..4096).collect()] {
+                let buckets: HashSet<u64> =
+                    keys.iter().map(|&k| hashing.hash_one(k) & 4095).collect();
+                assert!(buckets.len() > 2000, "{} of 4096 buckets used", buckets.len());
+            }
+        }
     }
 
     #[test]

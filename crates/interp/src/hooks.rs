@@ -3,7 +3,10 @@
 //! The interpreter drives an [`ExecHook`] with the exact event stream that
 //! Kremlin's statically instrumented binaries feed KremLib (paper §3):
 //! per-instruction events with operand dependencies, region entry/exit,
-//! control-dependence pushes/pops, and call/return boundary events.
+//! control-dependence pushes/pops, and call/return boundary events. As
+//! Kremlin's compiler decides statically which instructions KremLib must
+//! see, a hook names the instruction events it needs
+//! ([`ExecHook::selects_instr`]) and receives only those.
 //! `kremlin-hcpa` implements this trait to run hierarchical critical path
 //! analysis; [`NullHook`] runs nothing (plain execution, the baseline for
 //! the instrumentation-overhead experiment of paper §4.4).
@@ -52,10 +55,24 @@ pub struct RetCtx {
     pub returned: Option<ValueId>,
 }
 
-/// Observer of the dynamic execution. All methods default to no-ops.
+/// Observer of the dynamic execution. All event methods default to
+/// no-ops.
 pub trait ExecHook {
-    /// An instruction was executed (markers and calls are reported through
-    /// their dedicated methods instead).
+    /// Whether the hook needs the [`on_instr`](ExecHook::on_instr) events
+    /// of `value` in `func`. Every event source ([`run_with_hook`],
+    /// [`replay`](crate::trace::replay) and
+    /// [`replay_decoded`](crate::trace::replay_decoded)) asks once per
+    /// value before the first event and then delivers only the selected
+    /// instruction events, in order; every other event is delivered. The
+    /// default selects every instruction event.
+    ///
+    /// [`run_with_hook`]: crate::machine::run_with_hook
+    fn selects_instr(&self, _func: FuncId, _value: ValueId) -> bool {
+        true
+    }
+
+    /// A selected instruction was executed (markers and calls are
+    /// reported through their dedicated methods instead).
     fn on_instr(&mut self, _ctx: &InstrCtx<'_>) {}
 
     /// A call is about to transfer control (caller frame still current).
@@ -87,64 +104,6 @@ pub trait ExecHook {
 pub struct NullHook;
 
 impl ExecHook for NullHook {}
-
-/// Forwards every event to two hooks in order, so one interpretation can
-/// feed two consumers — e.g. a trace [`Recorder`](crate::trace::Recorder)
-/// and a live profiler in the same pass.
-#[derive(Debug)]
-pub struct TeeHook<'a, A, B> {
-    first: &'a mut A,
-    second: &'a mut B,
-}
-
-impl<'a, A: ExecHook, B: ExecHook> TeeHook<'a, A, B> {
-    /// Pairs two hooks; `first` sees each event before `second`.
-    pub fn new(first: &'a mut A, second: &'a mut B) -> Self {
-        TeeHook { first, second }
-    }
-}
-
-impl<A: ExecHook, B: ExecHook> ExecHook for TeeHook<'_, A, B> {
-    fn on_instr(&mut self, ctx: &InstrCtx<'_>) {
-        self.first.on_instr(ctx);
-        self.second.on_instr(ctx);
-    }
-
-    fn on_call(&mut self, ctx: &CallCtx<'_>) {
-        self.first.on_call(ctx);
-        self.second.on_call(ctx);
-    }
-
-    fn on_function_enter(&mut self, func: FuncId, region: RegionId) {
-        self.first.on_function_enter(func, region);
-        self.second.on_function_enter(func, region);
-    }
-
-    fn on_return(&mut self, ctx: &RetCtx) {
-        self.first.on_return(ctx);
-        self.second.on_return(ctx);
-    }
-
-    fn on_region_enter(&mut self, region: RegionId) {
-        self.first.on_region_enter(region);
-        self.second.on_region_enter(region);
-    }
-
-    fn on_region_exit(&mut self, region: RegionId) {
-        self.first.on_region_exit(region);
-        self.second.on_region_exit(region);
-    }
-
-    fn on_cd_push(&mut self, cond: ValueId) {
-        self.first.on_cd_push(cond);
-        self.second.on_cd_push(cond);
-    }
-
-    fn on_cd_pop(&mut self) {
-        self.first.on_cd_pop();
-        self.second.on_cd_pop();
-    }
-}
 
 /// A recording hook that captures the marker stream; used by tests to
 /// check that region events nest properly and that the control-dependence

@@ -1,9 +1,10 @@
 //! # kremlin-interp — execution substrate for profiling
 //!
 //! Kremlin compiles instrumented native binaries and runs them; this crate
-//! is the equivalent substrate for the reproduction: a direct interpreter
-//! for `kremlin-ir` modules that fires an [`ExecHook`] event for every
-//! dynamic instruction, region boundary, control-dependence push/pop, and
+//! is the equivalent substrate for the reproduction: an interpreter for
+//! `kremlin-ir` modules, run over operations decoded once per run, that
+//! fires an [`ExecHook`] event for every dynamic instruction the hook
+//! selects, region boundary, control-dependence push/pop, and
 //! call/return. The HCPA profiler in `kremlin-hcpa` is "linked in" by
 //! implementing that trait — exactly the role of the paper's KremLib.
 //!
@@ -22,13 +23,11 @@ pub mod hooks;
 pub mod machine;
 pub mod memory;
 pub mod trace;
-pub mod value;
 
 pub use error::InterpError;
-pub use hooks::{CallCtx, ExecHook, InstrCtx, NullHook, RetCtx, TeeHook, TraceHook};
+pub use hooks::{CallCtx, ExecHook, InstrCtx, NullHook, RetCtx, TraceHook};
 pub use machine::{run, run_with_hook, MachineConfig, RunResult};
 pub use trace::{record, replay, Recorder, Trace, TraceError};
-pub use value::Value;
 
 #[cfg(test)]
 mod tests {
@@ -167,6 +166,31 @@ mod tests {
                 "{src}"
             );
         }
+    }
+
+    /// Registers hold raw bits, so operand types are asserted once while
+    /// decoding, for every reachable instruction: an integer add of a
+    /// float is rejected even where the run never goes.
+    #[test]
+    #[should_panic(expected = "as I64, but it is F64")]
+    fn operand_types_are_asserted_when_decoding() {
+        let mut unit = compile(
+            "int main() { int s = 0; float f = 2.5; if (s > 1) { s = s + 2; } return s + (int) f; }",
+            "t.kc",
+        )
+        .unwrap();
+        let main = &mut unit.module.funcs[0];
+        let float = main.values.iter().position(|v| v.ty == kremlin_ir::Ty::F64).unwrap();
+        let add = main
+            .values
+            .iter_mut()
+            .find(|v| {
+                matches!(v.kind, kremlin_ir::InstrKind::Bin(kremlin_ir::instr::BinOp::IAdd, ..))
+            })
+            .unwrap();
+        let kremlin_ir::InstrKind::Bin(_, a, _) = &mut add.kind else { unreachable!() };
+        *a = kremlin_ir::ValueId::from_index(float);
+        let _ = run(&unit.module);
     }
 
     #[test]

@@ -434,6 +434,18 @@ pub fn record(module: &Module, config: MachineConfig) -> Result<Trace, InterpErr
     Ok(trace)
 }
 
+/// `hook`'s [`ExecHook::selects_instr`] answer for every value of every
+/// function of `module`, asked once before a replay delivers any event.
+fn selection<H: ExecHook>(module: &Module, hook: &H) -> Vec<Vec<bool>> {
+    module
+        .funcs
+        .iter()
+        .map(|f| {
+            (0..f.values.len()).map(|v| hook.selects_instr(f.id, ValueId::from_index(v))).collect()
+        })
+        .collect()
+}
+
 /// One open bracket while validating replay nesting.
 enum Open {
     Region(u32),
@@ -446,7 +458,9 @@ enum Open {
 ///
 /// Every decoded id is validated against `module` and the region/function
 /// bracket structure is checked before each event fires, so a corrupt or
-/// adversarial trace yields a [`TraceError`], never a panicked hook.
+/// adversarial trace yields a [`TraceError`], never a panicked hook. Every
+/// event is validated, but only the instruction events the hook selects
+/// ([`ExecHook::selects_instr`]) are delivered.
 ///
 /// # Errors
 ///
@@ -477,6 +491,7 @@ fn replay_into<H: ExecHook>(
         return Err(TraceError::ModuleMismatch);
     }
     let corrupt = |offset: usize, message: String| TraceError::Corrupt { offset, message };
+    let selected = selection(module, hook);
 
     let data = &trace.bytes[..];
     let mut pos = 0usize;
@@ -527,6 +542,7 @@ fn replay_into<H: ExecHook>(
                 }
                 let value = ValueId::from_index(idx);
                 let kind = &func.value(value).kind;
+                let deliver = selected[fid.index()][idx];
                 match tag {
                     TAG_INSTR => {
                         if matches!(
@@ -535,13 +551,15 @@ fn replay_into<H: ExecHook>(
                         ) {
                             return Err(corrupt(at, format!("{value} needs a memory/phi payload")));
                         }
-                        hook.on_instr(&InstrCtx {
-                            func,
-                            value,
-                            kind,
-                            mem_addr: None,
-                            phi_source: None,
-                        });
+                        if deliver {
+                            hook.on_instr(&InstrCtx {
+                                func,
+                                value,
+                                kind,
+                                mem_addr: None,
+                                phi_source: None,
+                            });
+                        }
                     }
                     TAG_INSTR_MEM => {
                         if !matches!(kind, InstrKind::Load(_) | InstrKind::Store { .. }) {
@@ -553,13 +571,15 @@ fn replay_into<H: ExecHook>(
                         let delta = unzigzag(varint!());
                         let addr = last_addr.wrapping_add(delta as u64);
                         last_addr = addr;
-                        hook.on_instr(&InstrCtx {
-                            func,
-                            value,
-                            kind,
-                            mem_addr: Some(addr),
-                            phi_source: None,
-                        });
+                        if deliver {
+                            hook.on_instr(&InstrCtx {
+                                func,
+                                value,
+                                kind,
+                                mem_addr: Some(addr),
+                                phi_source: None,
+                            });
+                        }
                     }
                     TAG_INSTR_PHI => {
                         if !matches!(kind, InstrKind::Phi { .. }) {
@@ -569,13 +589,15 @@ fn replay_into<H: ExecHook>(
                         if src >= func.values.len() {
                             return Err(corrupt(at, format!("phi source v{src} out of range")));
                         }
-                        hook.on_instr(&InstrCtx {
-                            func,
-                            value,
-                            kind,
-                            mem_addr: None,
-                            phi_source: Some(ValueId::from_index(src)),
-                        });
+                        if deliver {
+                            hook.on_instr(&InstrCtx {
+                                func,
+                                value,
+                                kind,
+                                mem_addr: None,
+                                phi_source: Some(ValueId::from_index(src)),
+                            });
+                        }
                     }
                     TAG_CALL => {
                         let InstrKind::Call { func: callee, args } = kind else {
@@ -954,7 +976,8 @@ impl DecodedTrace {
 /// Validation already happened in [`DecodedTrace::decode`]; only the
 /// module fingerprint is re-checked, so a decoded arena can be replayed
 /// many times (and from many threads, `&DecodedTrace` is `Sync`) at the
-/// cost of a dispatch loop.
+/// cost of a dispatch loop. Only the instruction events the hook selects
+/// ([`ExecHook::selects_instr`]) are delivered.
 ///
 /// # Errors
 ///
@@ -971,16 +994,15 @@ pub fn replay_decoded<H: ExecHook>(
     if !decoded.matches(module) {
         return Err(TraceError::ModuleMismatch);
     }
-    let mut funcs: Vec<(FuncId, &Function)> = Vec::new();
+    let selected = selection(module, hook);
+    let mut funcs: Vec<(FuncId, &Function, &[bool])> = Vec::new();
     let mut mem = 0usize;
     let mut phi = 0usize;
     for (&tag, &payload) in decoded.tags.iter().zip(&decoded.payloads) {
         let idx = payload as usize;
         match tag {
             TAG_INSTR | TAG_INSTR_MEM | TAG_INSTR_PHI => {
-                let (_, func) = funcs.last().expect("decode validated function nesting");
-                let value = ValueId::from_index(idx);
-                let kind = &func.value(value).kind;
+                let &(_, func, deliver) = funcs.last().expect("decode validated function nesting");
                 let (mem_addr, phi_source) = match tag {
                     TAG_INSTR_MEM => {
                         mem += 1;
@@ -992,10 +1014,14 @@ pub fn replay_decoded<H: ExecHook>(
                     }
                     _ => (None, None),
                 };
-                hook.on_instr(&InstrCtx { func, value, kind, mem_addr, phi_source });
+                if deliver[idx] {
+                    let value = ValueId::from_index(idx);
+                    let kind = &func.value(value).kind;
+                    hook.on_instr(&InstrCtx { func, value, kind, mem_addr, phi_source });
+                }
             }
             TAG_CALL => {
-                let (_, func) = funcs.last().expect("decode validated function nesting");
+                let (_, func, _) = funcs.last().expect("decode validated function nesting");
                 let value = ValueId::from_index(idx);
                 let InstrKind::Call { func: callee, args } = &func.value(value).kind else {
                     unreachable!("decode validated call events");
@@ -1011,11 +1037,11 @@ pub fn replay_decoded<H: ExecHook>(
             TAG_FUNC_ENTER => {
                 let fid = FuncId::from_index(idx);
                 let func = module.func(fid);
-                funcs.push((fid, func));
+                funcs.push((fid, func, &selected[idx]));
                 hook.on_function_enter(fid, func.region);
             }
             TAG_RETURN => {
-                let (fid, func) = *funcs.last().expect("decode validated function nesting");
+                let (fid, func, _) = *funcs.last().expect("decode validated function nesting");
                 let returned = match idx {
                     0 => None,
                     v => Some(ValueId::from_index(v - 1)),
@@ -1038,7 +1064,7 @@ pub fn replay_decoded<H: ExecHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooks::{TeeHook, TraceHook};
+    use crate::hooks::TraceHook;
     use kremlin_ir::compile;
 
     const SRC: &str = "float a[32];\n\
@@ -1055,11 +1081,14 @@ mod tests {
         (unit, trace)
     }
 
+    /// One run records, another observes live: replaying the recording
+    /// fires the live run's marker stream.
     #[test]
     fn replay_fires_an_identical_marker_stream() {
         let (unit, trace) = recorded();
         let mut live = TraceHook::default();
         let run = run_with_hook(&unit.module, &mut live, MachineConfig::default()).unwrap();
+        live.check_nesting().unwrap();
         let mut replayed = TraceHook::default();
         let rrun = replay(&trace, &unit.module, &mut replayed).unwrap();
         assert_eq!(run, rrun);
@@ -1155,22 +1184,6 @@ mod tests {
             replay(&empty, &unit.module, &mut crate::NullHook),
             Err(TraceError::Corrupt { .. })
         ));
-    }
-
-    #[test]
-    fn tee_hook_feeds_recorder_and_observer_in_one_pass() {
-        let unit = compile(SRC, "t.kc").unwrap();
-        let mut rec = Recorder::new();
-        let mut obs = TraceHook::default();
-        let run = {
-            let mut tee = TeeHook::new(&mut rec, &mut obs);
-            run_with_hook(&unit.module, &mut tee, MachineConfig::default()).unwrap()
-        };
-        obs.check_nesting().unwrap();
-        let trace = rec.into_trace(&unit.module, run);
-        let mut replayed = TraceHook::default();
-        replay(&trace, &unit.module, &mut replayed).unwrap();
-        assert_eq!(obs.events, replayed.events);
     }
 
     #[test]

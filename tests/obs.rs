@@ -143,6 +143,43 @@ fn sharded_replay_publishes_per_shard_worker_metrics() {
     obs::reset();
 }
 
+/// Every depth shard replays the whole run, so the run-wide figures must
+/// be published once: a 3-shard replay moves `hcpa.instr_events`,
+/// `hcpa.dynamic_regions` and the `hcpa.region_work` histogram exactly as
+/// much as a serial one.
+#[test]
+fn sharded_replay_publishes_run_wide_counters_once() {
+    let _guard = clean_slate();
+
+    let w = kremlin_repro::workloads::by_name("cg").expect("cg exists");
+    let unit = kremlin_repro::ir::compile(w.source, &w.file_name()).expect("compiles");
+    let kremlin = kremlin_repro::kremlin::Kremlin::new();
+    let trace = kremlin.record(&unit, w.source).expect("records");
+    let decoded =
+        kremlin_repro::interp::trace::DecodedTrace::decode(&trace, &unit.module).expect("decodes");
+
+    let deltas = |jobs: usize| {
+        obs::reset();
+        obs::set_metrics(true);
+        let outcome = kremlin.replay(&unit, &decoded, jobs).expect("replays");
+        obs::set_metrics(false);
+        let snap = obs::snapshot();
+        let region_work = snap
+            .histograms
+            .iter()
+            .find(|(name, _)| name == "hcpa.region_work")
+            .map(|(_, buckets)| buckets.clone())
+            .expect("region work histogram");
+        assert_eq!(snap.counter("hcpa.instr_events"), outcome.stats.instr_events, "jobs {jobs}");
+        assert_eq!(snap.counter("hcpa.dynamic_regions"), outcome.stats.dynamic_regions);
+        (snap.counter("hcpa.instr_events"), snap.counter("hcpa.dynamic_regions"), region_work)
+    };
+    let serial = deltas(1);
+    assert!(serial.0 > 0 && serial.1 > 0, "{serial:?}");
+    assert_eq!(deltas(3), serial, "3-shard deltas differ from the serial ones");
+    obs::reset();
+}
+
 #[test]
 fn snapshot_schema_round_trips_through_a_file() {
     let _guard = clean_slate();

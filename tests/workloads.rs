@@ -122,3 +122,48 @@ fn profiler_matches_the_seed_profiler_on_every_workload() {
         }
     }
 }
+
+/// FNV-1a 64-bit over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+#[test]
+fn interpreter_output_is_pinned_on_every_workload() {
+    // Each workload's result and recorded trace: exit code, instructions
+    // executed, trace events, `to_bytes()` length and its FNV-1a-64. Any
+    // change to what the interpreter computes, which events it fires or
+    // in what order shows up here.
+    use kremlin_repro::interp::{record, run, MachineConfig, RunResult};
+    const PINS: [(&str, i64, u64, u64, usize, u64); 12] = [
+        ("ammp", 91, 1_612_200, 1_612_252, 3_600_036, 0x6759_3cdc_793c_fa18),
+        ("art", 42, 2_107_716, 2_107_792, 4_735_247, 0xb452_1697_2a41_abc9),
+        ("equake", 13, 909_329, 909_423, 1_992_899, 0x160c_1e26_4c37_c781),
+        ("bt", 16, 2_737_289, 2_737_353, 5_961_838, 0x1900_19a1_5b95_be6f),
+        ("cg", 5, 1_321_446, 1_321_532, 2_939_226, 0x790c_518a_23e9_1934),
+        ("ep", 19, 309_409, 309_411, 688_306, 0x6f38_ad98_31de_8449),
+        ("ft", 60, 1_366_277, 1_366_313, 3_135_975, 0x6f65_b0eb_a954_4da0),
+        ("is", 24, 648_395, 648_415, 1_461_799, 0x8d2e_bfe9_39f6_1804),
+        ("lu", 39, 3_268_806, 3_268_898, 7_104_371, 0x4d72_3cef_a9a6_8404),
+        ("mg", 62, 659_953, 660_013, 1_391_039, 0x4932_9a7b_d343_92fd),
+        ("sp", 39, 2_210_951, 2_210_991, 4_795_404, 0x567b_1e87_f3e3_9ef3),
+        ("tracking", 10, 1_122_729, 1_122_753, 2_365_975, 0xe7b0_0d78_9bc4_1488),
+    ];
+    assert_eq!(PINS.len(), kremlin_repro::workloads::all().len());
+    for (name, exit, instrs_executed, events, len, hash) in PINS {
+        let w = kremlin_repro::workloads::by_name(name).unwrap();
+        let unit = kremlin_repro::ir::compile(w.source, &w.file_name()).unwrap();
+        let pinned = RunResult { exit, instrs_executed };
+        assert_eq!(run(&unit.module).unwrap(), pinned, "{name}");
+        let trace = record(&unit.module, MachineConfig::default()).unwrap();
+        assert_eq!(trace.run_result(), pinned, "{name}");
+        let bytes = trace.to_bytes();
+        assert_eq!(
+            (trace.events(), bytes.len(), fnv1a64(&bytes)),
+            (events, len, hash),
+            "{name}: events, bytes and FNV-1a-64 of the trace"
+        );
+    }
+}
