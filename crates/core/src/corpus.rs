@@ -189,7 +189,9 @@ pub fn run_oracles(spec: &ScenarioSpec) -> Result<OracleReport, KremlinError> {
     // reproduce the live profile bit-for-bit.
     let replayed = tool.record(&unit, &source).and_then(|trace| {
         let decoded = kremlin_interp::trace::DecodedTrace::decode(&trace, &unit.module)?;
-        tool.replay(&unit, &decoded, 3)
+        let config =
+            kremlin_hcpa::ParallelConfig { jobs: 3, hcpa: tool.hcpa, ..Default::default() };
+        Ok(kremlin_hcpa::profile_decoded_parallel(&unit, &decoded, config)?)
     });
     let (replay_identical, replay_detail) = match replayed {
         Ok(replayed) => (

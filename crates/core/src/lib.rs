@@ -66,7 +66,6 @@ pub use kremlin_planner::{
 };
 pub use kremlin_sim::{MachineModel, PlanEvaluation, Simulator};
 
-use kremlin_interp::trace::DecodedTrace;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -203,21 +202,20 @@ impl Kremlin {
     }
 
     /// Profiles a recorded execution of `unit` without executing
-    /// anything: replays the decoded arena through HCPA in `jobs` depth
-    /// shards (one serial pass when `jobs <= 1`).
+    /// anything: streams the trace into one profiler as it is decoded
+    /// and validated ([`kremlin_hcpa::profile_trace`]), the same single
+    /// pass as [`Kremlin::profile`] with the recording as event source.
     ///
     /// # Errors
     ///
-    /// [`KremlinError::Trace`] when `decoded` was not recorded from
-    /// `unit`'s module.
+    /// [`KremlinError::Trace`] when `trace` was not recorded from
+    /// `unit`'s module, or its event stream is corrupt.
     pub fn replay(
         &self,
         unit: &CompiledUnit,
-        decoded: &DecodedTrace,
-        jobs: usize,
+        trace: &Trace,
     ) -> Result<ProfileOutcome, KremlinError> {
-        let config = kremlin_hcpa::ParallelConfig { jobs, hcpa: self.hcpa, ..Default::default() };
-        Ok(kremlin_hcpa::profile_decoded_parallel(unit, decoded, config)?)
+        Ok(kremlin_hcpa::profile_trace(unit, trace, self.hcpa)?)
     }
 }
 
@@ -339,15 +337,13 @@ mod tests {
         // Serialize, reload, and replay — the full record/replay workflow.
         let back = Trace::from_bytes(&trace.to_bytes()).unwrap();
         assert_eq!(back.source, DEMO, "trace must be self-contained");
-        let decoded = DecodedTrace::decode(&back, &serial.unit.module).unwrap();
-        for jobs in [1, 3] {
-            let replayed = tool.replay(&serial.unit, &decoded, jobs).unwrap();
-            assert!(
-                replayed.profile.identical_stats(serial.profile()),
-                "replay-collected profile must match live collection (jobs={jobs})"
-            );
-            assert_eq!(replayed.run, serial.outcome.run);
-        }
+        let replayed = tool.replay(&serial.unit, &back).unwrap();
+        assert!(
+            replayed.profile.identical_stats(serial.profile()),
+            "replay-collected profile must match live collection"
+        );
+        assert!(replayed.profile.dict == serial.profile().dict);
+        assert_eq!(replayed.run, serial.outcome.run);
     }
 
     #[test]

@@ -527,7 +527,7 @@ fn plan(o: &Options, input: Input, planner: &dyn Personality) -> Result<(), CliE
         (trace, _) => trace,
     };
     let analysis = match &trace {
-        Some(trace) => engine.analyze_trace(trace, 1).map(|r| r.analysis),
+        Some(trace) => engine.analyze_trace(trace).map(|r| r.analysis),
         None if o.runs > 1 => tool.analyze_runs(&src, &name, o.runs),
         None => engine.analyze_source(&src, &name, 1).map(|r| r.analysis),
     }

@@ -1,10 +1,10 @@
 //! Size-bounded, single-flight LRU for the engine's cache rows.
 //!
 //! The engine keeps one kind of row: a program's compiled unit and its
-//! profile together, keyed by the program's source fingerprint and the
-//! request's shard count (see the crate docs), so a request's three
-//! `reused` flags (`StageReuse`) all report its row's hit; `unit` and
-//! `decoded` go with the next `kremlin-serve-v1` bump. [`ArtifactCache`]
+//! profile together, keyed by the program's source fingerprint alone
+//! (see the crate docs), so a request's three `reused` flags
+//! (`StageReuse`) all report its row's hit; `unit` and `decoded` go with
+//! the next `kremlin-serve-v1` bump. [`ArtifactCache`]
 //! knows nothing about rows: it is generic over key and value, and the
 //! builder that fills a slot also reports what the value costs in bytes.
 //!

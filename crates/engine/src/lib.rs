@@ -6,22 +6,23 @@
 //! engine** whose pipeline
 //!
 //! ```text
-//! compile ─┬─ jobs <= 1: execute under the profiler ────────────────┬─ profile ── plan
-//!          └─ jobs > 1 or upload: record/load ── decode ── replay ──┘
+//! compile ─┬─ source: execute under the profiler ───────────┬─ profile ── plan
+//!          └─ upload: stream the trace into the profiler ───┘
 //! ```
 //!
 //! caches one kind of row (see [`cache`]): the compiled unit and its
 //! compressed profile together, keyed by the program's source
-//! fingerprint (an upload's embedded source) and the request's shard
-//! count. A one-shard source request profiles while the program
-//! executes, as the paper's instrumented binary does; only depth-sharded
-//! requests and trace uploads build a decoded event arena, and it lives
-//! for that request alone. The second request for a hot program at the
-//! same shard count skips compile, execution and replay entirely and
-//! pays only the plan. The shard count is in the key because a stitched
-//! profile carries shard 0's dictionary: a sharded row must never answer
-//! a one-shard request. Each [`StageReuse`] flag reports the one row's
-//! hit; `unit` and `decoded` go with the next `kremlin-serve-v1` bump.
+//! fingerprint alone (an upload's embedded source). Every program is
+//! profiled in exactly one pass of one profiler, the paper's online
+//! analysis: a source request while the program executes, as the
+//! instrumented binary does; an upload as its recorded events are
+//! decoded, with no arena. The profile does not depend on the event
+//! source or on a request's shard count (`jobs` is accepted and
+//! ignored), so source requests at any shard count and uploads of the
+//! same program share one row, and the second request for a hot program
+//! skips compile, execution and replay and pays only the plan. Each
+//! [`StageReuse`] flag reports the one row's hit; `unit` and `decoded`
+//! go with the next `kremlin-serve-v1` bump.
 //!
 //! Everything downstream is a thin client of [`Engine`]: the `kremlin`
 //! CLI binary for one-shot runs, and the [`serve`] daemon (`kremlin
@@ -35,6 +36,7 @@ pub mod serve;
 
 use std::sync::Arc;
 
+use kremlin::hcpa::ParallelConfig;
 use kremlin::interp::trace::{self, DecodedTrace, Trace};
 use kremlin::{Analysis, CompiledUnit, Kremlin, KremlinError, ProfileOutcome};
 
@@ -92,18 +94,14 @@ impl EngineAnalysis {
     }
 }
 
-/// A cache row's key: the program's source fingerprint
-/// ([`kremlin::ir::source_fingerprint`]; an upload's embedded source)
-/// and the request's shard count, `jobs.max(1)`.
-pub type RowKey = (u64, usize);
-
-/// The session engine: staged pipeline over a content-addressed cache.
+/// The session engine: staged pipeline over a content-addressed cache
+/// whose rows are keyed by [`kremlin::ir::source_fingerprint`].
 ///
 /// `Engine` is `Sync`; one instance serves many threads (the `kremlin
 /// serve` worker pool shares a single engine behind an `Arc`).
 pub struct Engine {
     config: EngineConfig,
-    cache: ArtifactCache<RowKey, Analysis>,
+    cache: ArtifactCache<u64, Analysis>,
 }
 
 impl Engine {
@@ -124,7 +122,7 @@ impl Engine {
     }
 
     /// The artifact cache (stats and introspection).
-    pub fn cache(&self) -> &ArtifactCache<RowKey, Analysis> {
+    pub fn cache(&self) -> &ArtifactCache<u64, Analysis> {
         &self.cache
     }
 
@@ -145,10 +143,9 @@ impl Engine {
 
     /// Record and decode: executes `unit` once while recording its event
     /// stream and decodes the recording into an arena for
-    /// [`Engine::profile`]. Arenas are not cached (the row built from
-    /// one is), so the `bool` is always `false`. Sharded
-    /// [`Engine::analyze_source`] requests run this inside their row
-    /// builder; one-shard requests never do.
+    /// [`Engine::profile`]. No request runs this stage and arenas are
+    /// never cached, so the `bool` is always `false`; it times the
+    /// record and decode layers for the benchmarks.
     ///
     /// # Errors
     ///
@@ -164,9 +161,10 @@ impl Engine {
     }
 
     /// Profile: replays the decoded arena through HCPA in `jobs` depth
-    /// shards ([`Kremlin::replay`]). An arena carries no source to key a
-    /// row by, so this stage neither reads nor fills the cache and the
-    /// `bool` is always `false`.
+    /// shards ([`kremlin::hcpa::profile_decoded_parallel`]). No request
+    /// runs this stage, and an arena carries no source to key a row by,
+    /// so it neither reads nor fills the cache and the `bool` is always
+    /// `false`; it times the replay layers for the benchmarks.
     ///
     /// # Errors
     ///
@@ -178,16 +176,16 @@ impl Engine {
         decoded: &Arc<DecodedTrace>,
         jobs: usize,
     ) -> Result<(Arc<ProfileOutcome>, bool), KremlinError> {
-        Ok((Arc::new(self.config.tool.replay(unit, decoded, jobs)?), false))
+        let config = ParallelConfig { jobs, hcpa: self.config.tool.hcpa, ..Default::default() };
+        let outcome = kremlin::hcpa::profile_decoded_parallel(unit, decoded, config)?;
+        Ok((Arc::new(outcome), false))
     }
 
-    /// Full pipeline over submitted source: the row of `(name, src)` at
-    /// `jobs` shards. Only a miss compiles and runs the program: a
-    /// one-shard request (`jobs <= 1`) executes it under the profiler,
-    /// with no trace at all; a sharded request records and decodes it
-    /// once and replays the arena in `jobs` depth shards. This is what
-    /// both the CLI one-shot path and the `POST /v1/profile` endpoint
-    /// run.
+    /// Full pipeline over submitted source: the row of `(name, src)`.
+    /// Only a miss compiles the program and executes it under the
+    /// profiler, with no trace at all. The shard count `_jobs` is
+    /// ignored: every request profiles in one pass. This is what both
+    /// the CLI one-shot path and the `POST /v1/profile` endpoint run.
     ///
     /// # Errors
     ///
@@ -196,42 +194,29 @@ impl Engine {
         &self,
         src: &str,
         name: &str,
-        jobs: usize,
+        _jobs: usize,
     ) -> Result<EngineAnalysis, KremlinError> {
-        let tool = &self.config.tool;
-        let (analysis, hit) = self.row(src, name, jobs, |unit, jobs| {
-            if jobs == 1 {
-                return tool.profile(unit);
-            }
-            let (decoded, _) = self.decode_unit(unit)?;
-            tool.replay(unit, &decoded, jobs)
-        })?;
+        let (analysis, hit) = self.row(src, name, |unit| self.config.tool.profile(unit))?;
         let module_fp = trace::module_fingerprint(&analysis.unit.module);
         Ok(EngineAnalysis::new(analysis, hit, module_fp))
     }
 
     /// Full pipeline over an uploaded trace: the row of its embedded
-    /// source at `jobs` shards, which only on a miss recompiles the
-    /// source, decodes the trace and replays it in `jobs` depth shards.
-    /// A source request and an upload of the same program at the same
-    /// shard count share one row. The `POST /v1/trace` endpoint, `kremlin
-    /// replay` and `kremlin --save-trace` run this.
+    /// source, which only on a miss recompiles the source and streams
+    /// the trace into one profiler ([`Kremlin::replay`]). A source
+    /// request and an upload of the same program share one row. The
+    /// `POST /v1/trace` endpoint, `kremlin replay` and `kremlin
+    /// --save-trace` run this.
     ///
     /// # Errors
     ///
     /// As the individual stages, plus [`KremlinError::Trace`] when the
     /// trace was not recorded from its embedded source (module
-    /// fingerprint mismatch), resident row or not, or a decoded event
+    /// fingerprint mismatch), resident row or not, or a replayed event
     /// stream is corrupt.
-    pub fn analyze_trace(
-        &self,
-        trace: &Trace,
-        jobs: usize,
-    ) -> Result<EngineAnalysis, KremlinError> {
-        let (analysis, hit) = self.row(&trace.source, &trace.source_name, jobs, |unit, jobs| {
-            let decoded = DecodedTrace::decode(trace, &unit.module)?;
-            self.config.tool.replay(unit, &decoded, jobs)
-        })?;
+    pub fn analyze_trace(&self, trace: &Trace) -> Result<EngineAnalysis, KremlinError> {
+        let (analysis, hit) = self
+            .row(&trace.source, &trace.source_name, |unit| self.config.tool.replay(unit, trace))?;
         // A resident row may come from a source request: check the
         // upload's events against it, hit or miss.
         if !trace.matches(&analysis.unit.module) {
@@ -240,21 +225,18 @@ impl Engine {
         Ok(EngineAnalysis::new(analysis, hit, trace.fingerprint()))
     }
 
-    /// The row of `(name, src)` at `jobs.max(1)` shards. Only a miss runs
-    /// anything: it compiles the source and hands the unit and the shard
-    /// count to `profile`. Single-flight: racing requests for one row
-    /// build it once.
+    /// The row of `(name, src)`. Only a miss runs anything: it compiles
+    /// the source and hands the unit to `profile`. Single-flight: racing
+    /// requests for one row build it once.
     fn row(
         &self,
         src: &str,
         name: &str,
-        jobs: usize,
-        profile: impl FnOnce(&Arc<CompiledUnit>, usize) -> Result<ProfileOutcome, KremlinError>,
+        profile: impl FnOnce(&Arc<CompiledUnit>) -> Result<ProfileOutcome, KremlinError>,
     ) -> Result<(Analysis, bool), KremlinError> {
-        let jobs = jobs.max(1);
-        self.cache.get_or_build((kremlin::ir::source_fingerprint(name, src), jobs), || {
+        self.cache.get_or_build(kremlin::ir::source_fingerprint(name, src), || {
             let unit = Arc::new(kremlin::ir::compile(src, name)?);
-            let outcome = profile(&unit, jobs)?;
+            let outcome = profile(&unit)?;
             let bytes = row_bytes(&unit, &outcome);
             Ok((Analysis::from_parts(unit, Arc::new(outcome)), bytes))
         })
@@ -305,27 +287,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_one_shard_requests_never_share_a_row() {
-        let engine = Engine::new(EngineConfig::default());
-        let serial = engine.analyze_source(DEMO, "demo.kc", 1).unwrap();
-        // A stitched profile carries shard 0's dictionary, so the shard
-        // count is part of the key: a sharded request builds its own row.
-        let sharded = engine.analyze_source(DEMO, "demo.kc", 3).unwrap();
-        assert_eq!(sharded.reused, StageReuse::default());
-        assert!(!Arc::ptr_eq(&serial.analysis.outcome, &sharded.analysis.outcome));
-        for (jobs, row) in [(0, &serial), (1, &serial), (3, &sharded)] {
-            let again = engine.analyze_source(DEMO, "demo.kc", jobs).unwrap();
-            assert!(again.reused.profile, "jobs={jobs} must hit its own row");
-            assert!(Arc::ptr_eq(&again.analysis.outcome, &row.analysis.outcome), "jobs={jobs}");
-        }
-        assert_eq!(engine.cache().stats().entries, 2);
-    }
-
-    #[test]
     fn trace_upload_and_source_share_one_profile_row() {
         let unit = kremlin::ir::compile(DEMO, "demo.kc").unwrap();
         let trace = Kremlin::default().record(&unit, DEMO).unwrap();
-        let upload = |engine: &Engine| engine.analyze_trace(&trace, 1).unwrap();
+        let upload = |engine: &Engine| engine.analyze_trace(&trace).unwrap();
         let source = |engine: &Engine| engine.analyze_source(DEMO, "demo.kc", 1).unwrap();
         for upload_first in [true, false] {
             let engine = Engine::new(EngineConfig::default());

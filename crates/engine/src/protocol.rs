@@ -25,8 +25,9 @@ pub struct ProfileRequest {
     pub source: String,
     /// Source name used in labels and plans.
     pub name: String,
-    /// Depth shards: `1` profiles while the program executes; more
-    /// record it once and replay the recording in that many shards.
+    /// Requested depth shards, validated (`1..=64`) and not acted on:
+    /// every request profiles in one pass. Goes at the next
+    /// `kremlin-serve-v1` bump.
     pub jobs: usize,
     /// Planner personality (`openmp`, `cilk`, ...).
     pub personality: String,

@@ -4,11 +4,10 @@
 //! worker threads behind a **bounded job queue**: the accept loop either
 //! enqueues a connection or — when the queue is full — answers `429 Too
 //! Many Requests` immediately with a `Retry-After` hint. Workers run
-//! requests concurrently through the engine: a one-shard source request
-//! profiles while the program executes, a sharded one or an upload
-//! replays a decoded trace in depth shards. The cache's single-flight
-//! population means concurrent submissions of the same program still
-//! compile once and profile once.
+//! requests concurrently through the engine: a source request profiles
+//! while the program executes, an upload streams its trace into the
+//! profiler. The cache's single-flight population means concurrent
+//! submissions of the same program still compile once and profile once.
 //!
 //! Endpoints (see [`crate::protocol`] for the `kremlin-serve-v1` bodies):
 //!
@@ -35,7 +34,7 @@ use crate::http::{read_request, write_response, Request};
 use crate::{protocol, Engine};
 
 /// Daemon configuration: the `kremlin serve` flags, and `default_jobs`,
-/// which only library callers set.
+/// which only library callers set and nothing reads.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Port to bind on 127.0.0.1; `0` picks an ephemeral port (tests).
@@ -47,8 +46,9 @@ pub struct ServeConfig {
     /// Bounded queue depth; a connection arriving when `queue_depth`
     /// jobs are already waiting is answered 429.
     pub queue_depth: usize,
-    /// Shard count of a `/v1/trace` upload without an `x-kremlin-jobs`
-    /// header.
+    /// Ignored: every request profiles in one pass, whatever its shard
+    /// count. Goes with the `jobs` field at the next `kremlin-serve-v1`
+    /// bump.
     pub default_jobs: usize,
 }
 
@@ -131,7 +131,7 @@ impl Server {
                     (Arc::clone(&engine), Arc::clone(&queue), Arc::clone(&shutdown));
                 thread::spawn(move || {
                     while let Some(mut stream) = queue.pop(&shutdown) {
-                        handle_connection(&engine, config.default_jobs, &mut stream);
+                        handle_connection(&engine, &mut stream);
                         kremlin_obs::counter!("serve.handled").incr();
                     }
                 })
@@ -223,7 +223,7 @@ impl Response {
     }
 }
 
-fn handle_connection(engine: &Engine, default_jobs: usize, stream: &mut TcpStream) {
+fn handle_connection(engine: &Engine, stream: &mut TcpStream) {
     let request = match read_request(stream) {
         Ok(r) => r,
         Err(e) => {
@@ -233,14 +233,14 @@ fn handle_connection(engine: &Engine, default_jobs: usize, stream: &mut TcpStrea
         }
     };
     // A panicking handler must cost one request, not a worker thread.
-    let response = catch_unwind(AssertUnwindSafe(|| route(engine, default_jobs, &request)))
-        .unwrap_or_else(|_| {
+    let response =
+        catch_unwind(AssertUnwindSafe(|| route(engine, &request))).unwrap_or_else(|_| {
             Response::json(500, protocol::error_response("internal error: handler panicked"))
         });
     let _ = write_response(stream, response.status, response.content_type, &response.body, &[]);
 }
 
-fn route(engine: &Engine, default_jobs: usize, request: &Request) -> Response {
+fn route(engine: &Engine, request: &Request) -> Response {
     if let Err(message) = protocol::check_path_version(&request.path) {
         return Response::json(400, protocol::error_response(&message));
     }
@@ -286,20 +286,19 @@ fn route(engine: &Engine, default_jobs: usize, request: &Request) -> Response {
                 Ok(t) => t,
                 Err(e) => return Response::json(400, protocol::error_response(&e.to_string())),
             };
-            let jobs = match request.header("x-kremlin-jobs") {
-                None => default_jobs,
-                Some(v) => match protocol::parse_jobs(v.parse().ok()) {
-                    Ok(jobs) => jobs,
-                    Err(e) => return Response::json(400, protocol::error_response(&e)),
-                },
-            };
+            // Validated like the body field, and likewise not acted on.
+            if let Some(v) = request.header("x-kremlin-jobs") {
+                if let Err(e) = protocol::parse_jobs(v.parse().ok()) {
+                    return Response::json(400, protocol::error_response(&e));
+                }
+            }
             let personality_name =
                 request.header("x-kremlin-personality").unwrap_or("openmp").to_string();
             let planner = match personality(&personality_name) {
                 Ok(planner) => planner,
                 Err(e) => return Response::json(400, protocol::error_response(&e)),
             };
-            match engine.analyze_trace(&trace, jobs) {
+            match engine.analyze_trace(&trace) {
                 Ok(result) => {
                     let plan = result.analysis.plan_with(&*planner, &HashSet::new());
                     Response::json(

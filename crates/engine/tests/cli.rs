@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+mod forged;
+
 fn kremlin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_kremlin"))
 }
@@ -357,6 +359,22 @@ fn corrupt_and_truncated_traces_fail_cleanly() {
     let out = kremlin().arg("replay").arg(&junk).output().expect("runs");
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad magic"), "stderr");
+}
+
+/// A trace that parses but that no execution produced fails with one
+/// line on stderr and exit 1, never an abort.
+#[test]
+fn forged_traces_fail_with_one_line() {
+    for (what, bytes) in forged::traces() {
+        let file = format!("forged-{}.ktrace", what.replace(|c: char| !c.is_alphanumeric(), "-"));
+        let out =
+            kremlin().arg("replay").arg(write_temp_bytes(&file, &bytes)).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{what}: {stderr}");
+        assert!(stderr.contains("corrupt trace event stream"), "{what}: {stderr}");
+        assert!(out.stdout.is_empty(), "{what}");
+    }
 }
 
 fn write_temp_bytes(name: &str, content: &[u8]) -> std::path::PathBuf {

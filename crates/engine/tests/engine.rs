@@ -2,14 +2,14 @@
 //! patterns, single-flight population under real concurrency, the
 //! acceptance end-to-end — a warm engine serves every paper workload
 //! without recompiling or reprofiling, bit-identical to the cold CLI
-//! path — agreement between the two producers of a one-shard row (live
-//! execution and trace replay), and rows that no other request shape or
-//! program can answer.
+//! path — agreement between the two producers of a row (live execution
+//! and streamed trace replay), one row per program whatever the request
+//! shape, and rows that no other program can answer.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
-use kremlin::interp::trace::{DecodedTrace, Trace};
+use kremlin::interp::trace::Trace;
 use kremlin::persist::save_profile;
 use kremlin::{Analysis, Kremlin, KremlinError, TraceError};
 use kremlin_engine::cache::ArtifactCache;
@@ -147,60 +147,55 @@ fn random_walk_matches_reference_lru_model() {
 // Single-flight under real concurrency
 // ---------------------------------------------------------------------------
 
-/// Eight threads race to submit the same module; the obs counters must
-/// show exactly one row build (one compile, one profile), with every
-/// other request a hit. A sharded (`jobs = 2`) build records and decodes
-/// the program exactly once; a one-shard build profiles while executing
-/// and never records or decodes. All results share one allocation per
-/// artifact.
+/// Eight threads race to submit the same module at shard counts 1, 2
+/// and 3; the obs counters must show exactly one row build (one compile,
+/// one profile while executing, nothing recorded or decoded), with every
+/// other request a hit. All results share one allocation per artifact.
 #[test]
-fn concurrent_same_module_compiles_and_decodes_exactly_once() {
+fn concurrent_same_module_compiles_and_profiles_exactly_once() {
     let _guard = obs_guard();
     const SRC: &str = "float v[128];\n\
         int main() { for (int i = 0; i < 128; i++) { v[i] = i * 2.0; } return 0; }";
     const THREADS: usize = 8;
 
-    for jobs in [1, 2] {
-        kremlin_obs::set_metrics(true);
-        kremlin_obs::reset();
-        let engine = Arc::new(Engine::new(EngineConfig::default()));
-        let results: Vec<_> = thread::scope(|s| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|_| {
-                    let engine = Arc::clone(&engine);
-                    s.spawn(move || engine.analyze_source(SRC, "race.kc", jobs).unwrap())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+    kremlin_obs::set_metrics(true);
+    kremlin_obs::reset();
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
+    let results: Vec<_> = thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|i| {
+                let engine = Arc::clone(&engine);
+                s.spawn(move || engine.analyze_source(SRC, "race.kc", 1 + i % 3).unwrap())
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
 
-        let snap = kremlin_obs::snapshot();
-        kremlin_obs::set_metrics(false);
+    let snap = kremlin_obs::snapshot();
+    kremlin_obs::set_metrics(false);
 
-        assert_eq!(
-            snap.counter("engine.cache.misses"),
-            1,
-            "jobs={jobs}: the row must be built exactly once across {THREADS} concurrent submits"
-        );
-        assert_eq!(
-            snap.counter("engine.cache.hits"),
-            (THREADS - 1) as u64,
-            "jobs={jobs}: every other submit must take the hit path"
-        );
-        let runs = if jobs == 1 { 0 } else { 1 };
-        assert_eq!(record_decode_runs(&snap), (runs, runs), "jobs={jobs}: record/decode runs");
-        for r in &results[1..] {
-            assert!(Arc::ptr_eq(&results[0].analysis.unit, &r.analysis.unit));
-            assert!(Arc::ptr_eq(&results[0].analysis.outcome, &r.analysis.outcome));
-        }
+    assert_eq!(
+        snap.counter("engine.cache.misses"),
+        1,
+        "the row must be built exactly once across {THREADS} concurrent submits"
+    );
+    assert_eq!(
+        snap.counter("engine.cache.hits"),
+        (THREADS - 1) as u64,
+        "every other submit must take the hit path"
+    );
+    assert_eq!(record_decode_runs(&snap), (0, 0), "a row build records and decodes nothing");
+    for r in &results[1..] {
+        assert!(Arc::ptr_eq(&results[0].analysis.unit, &r.analysis.unit));
+        assert!(Arc::ptr_eq(&results[0].analysis.outcome, &r.analysis.outcome));
     }
 }
 
-/// Under a 23 MB budget, which bt's 22 MB arena alone nearly fills, a
-/// bt → ep → bt sequence must answer the third request from cache — as
-/// a one-shard source request, a sharded one, or a `.ktrace` upload —
-/// without recording or decoding anything: no arena may enter the
-/// cache and evict the profile row the request came for.
+/// Under a 23 MB budget, which bt's 22 MB event arena alone would nearly
+/// fill, a bt → ep → bt sequence must answer the third request from
+/// cache — as a source request at one or two shards, or a `.ktrace`
+/// upload — without recording or decoding anything: nothing but rows
+/// enters the cache, so nothing evicts the row the request came for.
 #[test]
 fn a_request_never_evicts_the_profile_it_came_for() {
     let _guard = obs_guard();
@@ -220,7 +215,7 @@ fn a_request_never_evicts_the_profile_it_came_for() {
         }
         let before = record_decode_runs(&kremlin_obs::snapshot());
         let third = if variant == "upload" {
-            engine.analyze_trace(&bt_upload, jobs)
+            engine.analyze_trace(&bt_upload)
         } else {
             engine.analyze_source(bt.source, &bt.file_name(), jobs)
         };
@@ -253,7 +248,7 @@ fn programs_that_differ_only_in_a_constant_get_their_own_profile_rows() {
             .into_iter()
             .map(|src| match via {
                 "source" => engine.analyze_source(src, "x.kc", 1).unwrap(),
-                _ => engine.analyze_trace(&uploaded_trace(src, "x.kc"), 1).unwrap(),
+                _ => engine.analyze_trace(&uploaded_trace(src, "x.kc")).unwrap(),
             })
             .collect();
         assert_ne!(results[0].module_fp, results[1].module_fp, "{via}: it covers the source");
@@ -267,8 +262,8 @@ fn programs_that_differ_only_in_a_constant_get_their_own_profile_rows() {
 /// A trace header carries the fingerprint of the module it was recorded
 /// from, and that fingerprint covers the source: events recorded from
 /// the bound-10 program that carry the bound-20 source are rejected by
-/// the decoder and by the engine, whether or not bound 20's row is
-/// resident, and never fill that row.
+/// replay and by the engine, whether or not bound 20's row is resident,
+/// and never fill that row.
 #[test]
 fn an_upload_recorded_from_another_source_is_rejected() {
     let _guard = obs_guard();
@@ -281,13 +276,13 @@ fn an_upload_recorded_from_another_source_is_rejected() {
     let mismatched = Trace::from_bytes(&recorded.to_bytes()).unwrap();
 
     let long_unit = kremlin::ir::compile(&long, "x.kc").unwrap();
-    let decoded = DecodedTrace::decode(&mismatched, &long_unit.module);
-    assert_eq!(decoded.err(), Some(TraceError::ModuleMismatch));
+    let replayed = Kremlin::new().replay(&long_unit, &mismatched);
+    assert!(matches!(replayed, Err(KremlinError::Trace(TraceError::ModuleMismatch))));
 
     let engine = Engine::new(EngineConfig::default());
     let rejected = |engine: &Engine| {
         matches!(
-            engine.analyze_trace(&mismatched, 1),
+            engine.analyze_trace(&mismatched),
             Err(KremlinError::Trace(TraceError::ModuleMismatch))
         )
     };
@@ -394,11 +389,11 @@ fn consumer_view(a: &Analysis) -> (String, kremlin::PlanEvaluation, String) {
     (plan.to_string(), a.evaluate(&plan), saved)
 }
 
-/// The cache hands a row built by live execution (a one-shard source
-/// request) and a row built by replaying a trace (an upload) to either
-/// kind of request, so on every workload the two must agree on all a
-/// consumer reads — including the dictionary, which the simulator reads
-/// and `identical_stats` skips.
+/// The cache hands a row built by live execution (a source request) and
+/// a row built by streaming a trace into the profiler (an upload) to
+/// either kind of request, so on every workload the two must agree on
+/// all a consumer reads — including the dictionary, which the simulator
+/// reads and `identical_stats` skips.
 #[test]
 fn live_and_replayed_profile_rows_agree_for_every_consumer() {
     // Recording bumps the global trace counters other tests assert on.
@@ -407,7 +402,7 @@ fn live_and_replayed_profile_rows_agree_for_every_consumer() {
         let name = w.file_name();
         let live = Engine::new(EngineConfig::default()).analyze_source(w.source, &name, 1).unwrap();
         let upload = uploaded_trace(w.source, &name);
-        let replayed = Engine::new(EngineConfig::default()).analyze_trace(&upload, 1).unwrap();
+        let replayed = Engine::new(EngineConfig::default()).analyze_trace(&upload).unwrap();
         assert_eq!(live.module_fp, replayed.module_fp, "{}", w.name);
         let (live, replayed) = (&live.analysis, &replayed.analysis);
 
@@ -423,14 +418,13 @@ fn live_and_replayed_profile_rows_agree_for_every_consumer() {
     }
 }
 
-/// A stitched profile carries shard 0's dictionary, so a sharded row must
-/// never answer a one-shard request. On every workload, a `jobs = 1`
-/// source request and a `jobs = 1` upload of the workload's own trace,
-/// each on its own engine right after a `jobs = 3` request for the same
-/// program, miss and give every consumer what a fresh engine gives.
+/// One profiling pass per program. On every workload, a `jobs = 3`
+/// source request builds the program's row, and `jobs = 1` and
+/// `jobs = 2` source requests and an upload of the workload's own trace
+/// all hit it, recording and decoding nothing; the row gives every
+/// consumer what a fresh engine's live profile gives.
 #[test]
-fn one_shard_requests_never_read_a_sharded_row() {
-    // Recording bumps the global trace counters other tests assert on.
+fn every_request_for_a_program_shares_its_one_row() {
     let _guard = obs_guard();
     for w in kremlin_workloads::all() {
         let name = w.file_name();
@@ -438,16 +432,29 @@ fn one_shard_requests_never_read_a_sharded_row() {
             Engine::new(EngineConfig::default()).analyze_source(w.source, &name, 1).unwrap();
         let want = consumer_view(&fresh.analysis);
         let upload = uploaded_trace(w.source, &name);
-        for via in ["source", "upload"] {
-            let engine = Engine::new(EngineConfig::default());
-            engine.analyze_source(w.source, &name, 3).unwrap();
-            let one = match via {
-                "source" => engine.analyze_source(w.source, &name, 1),
-                _ => engine.analyze_trace(&upload, 1),
+
+        let engine = Engine::new(EngineConfig::default());
+        kremlin_obs::set_metrics(true);
+        kremlin_obs::reset();
+        let first = engine.analyze_source(w.source, &name, 3).unwrap();
+        for jobs in [Some(1), Some(2), None] {
+            let again = match jobs {
+                Some(jobs) => engine.analyze_source(w.source, &name, jobs),
+                None => engine.analyze_trace(&upload),
             }
             .unwrap();
-            assert_eq!(one.reused, StageReuse::default(), "{} {via}: must miss", w.name);
-            assert_eq!(consumer_view(&one.analysis), want, "{} {via}", w.name);
+            let at = format!("{} jobs={jobs:?}", w.name);
+            assert_eq!(
+                again.reused,
+                StageReuse { unit: true, decoded: true, profile: true },
+                "{at}"
+            );
+            assert!(Arc::ptr_eq(&again.analysis.outcome, &first.analysis.outcome), "{at}");
         }
+        let snap = kremlin_obs::snapshot();
+        kremlin_obs::set_metrics(false);
+        assert_eq!(snap.counter("engine.cache.misses"), 1, "{}", w.name);
+        assert_eq!(record_decode_runs(&snap), (0, 0), "{}", w.name);
+        assert_eq!(consumer_view(&first.analysis), want, "{}", w.name);
     }
 }

@@ -13,6 +13,8 @@ use kremlin_engine::serve::{ServeConfig, Server};
 use kremlin_engine::{Engine, EngineConfig};
 use kremlin_obs::json::{self, Value};
 
+mod forged;
+
 const DEMO: &str = "float grid[512];\n\
     int main() { for (int i = 0; i < 512; i++) { grid[i] = sin((float) i); } return 0; }";
 
@@ -172,6 +174,26 @@ fn trace_upload_profiles_and_reports_fingerprint() {
     let garbage = roundtrip(server.addr(), "POST", "/v1/trace", &[], b"not a ktrace");
     assert_eq!(garbage.status, 400);
 
+    server.shutdown();
+}
+
+/// A forged upload costs one 422: a forged event count does not abort
+/// the daemon, forged nesting does not grow it without bound, and it
+/// keeps serving.
+#[test]
+fn forged_uploads_answer_422_and_the_daemon_keeps_serving() {
+    let server = start_server(2, 8);
+    let addr = server.addr();
+    for (what, bytes) in forged::traces() {
+        let reply = roundtrip(addr, "POST", "/v1/trace", &[], &bytes);
+        assert_eq!(reply.status, 422, "{what}: {}", String::from_utf8_lossy(&reply.body));
+        let error = body_json(&reply).get("error").and_then(Value::as_str).unwrap().to_string();
+        assert!(error.contains("corrupt trace event stream"), "{what}: {error}");
+        assert_eq!(roundtrip(addr, "GET", "/healthz", &[], b"").status, 200, "{what}");
+    }
+    let unit = kremlin::ir::compile(DEMO, "grid.kc").unwrap();
+    let trace = Kremlin::new().record(&unit, DEMO).unwrap();
+    assert_eq!(roundtrip(addr, "POST", "/v1/trace", &[], &trace.to_bytes()).status, 200);
     server.shutdown();
 }
 

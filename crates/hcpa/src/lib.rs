@@ -52,14 +52,14 @@ pub mod shadow;
 
 pub use cost::CostModel;
 pub use parallel::{
-    plan_shards_weighted, profile_decoded_parallel, profile_trace_parallel, shard_plan_cost,
-    ParallelConfig, ReplayStrategy, ShardSpec,
+    plan_shards_weighted, profile_decoded_parallel, shard_plan_cost, ParallelConfig,
+    ReplayStrategy, ShardSpec,
 };
 pub use profile::{ParallelismProfile, RegionStats};
 pub use profiler::{HcpaConfig, Profiler, ProfilerStats};
 pub use seed::{profile_unit_seed, SeedProfiler};
 
-use kremlin_interp::trace::{DecodedTrace, TraceError};
+use kremlin_interp::trace::{DecodedTrace, Trace, TraceError};
 use kremlin_interp::{InterpError, MachineConfig, RunResult};
 use kremlin_ir::CompiledUnit;
 
@@ -101,22 +101,35 @@ pub fn profile_unit_with_machine(
     let _span = kremlin_obs::span("shadow");
     let mut profiler = Profiler::new(&unit.module, config);
     let run = kremlin_interp::run_with_hook(&unit.module, &mut profiler, machine)?;
-    let (dict, stats) = profiler.finish();
-    let _build = kremlin_obs::span("profile.build");
-    let mut profile =
-        ParallelismProfile::build(&unit.module.regions, dict, &unit.reduction_loops());
-    profile.set_source_name(&unit.module.source_name);
-    Ok(ProfileOutcome { profile, stats, run })
+    Ok(outcome(unit, profiler, run))
 }
 
-/// Profiles a *recorded* execution: replays the [`DecodedTrace`] arena
-/// into the HCPA profiler instead of re-interpreting the program, with
-/// zero varint work per event. The replayed event stream is observably
-/// identical to live execution, so the outcome is
-/// [`identical_stats`](ParallelismProfile::identical_stats) to
-/// [`profile_unit`] with the same `config` — this is what every
-/// depth-shard worker of [`profile_decoded_parallel`] runs, and what a
-/// one-shard (or `jobs = 1`) [`profile_trace_parallel`] runs alone.
+/// Profiles a *recorded* execution in one pass: streams the trace's
+/// events into the HCPA profiler as they are decoded and validated
+/// ([`kremlin_interp::trace::replay`]), without executing the program or
+/// building an arena. The replayed event stream is observably identical
+/// to live execution, so the outcome equals [`profile_unit`]'s with the
+/// same `config`, dictionary included.
+///
+/// # Errors
+///
+/// [`TraceError::ModuleMismatch`] when the trace was not recorded from
+/// `unit`'s module; [`TraceError::Corrupt`] for a damaged event stream.
+pub fn profile_trace(
+    unit: &CompiledUnit,
+    trace: &Trace,
+    config: HcpaConfig,
+) -> Result<ProfileOutcome, TraceError> {
+    let _span = kremlin_obs::span("shadow");
+    let mut profiler = Profiler::new(&unit.module, config);
+    let run = kremlin_interp::trace::replay(trace, &unit.module, &mut profiler)?;
+    Ok(outcome(unit, profiler, run))
+}
+
+/// Profiles a *recorded* execution from its [`DecodedTrace`] arena, with
+/// zero varint work per event: what every depth-shard worker of
+/// [`profile_decoded_parallel`] runs. The outcome equals
+/// [`profile_unit`]'s with the same `config`.
 ///
 /// # Errors
 ///
@@ -138,12 +151,18 @@ fn replay_profile(
 ) -> Result<ProfileOutcome, TraceError> {
     let _span = kremlin_obs::span("shadow");
     let run = kremlin_interp::trace::replay_decoded(decoded, &unit.module, &mut profiler)?;
+    Ok(outcome(unit, profiler, run))
+}
+
+/// Finishes `profiler`, whose event source ended with `run`, and builds
+/// the profile: the last step of every profiling pass.
+fn outcome(unit: &CompiledUnit, profiler: Profiler<'_>, run: RunResult) -> ProfileOutcome {
     let (dict, stats) = profiler.finish();
     let _build = kremlin_obs::span("profile.build");
     let mut profile =
         ParallelismProfile::build(&unit.module.regions, dict, &unit.reduction_loops());
     profile.set_source_name(&unit.module.source_name);
-    Ok(ProfileOutcome { profile, stats, run })
+    ProfileOutcome { profile, stats, run }
 }
 
 #[cfg(test)]

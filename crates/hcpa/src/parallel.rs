@@ -4,17 +4,22 @@
 //! collection for the HCPA": since shadow state for one depth range is
 //! independent of every other range, the profile can be collected as K
 //! passes with disjoint ranges and stitched. This module turns that into
-//! a first-class API — and, unlike instrumented native re-execution,
-//! pays for the program's execution **once**: a recorded trace is the
-//! input, [`profile_trace_parallel`] decodes it **once** into a
-//! [`DecodedTrace`] arena, and [`profile_decoded_parallel`] replays the
-//! decoded buffers into K depth-shard profilers (one per `std::thread`
-//! worker, zero varint work each) and stitches the slices with
-//! [`ParallelismProfile::stitch_at`]. The decode pass also makes depth
-//! discovery free: it accumulates the per-depth cost histogram that
-//! [`plan_shards_weighted`] balances shard boundaries with — uniform
-//! strides leave the shallowest shard well above the mean on skewed
-//! workloads, and the max shard wall *is* the critical path.
+//! an API — and, unlike instrumented native re-execution, pays for the
+//! program's execution **once**: a recorded trace, decoded **once** into
+//! a [`DecodedTrace`] arena, is the input, and
+//! [`profile_decoded_parallel`] replays the decoded buffers into K
+//! depth-shard profilers (one per `std::thread` worker, zero varint work
+//! each) and stitches the slices with [`ParallelismProfile::stitch_at`].
+//! The decode pass also makes depth discovery free: it accumulates the
+//! per-depth cost histogram that [`plan_shards_weighted`] balances shard
+//! boundaries with — uniform strides leave the shallowest shard well
+//! above the mean on skewed workloads, and the max shard wall *is* the
+//! critical path.
+//!
+//! No request path of the tool shards: every shard repeats the
+//! depth-independent per-event cost, so one [`Profiler`] pass is faster
+//! end to end, and a stitched profile carries shard 0's dictionary. The
+//! benchmarks and the equivalence tests call this module directly.
 //!
 //! Shard ranges overlap by exactly one depth (each shard's window is
 //! one more than the depth span it owns): a region's self-parallelism
@@ -29,7 +34,7 @@
 use crate::profile::ParallelismProfile;
 use crate::profiler::{HcpaConfig, Profiler};
 use crate::{profile_decoded, replay_profile, ProfileOutcome};
-use kremlin_interp::trace::{DecodedTrace, Trace, TraceError};
+use kremlin_interp::trace::{DecodedTrace, TraceError};
 use kremlin_interp::MachineConfig;
 use kremlin_ir::CompiledUnit;
 use std::time::Instant;
@@ -200,40 +205,12 @@ pub fn plan_shards_weighted(per_depth_cost: &[u64], window: usize, jobs: usize) 
     shards
 }
 
-/// Profiles a recorded trace with depth-sharded parallel collection,
-/// without any execution at all: decodes the shared immutable `trace`
-/// **once** into a [`DecodedTrace`] arena and hands it to
-/// [`profile_decoded_parallel`], whatever `config.jobs` is. The tool
-/// itself does not call it: `kremlin replay`, `--save-trace` and trace
-/// uploads decode in the engine and replay through `Kremlin::replay`,
-/// which calls [`profile_decoded_parallel`].
-///
-/// # Errors
-///
-/// [`TraceError::ModuleMismatch`] when the trace was not recorded from
-/// `unit`'s module; [`TraceError::Corrupt`] for damaged event streams.
-///
-/// # Panics
-///
-/// Panics if `config.hcpa.min_depth != 0`.
-pub fn profile_trace_parallel(
-    unit: &CompiledUnit,
-    trace: &Trace,
-    config: ParallelConfig,
-) -> Result<ProfileOutcome, TraceError> {
-    if !trace.matches(&unit.module) {
-        return Err(TraceError::ModuleMismatch);
-    }
-    let decoded = DecodedTrace::decode(trace, &unit.module)?;
-    profile_decoded_parallel(unit, &decoded, config)
-}
-
-/// [`profile_trace_parallel`] over an already-decoded trace: plans
-/// cost-balanced shard boundaries from the arena's per-depth histogram,
-/// replays the shared decoded buffers into K depth-shard profilers (one
-/// per worker thread, disjoint one-depth-overlapping tracked ranges),
-/// and stitches them into one profile. Use this directly to amortize one
-/// decode across many profiling configurations.
+/// Profiles a decoded trace with depth-sharded parallel collection,
+/// without any execution at all: plans cost-balanced shard boundaries
+/// from the arena's per-depth histogram, replays the shared decoded
+/// buffers into K depth-shard profilers (one per worker thread, disjoint
+/// one-depth-overlapping tracked ranges), and stitches them into one
+/// profile. One decode serves every profiling configuration.
 ///
 /// The stitched profile's per-region statistics are bit-identical to a
 /// single serial pass with `config.hcpa` (see
@@ -567,9 +544,10 @@ mod tests {
         let unit = kremlin_ir::compile(DEEP_SRC, "deep.kc").unwrap();
         let serial = profile_unit(&unit, HcpaConfig::default()).unwrap();
         let trace = kremlin_interp::trace::record(&unit.module, MachineConfig::default()).unwrap();
-        let sharded = profile_trace_parallel(
+        let decoded = DecodedTrace::decode(&trace, &unit.module).unwrap();
+        let sharded = profile_decoded_parallel(
             &unit,
-            &trace,
+            &decoded,
             ParallelConfig {
                 jobs: 3,
                 depth_hint: Some(serial.stats.max_depth),
@@ -581,14 +559,15 @@ mod tests {
     }
 
     #[test]
-    fn replaying_one_trace_into_shards_matches_serial() {
+    fn replaying_one_trace_into_shards_matches_the_streamed_pass() {
         let unit = kremlin_ir::compile(DEEP_SRC, "deep.kc").unwrap();
-        let serial = profile_unit(&unit, HcpaConfig::default()).unwrap();
         let trace = kremlin_interp::trace::record(&unit.module, MachineConfig::default()).unwrap();
+        let serial = crate::profile_trace(&unit, &trace, HcpaConfig::default()).unwrap();
+        let decoded = DecodedTrace::decode(&trace, &unit.module).unwrap();
         for jobs in [2, 3] {
-            let sharded = profile_trace_parallel(
+            let sharded = profile_decoded_parallel(
                 &unit,
-                &trace,
+                &decoded,
                 ParallelConfig { jobs, ..ParallelConfig::default() },
             )
             .unwrap();
@@ -606,7 +585,8 @@ mod tests {
         let unit = kremlin_ir::compile(DEEP_SRC, "deep.kc").unwrap();
         let other = kremlin_ir::compile("int main() { return 1; }", "other.kc").unwrap();
         let trace = kremlin_interp::trace::record(&other.module, MachineConfig::default()).unwrap();
-        let e = profile_trace_parallel(&unit, &trace, ParallelConfig::default()).unwrap_err();
+        let decoded = DecodedTrace::decode(&trace, &other.module).unwrap();
+        let e = profile_decoded_parallel(&unit, &decoded, ParallelConfig::default()).unwrap_err();
         assert!(matches!(e, TraceError::ModuleMismatch));
     }
 

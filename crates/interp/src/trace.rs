@@ -446,10 +446,14 @@ fn selection<H: ExecHook>(module: &Module, hook: &H) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// One open bracket while validating replay nesting.
-enum Open {
-    Region(u32),
-    Func,
+/// One open bracket while validating replay nesting: the region it
+/// opened (a function activation opens the function's own region),
+/// whether it is a function activation, and the control-dependence depth
+/// it opened at.
+struct Open {
+    region: RegionId,
+    func: bool,
+    cd_depth: usize,
 }
 
 /// Replays a recorded trace into `hook`, firing an event sequence
@@ -458,8 +462,15 @@ enum Open {
 ///
 /// Every decoded id is validated against `module` and the region/function
 /// bracket structure is checked before each event fires, so a corrupt or
-/// adversarial trace yields a [`TraceError`], never a panicked hook. Every
-/// event is validated, but only the instruction events the hook selects
+/// adversarial trace yields a [`TraceError`], never a panicked hook. The
+/// structure must be one execution can produce, so nesting, and with it
+/// the hook's state, stays bounded: a function entry may not nest deeper
+/// than the interpreter's call-depth limit
+/// ([`MachineConfig::max_call_depth`], default configuration); a region
+/// is entered only inside its static parent; and a bracket closes with
+/// no control dependence it opened still open, having held at most as
+/// many open at once as its function has `CdPush` sites. Every event is
+/// validated, but only the instruction events the hook selects
 /// ([`ExecHook::selects_instr`]) are delivered.
 ///
 /// # Errors
@@ -492,6 +503,14 @@ fn replay_into<H: ExecHook>(
     }
     let corrupt = |offset: usize, message: String| TraceError::Corrupt { offset, message };
     let selected = selection(module, hook);
+    let max_call_depth = MachineConfig::default().max_call_depth;
+    // Between a bracket's open and its close, execution runs each static
+    // `CdPush` site at most once (every loop iteration is a bracket).
+    let cd_sites: Vec<usize> = module
+        .funcs
+        .iter()
+        .map(|f| f.values.iter().filter(|v| matches!(v.kind, InstrKind::CdPush(_))).count())
+        .collect();
 
     let data = &trace.bytes[..];
     let mut pos = 0usize;
@@ -614,6 +633,10 @@ fn replay_into<H: ExecHook>(
                     }
                     _ => {
                         // TAG_CD_PUSH
+                        let at_open = open.last().map_or(0, |o| o.cd_depth);
+                        if cd_depth.saturating_sub(at_open) >= cd_sites[fid.index()] {
+                            return Err(corrupt(at, format!("more cds open than {fid} has sites")));
+                        }
                         hook.on_cd_push(value);
                         cd_depth += 1;
                     }
@@ -624,18 +647,22 @@ fn replay_into<H: ExecHook>(
                 if idx >= module.funcs.len() {
                     return Err(corrupt(at, format!("function fn{idx} out of range")));
                 }
+                if funcs.len() >= max_call_depth {
+                    return Err(corrupt(at, format!("calls nest deeper than {max_call_depth}")));
+                }
                 let fid = FuncId::from_index(idx);
+                let region = module.func(fid).region;
                 funcs.push(fid);
-                open.push(Open::Func);
-                hook.on_function_enter(fid, module.func(fid).region);
+                open.push(Open { region, func: true, cd_depth });
+                hook.on_function_enter(fid, region);
             }
             TAG_RETURN => {
                 let Some(&fid) = funcs.last() else {
                     return Err(corrupt(at, "return outside any function".into()));
                 };
                 match open.pop() {
-                    Some(Open::Func) => {}
-                    _ => return Err(corrupt(at, "return crosses an open region".into())),
+                    Some(Open { func: true, cd_depth: at_open, .. }) if cd_depth <= at_open => {}
+                    _ => return Err(corrupt(at, "return crosses an open region or cd".into())),
                 }
                 let func = module.func(fid);
                 let returned = match payload {
@@ -656,11 +683,14 @@ fn replay_into<H: ExecHook>(
                 if idx >= module.regions.len() {
                     return Err(corrupt(at, format!("region r{idx} out of range")));
                 }
-                if funcs.is_empty() {
+                let Some(innermost) = open.last() else {
                     return Err(corrupt(at, "region outside any function".into()));
-                }
+                };
                 let rid = RegionId(idx as u32);
-                open.push(Open::Region(rid.0));
+                if module.regions.info(rid).parent != Some(innermost.region) {
+                    return Err(corrupt(at, format!("region r{idx} entered outside its parent")));
+                }
+                open.push(Open { region: rid, func: false, cd_depth });
                 hook.on_region_enter(rid);
             }
             TAG_REGION_EXIT => {
@@ -669,7 +699,8 @@ fn replay_into<H: ExecHook>(
                     return Err(corrupt(at, format!("region r{idx} out of range")));
                 }
                 match open.pop() {
-                    Some(Open::Region(r)) if r == idx as u32 => {}
+                    Some(Open { region, func: false, cd_depth: at_open })
+                        if region.index() == idx && cd_depth <= at_open => {}
                     _ => return Err(corrupt(at, format!("region exit r{idx} mismatched"))),
                 }
                 hook.on_region_exit(RegionId(idx as u32));
@@ -714,11 +745,10 @@ fn replay_into<H: ExecHook>(
 /// arrays), plus side arrays consumed in order by cursors during
 /// replay — resolved *absolute* memory addresses (one per mem event, the
 /// zigzag delta chain already applied) and phi sources (one per phi
-/// event). Each event is annotated with its region/function nesting
-/// depth, and the decode pass accumulates a per-depth histogram of
-/// instruction events as a free by-product — the cost model
-/// [`per_depth_cost`](DecodedTrace::per_depth_cost) that weighted shard
-/// planning runs on.
+/// event). The decode pass accumulates per-depth histograms of
+/// instruction events and region instances as a free by-product — the
+/// cost model [`per_depth_cost`](DecodedTrace::per_depth_cost) that
+/// weighted shard planning runs on.
 #[derive(Debug, Clone)]
 pub struct DecodedTrace {
     fingerprint: u64,
@@ -727,7 +757,6 @@ pub struct DecodedTrace {
     max_depth: usize,
     tags: Vec<u8>,
     payloads: Vec<u32>,
-    depths: Vec<u16>,
     mem_addrs: Vec<u64>,
     phi_sources: Vec<u32>,
     instr_depth_hist: Vec<u64>,
@@ -741,13 +770,11 @@ pub struct DecodedTrace {
 struct ArenaBuilder {
     tags: Vec<u8>,
     payloads: Vec<u32>,
-    depths: Vec<u16>,
     mem_addrs: Vec<u64>,
     phi_sources: Vec<u32>,
     instr_depth_hist: Vec<u64>,
     region_enter_hist: Vec<u64>,
     depth: usize,
-    too_deep: bool,
 }
 
 impl ArenaBuilder {
@@ -758,8 +785,6 @@ impl ArenaBuilder {
         // count by the replay loop, so the cast cannot truncate (cd-pop
         // payloads are 0 by construction and never read back).
         self.payloads.push(payload as u32);
-        self.depths.push(self.depth as u16);
-        self.too_deep |= self.depth > usize::from(u16::MAX);
     }
 
     #[inline]
@@ -841,28 +866,23 @@ impl DecodedTrace {
     /// Decodes and validates `trace` in one pass.
     ///
     /// Runs the exact [`replay`] decode loop (every id bounds-checked,
-    /// every bracket balanced), so this accepts precisely the traces the
-    /// streaming path accepts — and a decoded trace never needs
-    /// re-validating.
+    /// every bracket balanced, nesting bounded as execution bounds it),
+    /// so this accepts precisely the traces the streaming path accepts —
+    /// and a decoded trace never needs re-validating.
     ///
     /// # Errors
     ///
     /// [`TraceError::ModuleMismatch`] when the trace was recorded from a
-    /// different program; [`TraceError::Corrupt`] for structural damage
-    /// or nesting too deep to annotate (more than `u16::MAX` levels).
+    /// different program; [`TraceError::Corrupt`] for structural damage.
     pub fn decode(trace: &Trace, module: &Module) -> Result<DecodedTrace, TraceError> {
         let _span = kremlin_obs::span("decode");
         let mut builder = ArenaBuilder::default();
-        builder.tags.reserve(trace.events as usize);
-        builder.payloads.reserve(trace.events as usize);
-        builder.depths.reserve(trace.events as usize);
+        // The header's event count is unchecked until the stream ends;
+        // every event takes at least one payload byte.
+        let events = trace.events.min(trace.bytes.len() as u64) as usize;
+        builder.tags.reserve(events);
+        builder.payloads.reserve(events);
         let run = replay_into(trace, module, &mut builder)?;
-        if builder.too_deep {
-            return Err(TraceError::Corrupt {
-                offset: 0,
-                message: "nesting exceeds u16::MAX, too deep to annotate".into(),
-            });
-        }
         let decoded = DecodedTrace {
             fingerprint: trace.fingerprint,
             exit: run.exit,
@@ -870,7 +890,6 @@ impl DecodedTrace {
             max_depth: trace.max_depth,
             tags: builder.tags,
             payloads: builder.payloads,
-            depths: builder.depths,
             mem_addrs: builder.mem_addrs,
             phi_sources: builder.phi_sources,
             instr_depth_hist: builder.instr_depth_hist,
@@ -906,11 +925,6 @@ impl DecodedTrace {
     /// compiled to the same shapes.
     pub fn matches(&self, module: &Module) -> bool {
         self.fingerprint == module_fingerprint(module)
-    }
-
-    /// Per-event nesting depth annotations (parallel to the event order).
-    pub fn depths(&self) -> &[u16] {
-        &self.depths
     }
 
     /// Instruction events observed per nesting depth — the raw histogram
@@ -960,7 +974,6 @@ impl DecodedTrace {
     pub fn arena_bytes(&self) -> usize {
         self.tags.len()
             + self.payloads.len() * 4
-            + self.depths.len() * 2
             + self.mem_addrs.len() * 8
             + self.phi_sources.len() * 4
             + self.instr_depth_hist.len() * 8
@@ -1201,6 +1214,40 @@ mod tests {
         assert_eq!(decoded.run_result(), trace.run_result());
     }
 
+    /// Per-depth counts taken during a live run: instruction events at
+    /// their nesting depth, function and region entries at the depth the
+    /// new instance lands on.
+    #[derive(Default)]
+    struct DepthCounts {
+        depth: usize,
+        instrs: Vec<u64>,
+        enters: Vec<u64>,
+    }
+
+    impl ExecHook for DepthCounts {
+        fn on_instr(&mut self, _ctx: &InstrCtx<'_>) {
+            ArenaBuilder::bump(&mut self.instrs, self.depth);
+        }
+
+        fn on_function_enter(&mut self, _func: FuncId, _region: RegionId) {
+            ArenaBuilder::bump(&mut self.enters, self.depth);
+            self.depth += 1;
+        }
+
+        fn on_return(&mut self, _ctx: &RetCtx) {
+            self.depth -= 1;
+        }
+
+        fn on_region_enter(&mut self, _region: RegionId) {
+            ArenaBuilder::bump(&mut self.enters, self.depth);
+            self.depth += 1;
+        }
+
+        fn on_region_exit(&mut self, _region: RegionId) {
+            self.depth -= 1;
+        }
+    }
+
     #[test]
     fn decode_histogram_is_consistent() {
         let (unit, trace) = recorded();
@@ -1208,15 +1255,11 @@ mod tests {
         let hist = decoded.instr_depth_hist();
         assert_eq!(hist.first(), Some(&0), "no instruction fires outside main");
         assert!(hist.len() <= decoded.max_depth() + 1);
-        // Depth annotations and the histogram are two views of one count.
-        let mut by_depth = vec![0u64; hist.len()];
-        for (i, &d) in decoded.depths().iter().enumerate() {
-            // Private-field access: tags is in-module here.
-            if decoded.tags[i] <= TAG_INSTR_PHI {
-                by_depth[usize::from(d)] += 1;
-            }
-        }
-        assert_eq!(by_depth, hist);
+        // The decode pass counts what the live run did, depth by depth.
+        let mut live = DepthCounts::default();
+        run_with_hook(&unit.module, &mut live, MachineConfig::default()).unwrap();
+        assert_eq!(hist, live.instrs);
+        assert_eq!(decoded.region_enter_hist(), live.enters);
         // The cost model is the suffix sums: nonincreasing, starting at
         // the total instruction event count.
         let cost = decoded.per_depth_cost();
@@ -1258,6 +1301,113 @@ mod tests {
                 assert_eq!(streamed, decoded, "paths disagree on damage at byte {i}");
             }
         }
+    }
+
+    /// A trace of `unit` whose events `write` hands a recorder directly,
+    /// as no execution produced them.
+    fn forged(unit: &kremlin_ir::CompiledUnit, write: impl FnOnce(&mut Recorder)) -> Trace {
+        let mut rec = Recorder::new();
+        write(&mut rec);
+        rec.into_trace(&unit.module, RunResult { exit: 0, instrs_executed: 0 })
+    }
+
+    /// Both decoders reject `trace` as corrupt, without aborting, at the
+    /// same byte; returns that offset.
+    fn assert_corrupt(trace: &Trace, module: &Module, what: &str) -> usize {
+        let streamed = replay(trace, module, &mut crate::NullHook).map(|_| ());
+        let Err(TraceError::Corrupt { offset, .. }) = streamed else {
+            panic!("{what}: {streamed:?}");
+        };
+        let decoded = DecodedTrace::decode(trace, module).map(|_| ());
+        assert_eq!(decoded.map_err(|e| e.to_string()), streamed.map_err(|e| e.to_string()));
+        offset
+    }
+
+    /// As [`assert_corrupt`], and the offending event comes before the
+    /// stream ends: nesting is refused as it grows, not at the end.
+    fn assert_refused_early(trace: &Trace, module: &Module, what: &str) {
+        let offset = assert_corrupt(trace, module, what);
+        assert!(offset < trace.encoded_len(), "{what}: refused only at the end");
+    }
+
+    #[test]
+    fn a_forged_event_count_is_corrupt_not_an_allocation() {
+        let (unit, trace) = recorded();
+        // Serialized with its checksum recomputed, the file parses.
+        let forged = Trace { events: 1 << 40, ..trace }.to_bytes();
+        let forged = Trace::from_bytes(&forged).unwrap();
+        // Nothing may be sized from the header's count before the stream
+        // validates: 2^40 events once aborted the arena decoder.
+        assert_corrupt(&forged, &unit.module, "2^40 events");
+    }
+
+    #[test]
+    fn nesting_no_execution_produces_is_corrupt() {
+        let (unit, _) = recorded();
+        let main = unit.module.main.unwrap();
+        let region = unit.module.func(main).region;
+        let ret = RetCtx { func: main, region, returned: None };
+        let levels = 20_000;
+        let unbalanced = forged(&unit, |rec| {
+            (0..levels).for_each(|_| rec.on_function_enter(main, region));
+        });
+        assert_refused_early(&unbalanced, &unit.module, "unbalanced main nesting");
+        let balanced = forged(&unit, |rec| {
+            (0..levels).for_each(|_| rec.on_function_enter(main, region));
+            (0..levels).for_each(|_| rec.on_return(&ret));
+        });
+        assert_refused_early(&balanced, &unit.module, "balanced main nesting");
+
+        let label = |l: &str| unit.module.regions.by_label(l).unwrap();
+        let (lp, body) = (label("main#L0"), label("main#L0b"));
+        let nested_loop = forged(&unit, |rec| {
+            rec.on_function_enter(main, region);
+            (0..levels).for_each(|_| rec.on_region_enter(lp));
+        });
+        assert_refused_early(&nested_loop, &unit.module, "a loop inside itself");
+        let orphan_body = forged(&unit, |rec| {
+            rec.on_function_enter(main, region);
+            rec.on_region_enter(body);
+            rec.on_region_exit(body);
+            rec.on_return(&ret);
+        });
+        assert_refused_early(&orphan_body, &unit.module, "a loop body outside its loop");
+
+        // `main` has one `CdPush` site, so one bracket holds one open cd.
+        let cond = ValueId::from_index(0);
+        let cd_flood = forged(&unit, |rec| {
+            rec.on_function_enter(main, region);
+            (0..levels).for_each(|_| rec.on_cd_push(cond));
+        });
+        assert_refused_early(&cd_flood, &unit.module, "cd pushes without pops");
+        let cd_left_open = forged(&unit, |rec| {
+            rec.on_function_enter(main, region);
+            for _ in 0..levels {
+                rec.on_region_enter(lp);
+                rec.on_cd_push(cond);
+                rec.on_region_exit(lp);
+            }
+        });
+        assert_refused_early(&cd_left_open, &unit.module, "a cd left open across a region exit");
+    }
+
+    #[test]
+    fn a_recursion_at_the_call_depth_limit_replays() {
+        let limit = MachineConfig::default().max_call_depth;
+        // `main` plus `f(n)` down to `f(0)`: n + 2 frames.
+        let unit = |n: usize| {
+            let src = format!(
+                "int f(int n) {{ if (n == 0) {{ return 0; }} return f(n - 1) + 1; }}\n\
+                 int main() {{ return f({n}); }}"
+            );
+            compile(&src, "deep.kc").unwrap()
+        };
+        let at_limit = unit(limit - 2);
+        let trace = record(&at_limit.module, MachineConfig::default()).unwrap();
+        replay(&trace, &at_limit.module, &mut crate::NullHook).unwrap();
+        DecodedTrace::decode(&trace, &at_limit.module).unwrap();
+        let over = record(&unit(limit - 1).module, MachineConfig::default()).unwrap_err();
+        assert!(matches!(over, InterpError::CallDepthExceeded { .. }), "{over:?}");
     }
 
     #[test]

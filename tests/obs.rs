@@ -107,11 +107,13 @@ fn sharded_replay_publishes_per_shard_worker_metrics() {
     )
     .expect("record");
 
+    let decoded =
+        kremlin_repro::interp::trace::DecodedTrace::decode(&trace, &unit.module).expect("decodes");
     obs::set_metrics(true);
     let jobs = 3;
-    kremlin_repro::hcpa::profile_trace_parallel(
+    kremlin_repro::hcpa::profile_decoded_parallel(
         &unit,
-        &trace,
+        &decoded,
         kremlin_repro::hcpa::ParallelConfig { jobs, ..Default::default() },
     )
     .expect("sharded replay");
@@ -161,7 +163,9 @@ fn sharded_replay_publishes_run_wide_counters_once() {
     let deltas = |jobs: usize| {
         obs::reset();
         obs::set_metrics(true);
-        let outcome = kremlin.replay(&unit, &decoded, jobs).expect("replays");
+        let config = kremlin_repro::hcpa::ParallelConfig { jobs, ..Default::default() };
+        let outcome = kremlin_repro::hcpa::profile_decoded_parallel(&unit, &decoded, config)
+            .expect("replays");
         obs::set_metrics(false);
         let snap = obs::snapshot();
         let region_work = snap

@@ -151,8 +151,8 @@ fn scenario_classes_compile_verify_and_replay_bit_identically() {
             tool.record(&unit, &src).unwrap_or_else(|e| panic!("{spec}: does not record: {e}"));
         let decoded = kremlin_repro::interp::trace::DecodedTrace::decode(&trace, &unit.module)
             .unwrap_or_else(|e| panic!("{spec}: does not decode: {e}"));
-        let replayed = tool
-            .replay(&unit, &decoded, 3)
+        let config = kremlin_repro::hcpa::ParallelConfig { jobs: 3, ..Default::default() };
+        let replayed = kremlin_repro::hcpa::profile_decoded_parallel(&unit, &decoded, config)
             .unwrap_or_else(|e| panic!("{spec}: sharded replay fails: {e}"));
         assert!(
             replayed.profile.identical_stats(live.profile()),

@@ -8,16 +8,16 @@
 //!
 //! Every sharded profile is collected by replaying a recorded trace, so
 //! the tests below also prove replay equivalence: profiling from a
-//! replayed trace — serial or fanned out across shard workers — matches
-//! live execution exactly.
+//! replayed trace — streamed into one profiler or fanned out across
+//! shard workers — matches live execution exactly.
 
 use kremlin_repro::hcpa::{
-    profile_decoded_parallel, profile_trace_parallel, profile_unit, HcpaConfig, ParallelConfig,
+    profile_decoded_parallel, profile_trace, profile_unit, HcpaConfig, ParallelConfig,
     ParallelismProfile, ProfileOutcome,
 };
 use kremlin_repro::interp::trace::DecodedTrace;
-use kremlin_repro::interp::{record, MachineConfig};
-use kremlin_repro::ir::compile;
+use kremlin_repro::interp::{record, MachineConfig, Trace};
+use kremlin_repro::ir::{compile, CompiledUnit};
 
 fn serial_and_compiled(
     w: &kremlin_repro::workloads::Workload,
@@ -25,6 +25,12 @@ fn serial_and_compiled(
     let unit = compile(w.source, &w.file_name()).expect("workload compiles");
     let serial = profile_unit(&unit, HcpaConfig::default()).expect("serial profile");
     (unit, serial)
+}
+
+/// `trace` decoded into an arena and replayed in depth shards.
+fn sharded(unit: &CompiledUnit, trace: &Trace, config: ParallelConfig) -> ProfileOutcome {
+    let decoded = DecodedTrace::decode(trace, &unit.module).expect("own trace decodes");
+    profile_decoded_parallel(unit, &decoded, config).expect("own trace replays sharded")
 }
 
 fn assert_stitched_identical(
@@ -57,13 +63,8 @@ fn three_way_sharding_is_bit_identical_on_every_workload() {
     for w in kremlin_repro::workloads::all() {
         let (unit, serial) = serial_and_compiled(&w);
         let trace = record(&unit.module, MachineConfig::default()).expect("record");
-        let sharded = profile_trace_parallel(
-            &unit,
-            &trace,
-            ParallelConfig { jobs: 3, ..ParallelConfig::default() },
-        )
-        .expect("own trace replays sharded");
-        assert_stitched_identical(w.name, 3, &serial, &sharded);
+        let config = ParallelConfig { jobs: 3, ..ParallelConfig::default() };
+        assert_stitched_identical(w.name, 3, &serial, &sharded(&unit, &trace, config));
     }
 }
 
@@ -74,21 +75,16 @@ fn two_way_sharding_with_depth_hint_is_bit_identical() {
     for w in kremlin_repro::workloads::all() {
         let (unit, serial) = serial_and_compiled(&w);
         let trace = record(&unit.module, MachineConfig::default()).expect("record");
-        let sharded = profile_trace_parallel(
-            &unit,
-            &trace,
-            ParallelConfig {
-                jobs: 2,
-                depth_hint: Some(serial.stats.max_depth),
-                ..ParallelConfig::default()
-            },
-        )
-        .expect("sharded profile");
-        assert_stitched_identical(w.name, 2, &serial, &sharded);
+        let config = ParallelConfig {
+            jobs: 2,
+            depth_hint: Some(serial.stats.max_depth),
+            ..ParallelConfig::default()
+        };
+        assert_stitched_identical(w.name, 2, &serial, &sharded(&unit, &trace, config));
     }
 }
 
-/// Every workload: one recorded trace replayed into a serial profiler is
+/// Every workload: one recorded trace streamed into one profiler is
 /// `identical_stats` to profiling the live execution directly.
 #[test]
 fn serial_replay_matches_live_execution_on_every_workload() {
@@ -101,43 +97,29 @@ fn serial_replay_matches_live_execution_on_every_workload() {
             "{}: recorded run differs from live run",
             w.name
         );
-        let replayed = profile_trace_parallel(
-            &unit,
-            &trace,
-            ParallelConfig { jobs: 1, ..ParallelConfig::default() },
-        )
-        .expect("own trace replays");
+        let replayed =
+            profile_trace(&unit, &trace, HcpaConfig::default()).expect("own trace replays");
         assert_stitched_identical(w.name, 1, &serial, &replayed);
     }
 }
 
 /// Replay survives the disk round trip on **every** workload: encode,
-/// re-parse from bytes, decode into the arena, then shard — the stitched
-/// result must still be bit-identical to live serial profiling.
+/// re-parse from bytes, decode into the arena, then shard two and three
+/// ways — the stitched result must still be bit-identical to live serial
+/// profiling.
 #[test]
 fn sharded_replay_survives_the_byte_round_trip() {
     for w in kremlin_repro::workloads::all() {
         let (unit, serial) = serial_and_compiled(&w);
         let trace = record(&unit.module, MachineConfig::default()).expect("record");
-        let reparsed = kremlin_repro::interp::Trace::from_bytes(&trace.to_bytes())
-            .expect("encoded trace decodes");
-        let sharded = profile_trace_parallel(
-            &unit,
-            &reparsed,
-            ParallelConfig { jobs: 2, ..ParallelConfig::default() },
-        )
-        .expect("round-tripped trace replays sharded");
-        assert_stitched_identical(w.name, 2, &serial, &sharded);
-        // And explicitly through the arena, so the decode-once path is
-        // proven against disk bytes, not just in-memory traces.
+        let reparsed = Trace::from_bytes(&trace.to_bytes()).expect("encoded trace decodes");
         let arena = DecodedTrace::decode(&reparsed, &unit.module).expect("decode");
-        let sharded = profile_decoded_parallel(
-            &unit,
-            &arena,
-            ParallelConfig { jobs: 3, ..ParallelConfig::default() },
-        )
-        .expect("round-tripped arena replays sharded");
-        assert_stitched_identical(w.name, 3, &serial, &sharded);
+        for jobs in [2, 3] {
+            let config = ParallelConfig { jobs, ..ParallelConfig::default() };
+            let sharded = profile_decoded_parallel(&unit, &arena, config)
+                .expect("round-tripped arena replays sharded");
+            assert_stitched_identical(w.name, jobs, &serial, &sharded);
+        }
     }
 }
 

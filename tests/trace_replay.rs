@@ -5,19 +5,18 @@
 //! Two families of checks over randomized `bench::progen` programs:
 //!
 //! 1. **Round trip** — record a program, push the trace through the full
-//!    byte encoding (`to_bytes` → `from_bytes`), replay it into an HCPA
-//!    profiler, and demand `identical_stats` against profiling the live
-//!    execution. Covers varint/zigzag coding, the embedded source, and
-//!    the checksum trailer on programs nobody hand-picked.
+//!    byte encoding (`to_bytes` → `from_bytes`), stream it into an HCPA
+//!    profiler as an upload is (`hcpa::profile_trace`), and demand the
+//!    live execution's profile, dictionary included. Covers varint/zigzag
+//!    coding, the embedded source, and the checksum trailer on programs
+//!    nobody hand-picked.
 //! 2. **Robustness** — every truncation prefix and a sweep of single-bit
 //!    flips must come back as a clean [`TraceError`], never a panic and
 //!    never a silently different profile.
 
 use kremlin_bench::progen;
 use kremlin_bench::XorShift;
-use kremlin_repro::hcpa::{
-    profile_decoded, profile_trace_parallel, profile_unit, HcpaConfig, ParallelConfig,
-};
+use kremlin_repro::hcpa::{profile_decoded, profile_trace, profile_unit, HcpaConfig};
 use kremlin_repro::interp::trace::{self, DecodedTrace, TRACE_MAGIC};
 use kremlin_repro::interp::{
     record, run_with_hook, ExecHook, InstrCtx, MachineConfig, Trace, TraceError,
@@ -26,11 +25,6 @@ use kremlin_repro::ir::{compile, FuncId, InstrKind, Module, ValueId};
 
 /// Seeds chosen arbitrarily but fixed, so failures reproduce exactly.
 const SEEDS: [u64; 8] = [3, 17, 99, 256, 1021, 4096, 70_001, 987_654_321];
-
-/// Serial (one-shard) replay of a recorded trace.
-fn serial() -> ParallelConfig {
-    ParallelConfig { jobs: 1, ..ParallelConfig::default() }
-}
 
 #[test]
 fn randomized_programs_round_trip_through_trace_bytes() {
@@ -54,12 +48,13 @@ fn randomized_programs_round_trip_through_trace_bytes() {
         assert_eq!(decoded.events(), trace.events(), "seed {seed}: event count changed");
         assert_eq!(decoded.source, src, "seed {seed}: embedded source changed");
 
-        let replayed = profile_trace_parallel(&unit, &decoded, serial())
+        let replayed = profile_trace(&unit, &decoded, HcpaConfig::default())
             .unwrap_or_else(|e| panic!("seed {seed}: decoded trace fails to replay: {e}"));
         assert!(
             replayed.profile.identical_stats(&live.profile),
             "seed {seed}: replayed profile differs from live"
         );
+        assert!(replayed.profile.dict == live.profile.dict, "seed {seed}: dictionaries differ");
         assert_eq!(replayed.run, live.run, "seed {seed}: replayed run differs");
     }
 }
@@ -162,7 +157,7 @@ fn bit_flipped_trace_files_never_panic_or_misreport() {
     // payload handed to replay) must surface as a TraceError, not a panic
     // inside the profiler hooks.
     let decoded = Trace::from_bytes(&bytes).expect("pristine bytes decode");
-    let replayed = profile_trace_parallel(&unit, &decoded, serial());
+    let replayed = profile_trace(&unit, &decoded, HcpaConfig::default());
     assert!(replayed.is_ok(), "pristine decode must replay");
 }
 
