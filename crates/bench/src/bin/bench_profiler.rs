@@ -8,7 +8,7 @@
 //!   per depth), O(depth) per-instruction work accounting, per-call
 //!   allocations. This is the baseline every speedup is against.
 //! * `serial_optimized_ms` — the current profiler (stamped shadow runs,
-//!   last-page cache, O(1) work accrual, segment folding);
+//!   flat page table, O(1) work accrual, segment folding);
 //! * `shadow_commits` — that profiler's committed instruction events
 //!   (the rest are folded), deterministic per workload;
 //! * 3-way depth-sharded collection ([`kremlin_hcpa::parallel`]): one

@@ -18,10 +18,10 @@
 //!   lost fold or an over-eager commit rule changes it on any host, with
 //!   no timing noise;
 //! * the embedded **`hcpa.dynamic_regions`** (region instances
-//!   summarized) and **`hcpa.shadow.cache_misses`** (shadow-memory
-//!   accesses past the last-page cache) counters are deterministic work
-//!   counts and must match exactly too: an event source that drops or repeats
-//!   region events, or an access pattern that stops hitting the cache,
+//!   summarized) and **`hcpa.shadow.pages_allocated`** (shadow-memory
+//!   pages written) counters are deterministic work counts and must
+//!   match exactly too: an event source that drops or repeats region
+//!   events, or a store that lands on a page the program never wrote,
 //!   changes them with no timing noise;
 //! * **`shadow_bytes_baseline`** is deterministic too, but a small growth
 //!   band (`Tolerance::shadow_growth`) is allowed for intentional layout
@@ -44,7 +44,7 @@ use kremlin_obs::json::{self, Value};
 
 /// Embedded metrics counters that are deterministic per workload and
 /// must match the baseline exactly.
-const EXACT_COUNTERS: [&str; 2] = ["hcpa.dynamic_regions", "hcpa.shadow.cache_misses"];
+const EXACT_COUNTERS: [&str; 2] = ["hcpa.dynamic_regions", "hcpa.shadow.pages_allocated"];
 
 /// Allowed drift between baseline and fresh reports.
 #[derive(Debug, Clone, Copy)]
@@ -305,15 +305,15 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_regions_and_cache_misses_must_match_exactly() {
-        let counters = |regions: u64, misses: u64| {
-            format!(r#""hcpa.dynamic_regions":{regions},"hcpa.shadow.cache_misses":{misses}"#)
+    fn dynamic_regions_and_shadow_pages_must_match_exactly() {
+        let counters = |regions: u64, pages: u64| {
+            format!(r#""hcpa.dynamic_regions":{regions},"hcpa.shadow.pages_allocated":{pages}"#)
         };
-        let base = doc("bt", 1000, 4096, 2.0, &counters(91_567, 108_825));
+        let base = doc("bt", 1000, 4096, 2.0, &counters(91_567, 13));
         assert!(check(&base, &base, Tolerance::default()).unwrap().passed());
         for (fresh, key) in [
-            (counters(91_568, 108_825), "hcpa.dynamic_regions"),
-            (counters(91_567, 108_824), "hcpa.shadow.cache_misses"),
+            (counters(91_568, 13), "hcpa.dynamic_regions"),
+            (counters(91_567, 14), "hcpa.shadow.pages_allocated"),
         ] {
             let r =
                 check(&base, &doc("bt", 1000, 4096, 2.0, &fresh), Tolerance::default()).unwrap();

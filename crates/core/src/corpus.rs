@@ -8,19 +8,21 @@
 //!    any auxiliary pinned labels);
 //! 2. **Dynamic** — the hot loop's measured self-parallelism from the
 //!    HCPA profile, which must land in the spec's class-derived band;
-//! 3. **Replay** — depth-sharded replay of the recorded trace must
-//!    reproduce the live profile bit-identically;
+//! 3. **Replay** — the recorded trace, streamed through replay's
+//!    validation into the profiler as an upload is ([`Kremlin::replay`]),
+//!    must reproduce the live profile bit-identically, dictionary
+//!    included;
 //! 4. **Enumeration** — the exhaustive iteration-space oracle
 //!    (`crate::oracle`) re-runs the program concretely and refutes any
 //!    dependence verdict the observed address overlaps contradict.
 //!
 //! Any pairwise disagreement (a provably-DOALL loop that measures
-//! serial, a carried chain with no dynamic serialization, a replay shard
-//! that diverges) is a reportable finding with a stable `C0xx` code —
-//! the disagreement taxonomy in DESIGN.md §12. [`fuzz`] samples random
-//! specs, and [`shrink`] greedily minimizes a failing spec while the
-//! disagreement still reproduces, so findings come back as the smallest
-//! program that exhibits them.
+//! serial, a carried chain with no dynamic serialization, a replay that
+//! refuses an honest recording or diverges) is a reportable finding with
+//! a stable `C0xx` code — the disagreement taxonomy in DESIGN.md §12.
+//! [`fuzz`] samples random specs, and [`shrink`] greedily minimizes a
+//! failing spec while the disagreement still reproduces, so findings come
+//! back as the smallest program that exhibits them.
 
 use crate::{Kremlin, KremlinError};
 use kremlin_interp::MachineConfig;
@@ -52,7 +54,7 @@ impl Disagreement {
             ("C002", "measured self-parallelism outside the spec's band"),
             ("C003", "statically provably-doall but dynamically serialized"),
             ("C004", "statically carried chain but no dynamic serialization"),
-            ("C005", "replay shard profile diverges from the live profile"),
+            ("C005", "streamed replay refuses the recording or diverges from the live profile"),
             ("C006", "generated program failed to compile, verify, or run"),
             ("C007", "static verdict contradicts the exhaustive iteration-space enumeration"),
         ]
@@ -74,7 +76,7 @@ pub struct OracleReport {
     pub expected_verdict: &'static str,
     /// Expected self-parallelism band (from the spec).
     pub band: (f64, f64),
-    /// Whether every replay configuration reproduced the live profile.
+    /// Whether the streamed replay reproduced the live profile.
     pub replay_identical: bool,
     /// All cross-check failures (empty = the oracles agree).
     pub disagreements: Vec<Disagreement>,
@@ -90,8 +92,8 @@ impl OracleReport {
 /// Runs the four oracles on one spec.
 ///
 /// Pipeline: lower → compile (+ IR verify) → profile the live execution
-/// (the reference) → record the execution once and replay it
-/// depth-sharded, demanding bit-identical stats → compare the static
+/// (the reference) → record the execution once and stream-replay it,
+/// demanding a bit-identical profile and dictionary → compare the static
 /// verdict and measured SP against the spec.
 ///
 /// # Errors
@@ -185,20 +187,17 @@ pub fn run_oracles(spec: &ScenarioSpec) -> Result<OracleReport, KremlinError> {
         }
     }
 
-    // Oracle 3: a recorded trace replayed in depth shards must
-    // reproduce the live profile bit-for-bit.
-    let replayed = tool.record(&unit, &source).and_then(|trace| {
-        let decoded = kremlin_interp::trace::DecodedTrace::decode(&trace, &unit.module)?;
-        let config =
-            kremlin_hcpa::ParallelConfig { jobs: 3, hcpa: tool.hcpa, ..Default::default() };
-        Ok(kremlin_hcpa::profile_decoded_parallel(&unit, &decoded, config)?)
-    });
+    // Oracle 3: the recorded trace, replayed as an upload is, must pass
+    // validation and reproduce the live profile bit-for-bit.
+    // `identical_stats` skips the dictionary, so compare it too.
+    let replayed = tool.record(&unit, &source).and_then(|trace| tool.replay(&unit, &trace));
     let (replay_identical, replay_detail) = match replayed {
         Ok(replayed) => (
-            replayed.profile.identical_stats(analysis.profile()),
-            "sharded replay (jobs=3) produced a different profile".to_owned(),
+            replayed.profile.identical_stats(analysis.profile())
+                && replayed.profile.dict == analysis.profile().dict,
+            "streamed replay produced a different profile".to_owned(),
         ),
-        Err(e) => (false, format!("sharded replay failed outright: {e}")),
+        Err(e) => (false, format!("streamed replay failed outright: {e}")),
     };
     if !replay_identical {
         disagreements.push(Disagreement { code: "C005", detail: replay_detail });

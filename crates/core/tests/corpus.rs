@@ -46,7 +46,7 @@ fn grid_passes_three_oracles_and_the_golden_gate() {
             r.disagreements,
             r.source
         );
-        assert!(r.replay_identical, "{}: sharded replay diverged", r.spec);
+        assert!(r.replay_identical, "{}: streamed replay diverged", r.spec);
     }
 
     let failures = gate_against_golden(GOLDEN, &reports);

@@ -204,23 +204,23 @@ impl Engine {
     /// Full pipeline over an uploaded trace: the row of its embedded
     /// source, which only on a miss recompiles the source and streams
     /// the trace into one profiler ([`Kremlin::replay`]). A source
-    /// request and an upload of the same program share one row. The
-    /// `POST /v1/trace` endpoint, `kremlin replay` and `kremlin
-    /// --save-trace` run this.
+    /// request and an upload of the same program share one row. A hit
+    /// streams the trace through the same validation into a
+    /// [`NullHook`](kremlin::interp::NullHook), so an upload is refused
+    /// or answered alike whatever the cache holds. The `POST /v1/trace`
+    /// endpoint, `kremlin replay` and `kremlin --save-trace` run this.
     ///
     /// # Errors
     ///
     /// As the individual stages, plus [`KremlinError::Trace`] when the
     /// trace was not recorded from its embedded source (module
-    /// fingerprint mismatch), resident row or not, or a replayed event
-    /// stream is corrupt.
+    /// fingerprint mismatch) or its event stream is corrupt, resident
+    /// row or not.
     pub fn analyze_trace(&self, trace: &Trace) -> Result<EngineAnalysis, KremlinError> {
         let (analysis, hit) = self
             .row(&trace.source, &trace.source_name, |unit| self.config.tool.replay(unit, trace))?;
-        // A resident row may come from a source request: check the
-        // upload's events against it, hit or miss.
-        if !trace.matches(&analysis.unit.module) {
-            return Err(KremlinError::Trace(kremlin::TraceError::ModuleMismatch));
+        if hit {
+            trace::replay(trace, &analysis.unit.module, &mut kremlin::interp::NullHook)?;
         }
         Ok(EngineAnalysis::new(analysis, hit, trace.fingerprint()))
     }

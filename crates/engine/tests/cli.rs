@@ -377,6 +377,25 @@ fn forged_traces_fail_with_one_line() {
     }
 }
 
+/// A program whose globals take more slots than compilation admits fails
+/// with one line and exit 1, as an upload and as a source, where a run
+/// would once have asked for their memory and aborted.
+#[test]
+fn a_program_past_the_globals_cap_fails_with_one_line() {
+    let bytes = forged::oversized_globals();
+    let trace = kremlin::interp::Trace::from_bytes(&bytes).unwrap();
+    let replay = ["replay".into(), write_temp_bytes("oversized.ktrace", &bytes)];
+    let run = [write_temp("oversized.kc", &trace.source)];
+    for (what, args) in [("replay", &replay[..]), ("run", &run[..])] {
+        let out = kremlin().args(args).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{what}: {stderr}");
+        assert!(stderr.contains("more than the 4194304 a program may declare"), "{what}: {stderr}");
+        assert!(out.stdout.is_empty(), "{what}");
+    }
+}
+
 fn write_temp_bytes(name: &str, content: &[u8]) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("kremlin-cli-tests");
     std::fs::create_dir_all(&dir).expect("temp dir");

@@ -4,16 +4,20 @@
 //! without recompiling or reprofiling, bit-identical to the cold CLI
 //! path — agreement between the two producers of a row (live execution
 //! and streamed trace replay), one row per program whatever the request
-//! shape, and rows that no other program can answer.
+//! shape, and rows that no other program can answer or forged uploads
+//! reach.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
 use kremlin::interp::trace::Trace;
+use kremlin::ir::CompileError;
 use kremlin::persist::save_profile;
 use kremlin::{Analysis, Kremlin, KremlinError, TraceError};
 use kremlin_engine::cache::ArtifactCache;
 use kremlin_engine::{Engine, EngineConfig, StageReuse};
+
+mod forged;
 
 /// The obs registry is process-global; tests that reset or read it must
 /// not interleave. Poisoning is fine to ignore — the registry itself is
@@ -293,6 +297,45 @@ fn an_upload_recorded_from_another_source_is_rejected() {
     assert!(rejected(&engine), "warm: bound 20's row is resident, the upload is still rejected");
 }
 
+/// A hit validates the upload as a miss does: every forged trace gets
+/// the same error from an engine that holds its program's row as from
+/// one that does not.
+#[test]
+fn forged_uploads_are_refused_alike_with_and_without_their_row() {
+    let _guard = obs_guard();
+    for (what, bytes) in forged::traces() {
+        let trace = Trace::from_bytes(&bytes).unwrap();
+        let cold = Engine::new(EngineConfig::default()).analyze_trace(&trace).unwrap_err();
+        assert!(matches!(cold, KremlinError::Trace(TraceError::Corrupt { .. })), "{what}: {cold}");
+        let warm = Engine::new(EngineConfig::default());
+        warm.analyze_source(&trace.source, &trace.source_name, 1).unwrap();
+        let refused = warm.analyze_trace(&trace).unwrap_err();
+        assert_eq!(warm.cache().stats().hits, 1, "{what}: the upload must hit the row");
+        assert_eq!(refused.to_string(), cold.to_string(), "{what}");
+    }
+}
+
+/// A program whose globals take more slots than compilation admits is
+/// refused before anything is sized from its address space: as an upload
+/// (the shadow page table takes 4 B per 1,024 slots) and as a source (the
+/// live run's memory takes 8 B per slot), and neither leaves a row.
+#[test]
+fn programs_past_the_globals_cap_are_refused_before_anything_is_sized() {
+    let _guard = obs_guard();
+    let trace = Trace::from_bytes(&forged::oversized_globals()).unwrap();
+    let engine = Engine::new(EngineConfig::default());
+    let too_large = |e: KremlinError| {
+        let slots = match e {
+            KremlinError::Compile(CompileError::GlobalsTooLarge { slots }) => slots,
+            other => panic!("expected the globals cap, got {other}"),
+        };
+        assert_eq!(slots, 1000 * u64::from(u32::MAX));
+    };
+    too_large(engine.analyze_trace(&trace).unwrap_err());
+    too_large(engine.analyze_source(&trace.source, &trace.source_name, 1).unwrap_err());
+    assert_eq!(engine.cache().stats().entries, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Acceptance end-to-end: warm engine vs cold CLI path, all workloads
 // ---------------------------------------------------------------------------
@@ -455,6 +498,7 @@ fn every_request_for_a_program_shares_its_one_row() {
         kremlin_obs::set_metrics(false);
         assert_eq!(snap.counter("engine.cache.misses"), 1, "{}", w.name);
         assert_eq!(record_decode_runs(&snap), (0, 0), "{}", w.name);
+        assert_eq!(snap.counter("trace.replay.runs"), 1, "{}: the hit validates", w.name);
         assert_eq!(consumer_view(&first.analysis), want, "{}", w.name);
     }
 }

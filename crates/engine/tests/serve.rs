@@ -178,18 +178,51 @@ fn trace_upload_profiles_and_reports_fingerprint() {
 }
 
 /// A forged upload costs one 422: a forged event count does not abort
-/// the daemon, forged nesting does not grow it without bound, and it
-/// keeps serving.
+/// the daemon, forged nesting or addresses do not grow it without bound,
+/// and it keeps serving. The forged program's row, once resident,
+/// answers none of them. A program past the globals cap gets 422 as an
+/// upload and as a source.
 #[test]
 fn forged_uploads_answer_422_and_the_daemon_keeps_serving() {
     let server = start_server(2, 8);
     let addr = server.addr();
-    for (what, bytes) in forged::traces() {
-        let reply = roundtrip(addr, "POST", "/v1/trace", &[], &bytes);
-        assert_eq!(reply.status, 422, "{what}: {}", String::from_utf8_lossy(&reply.body));
+    let traces = forged::traces();
+    let refuse_all = |when: &str| {
+        for (what, bytes) in &traces {
+            let reply = roundtrip(addr, "POST", "/v1/trace", &[], bytes);
+            let body = String::from_utf8_lossy(&reply.body);
+            assert_eq!(reply.status, 422, "{what}, {when}: {body}");
+            let error = body_json(&reply).get("error").and_then(Value::as_str).unwrap().to_string();
+            assert!(error.contains("corrupt trace event stream"), "{what}, {when}: {error}");
+            assert_eq!(roundtrip(addr, "GET", "/healthz", &[], b"").status, 200, "{what}");
+        }
+    };
+    refuse_all("no row resident");
+    let program = kremlin::interp::Trace::from_bytes(&traces[0].1).unwrap();
+    let request = Value::Obj(vec![
+        ("schema".into(), Value::Str("kremlin-serve-v1".into())),
+        ("source".into(), Value::Str(program.source.clone())),
+        ("name".into(), Value::Str(program.source_name.clone())),
+    ])
+    .to_string();
+    assert_eq!(post_json(addr, "/v1/profile", &request).status, 200);
+    refuse_all("its row resident");
+    // A program past the globals cap, as an upload and as a source.
+    let oversized = forged::oversized_globals();
+    let program = kremlin::interp::Trace::from_bytes(&oversized).unwrap();
+    let request = Value::Obj(vec![
+        ("schema".into(), Value::Str("kremlin-serve-v1".into())),
+        ("source".into(), Value::Str(program.source.clone())),
+        ("name".into(), Value::Str(program.source_name.clone())),
+    ])
+    .to_string();
+    for reply in [
+        roundtrip(addr, "POST", "/v1/trace", &[], &oversized),
+        post_json(addr, "/v1/profile", &request),
+    ] {
         let error = body_json(&reply).get("error").and_then(Value::as_str).unwrap().to_string();
-        assert!(error.contains("corrupt trace event stream"), "{what}: {error}");
-        assert_eq!(roundtrip(addr, "GET", "/healthz", &[], b"").status, 200, "{what}");
+        assert_eq!(reply.status, 422, "{error}");
+        assert!(error.contains("more than the 4194304 a program may declare"), "{error}");
     }
     let unit = kremlin::ir::compile(DEMO, "grid.kc").unwrap();
     let trace = Kremlin::new().record(&unit, DEMO).unwrap();

@@ -227,7 +227,7 @@ pub fn plan_shards_weighted(per_depth_cost: &[u64], window: usize, jobs: usize) 
 /// shadow-work counters (`hcpa.shadow.*`) sum every shard's work. Each
 /// worker additionally publishes its own counter set under a `shard.N.`
 /// prefix: `events` (events replayed), `instr_events` and
-/// `shadow_live_pages` (shadow slots touched), and a `wall_us` gauge
+/// `shadow_live_pages` (shadow pages allocated), and a `wall_us` gauge
 /// (worker wall time).
 ///
 /// # Errors
@@ -269,7 +269,7 @@ pub fn profile_decoded_parallel(
 struct ShardMetrics {
     events: &'static kremlin_obs::Counter,
     instr_events: &'static kremlin_obs::Counter,
-    shadow_live_pages: &'static kremlin_obs::Counter,
+    shadow_pages: &'static kremlin_obs::Counter,
     wall_us: &'static kremlin_obs::Gauge,
 }
 
@@ -278,7 +278,7 @@ impl ShardMetrics {
         ShardMetrics {
             events: kremlin_obs::counter_named(&format!("shard.{k}.events")),
             instr_events: kremlin_obs::counter_named(&format!("shard.{k}.instr_events")),
-            shadow_live_pages: kremlin_obs::counter_named(&format!("shard.{k}.shadow_live_pages")),
+            shadow_pages: kremlin_obs::counter_named(&format!("shard.{k}.shadow_live_pages")),
             wall_us: kremlin_obs::gauge_named(&format!("shard.{k}.wall_us")),
         }
     }
@@ -286,7 +286,7 @@ impl ShardMetrics {
     fn publish(&self, events: u64, outcome: &ProfileOutcome, started: Instant) {
         self.events.add(events);
         self.instr_events.add(outcome.stats.instr_events);
-        self.shadow_live_pages.add(outcome.stats.shadow_live_pages);
+        self.shadow_pages.add(outcome.stats.shadow_pages);
         self.wall_us.set_max(started.elapsed().as_micros() as u64);
     }
 }
@@ -335,7 +335,6 @@ fn run_shards(
             Some(s) => {
                 debug_assert_eq!(run, Some(o.run), "shards disagree on execution");
                 s.shadow_pages += o.stats.shadow_pages;
-                s.shadow_live_pages += o.stats.shadow_live_pages;
                 s.shadow_bytes += o.stats.shadow_bytes;
                 s.shadow_commits += o.stats.shadow_commits;
             }

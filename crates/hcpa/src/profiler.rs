@@ -125,11 +125,9 @@ pub struct ProfilerStats {
     pub dynamic_regions: u64,
     /// Peak region nesting depth observed.
     pub max_depth: usize,
-    /// Shadow memory pages ever allocated (historical count).
+    /// Shadow memory pages allocated (none is freed before the run ends).
     pub shadow_pages: u64,
-    /// Shadow memory pages currently resident at the end of the run.
-    pub shadow_live_pages: u64,
-    /// Shadow memory footprint in bytes of the live pages: one stamp and
+    /// Shadow memory footprint in bytes of those pages: one stamp and
     /// `window` times (`8 × (window + 1)` bytes) per location.
     pub shadow_bytes: u64,
     /// Instruction events of committed values that did shadow work (at
@@ -482,7 +480,6 @@ impl<'m> Profiler<'m> {
     pub fn finish(mut self) -> (Dictionary, ProfilerStats) {
         assert!(self.regions.is_empty(), "profiling finished with open regions");
         self.stats.shadow_pages = self.mem.pages_allocated();
-        self.stats.shadow_live_pages = self.mem.live_pages();
         self.stats.shadow_bytes = self.mem.footprint_bytes();
         if kremlin_obs::metrics_enabled() {
             // Flush run-local tallies in one shot; nothing is counted per
@@ -493,12 +490,8 @@ impl<'m> Profiler<'m> {
             }
             kremlin_obs::counter!("hcpa.shadow.commits").add(self.stats.shadow_commits);
             kremlin_obs::counter!("hcpa.shadow.pages_allocated").add(self.stats.shadow_pages);
-            kremlin_obs::gauge!("hcpa.shadow.live_pages").set_max(self.stats.shadow_live_pages);
             kremlin_obs::gauge!("hcpa.shadow.footprint_bytes").set_max(self.stats.shadow_bytes);
             kremlin_obs::gauge!("hcpa.max_depth").set_max(self.stats.max_depth as u64);
-            let (hits, misses) = self.mem.cache_stats();
-            kremlin_obs::counter!("hcpa.shadow.cache_hits").add(hits);
-            kremlin_obs::counter!("hcpa.shadow.cache_misses").add(misses);
         }
         (self.dict, self.stats)
     }

@@ -214,7 +214,6 @@ impl<'m> SeedProfiler<'m> {
     pub fn finish(mut self) -> (Dictionary, ProfilerStats) {
         assert!(self.regions.is_empty(), "profiling finished with open regions");
         self.stats.shadow_pages = self.mem.pages_allocated();
-        self.stats.shadow_live_pages = self.mem.pages.len() as u64;
         self.stats.shadow_bytes = self.mem.footprint_bytes();
         (self.dict, self.stats)
     }
@@ -526,7 +525,7 @@ mod tests {
                 assert_eq!(opt.stats.instr_events, seed.stats.instr_events);
                 assert_eq!(opt.stats.dynamic_regions, seed.stats.dynamic_regions);
                 assert_eq!(opt.stats.max_depth, seed.stats.max_depth);
-                assert_eq!(opt.stats.shadow_live_pages, seed.stats.shadow_live_pages);
+                assert_eq!(opt.stats.shadow_pages, seed.stats.shadow_pages);
             }
         }
     }

@@ -9,9 +9,9 @@
 //!
 //! Two stores exist, mirroring the paper's split:
 //!
-//! * [`ShadowMemory`] — a two-level table over the interpreter's slot
-//!   address space, pages allocated on demand (§4.1 "dynamic allocation of
-//!   shadow memory");
+//! * [`ShadowMemory`] — a page table over the interpreter's slot address
+//!   space, pages allocated on demand (§4.1 "dynamic allocation of shadow
+//!   memory");
 //! * [`ShadowRegs`] — a directly addressed per-frame table for SSA values
 //!   (§4.1 "shadow register tables for local variables").
 //!
@@ -42,13 +42,15 @@
 //! computes the prefix length once and returns that many contiguous
 //! times, with no per-depth tag compare; a write stores the stamp and the
 //! times of the tracked depths. [`ShadowMemory`] resolves the page
-//! **once per access** and keeps a one-entry **last-page cache** in front
-//! of its page index. The cache misses on about half of all accesses
-//! (loop bodies alternate between arrays on different pages), so the
-//! index hashes page keys with two Fibonacci multiplies (`PageHashing`)
-//! instead of SipHash's rounds. The index stays a hash map: pages are
-//! allocated only where a location is written, so a replayed trace's
-//! arbitrary addresses cost only the pages they touch.
+//! **once per access**, with one bounds-checked index into a flat page
+//! table. A dense table fits because the address space is small: every
+//! address comes from an execution, or from a replay that admits only
+//! addresses the live stack holds (`kremlin_interp::memory::StackTop`),
+//! and compilation refuses globals past
+//! [`MAX_GLOBAL_SLOTS`](kremlin_ir::MAX_GLOBAL_SLOTS). So the table has
+//! one entry per 1,024 slots of globals and stack, at most 8,192 (32 KB)
+//! for 4,194,304 slots of each. Pages are still allocated only where a
+//! location is written.
 //!
 //! Every depth is *relative* to the profiler's tracked range
 //! (`d - min_depth`): a `tags` argument lists the tags of the instances
@@ -56,11 +58,6 @@
 //! of them). The frozen pre-optimization stores, which keep the paper's
 //! per-slot tags, live in [`crate::seed`], the reference the differential
 //! tests and the benchmark baseline compare against.
-
-use std::cell::Cell;
-use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 
 /// Slots per shadow-memory page (power of two).
 const PAGE_SLOTS: u64 = 1024;
@@ -79,64 +76,6 @@ fn valid_prefix(stamp: u64, tags: &[u64]) -> usize {
 #[inline]
 fn valid_times<'r>(run: &'r [u64], tags: &[u64]) -> &'r [u64] {
     &run[1..1 + valid_prefix(run[0], tags)]
-}
-
-/// 2^64/φ, the Fibonacci hashing multiplier.
-const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Hashing for the shadow page index: Fibonacci hashing of the page key
-/// XORed with a random per-index seed, folded and multiplied once more so
-/// that every key bit reaches the bits `HashMap` takes its bucket index
-/// and tag from.
-///
-/// Page keys come from replayed traces, which arrive from outside the
-/// program. One bare multiply is invertible, so page keys that collide
-/// could be computed offline and uploaded to make every lookup a linear
-/// probe; the unknown seed rules that out, as SipHash's random keys do.
-#[derive(Debug, Clone)]
-struct PageHashing {
-    seed: u64,
-}
-
-impl PageHashing {
-    fn new() -> Self {
-        PageHashing { seed: RandomState::new().hash_one(0u64) }
-    }
-}
-
-impl BuildHasher for PageHashing {
-    type Hasher = PageHasher;
-
-    fn build_hasher(&self) -> PageHasher {
-        PageHasher { seed: self.seed, hash: 0 }
-    }
-}
-
-#[derive(Debug)]
-struct PageHasher {
-    seed: u64,
-    hash: u64,
-}
-
-impl Hasher for PageHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.hash.rotate_left(8) ^ u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, key: u64) {
-        let h = (key ^ self.seed).wrapping_mul(FIBONACCI);
-        self.hash = (h ^ (h >> 32)).wrapping_mul(FIBONACCI);
-    }
-
-    /// The product's high bits mix every bit of its input: rotate them
-    /// down to the bucket index.
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash.rotate_left(32)
-    }
 }
 
 /// A per-frame shadow register table: one stamped, depth-contiguous run
@@ -174,134 +113,83 @@ impl ShadowRegs {
     }
 }
 
-/// Two-level shadow memory over slot addresses: a hash index from page
-/// key to a densely stored page of stamped runs, with a one-entry
-/// last-page cache in front of the index.
+/// Shadow memory over slot addresses: a page table indexed by page
+/// number, each written page a densely stored block of stamped runs.
+///
+/// Addresses must lie in a compiled program's address space (execution
+/// and validated replay guarantee it, and compilation caps the globals):
+/// a write grows the table up to its page.
 #[derive(Debug)]
 pub struct ShadowMemory {
     /// Words per location: the stamp plus one time per tracked depth.
     stride: usize,
-    index: HashMap<u64, u32, PageHashing>,
+    /// One entry per page number up to the highest page written: one plus
+    /// its index into `pages`, or 0 for a page never written.
+    table: Vec<u32>,
     pages: Vec<Box<[u64]>>,
-    /// `(page key, index into pages)` of the most recently touched page.
-    /// `u64::MAX` is an impossible key (addresses are `< u64::MAX`), so
-    /// the initial value never falsely hits.
-    last: Cell<(u64, u32)>,
-    /// Pages ever allocated (for reporting historical shadow footprint).
-    pages_allocated: u64,
-    /// Last-page-cache hit/miss tally, recorded only when `collect` is
-    /// set (captured from the `kremlin_obs` metrics switch at
-    /// construction) so the disabled hot path pays one predictable
-    /// branch.
-    cache_hits: Cell<u64>,
-    cache_misses: Cell<u64>,
-    collect: bool,
 }
 
 impl ShadowMemory {
     /// Creates an empty shadow memory with `window` depths per location.
     pub fn new(window: usize) -> Self {
-        ShadowMemory {
-            stride: window + 1,
-            index: HashMap::with_hasher(PageHashing::new()),
-            pages: Vec::new(),
-            last: Cell::new((u64::MAX, 0)),
-            pages_allocated: 0,
-            cache_hits: Cell::new(0),
-            cache_misses: Cell::new(0),
-            collect: kremlin_obs::metrics_enabled(),
-        }
+        ShadowMemory { stride: window + 1, table: Vec::new(), pages: Vec::new() }
     }
 
+    /// The page number of `addr` and the range of its stamped run inside
+    /// that page.
     #[inline]
-    fn cached(&self, key: u64) -> Option<u32> {
-        let (ck, ci) = self.last.get();
-        let hit = ck == key;
-        if self.collect {
-            let tally = if hit { &self.cache_hits } else { &self.cache_misses };
-            tally.set(tally.get() + 1);
-        }
-        hit.then_some(ci)
-    }
-
-    #[inline]
-    fn page_of(&self, addr: u64) -> Option<u32> {
-        let key = addr / PAGE_SLOTS;
-        if let Some(i) = self.cached(key) {
-            return Some(i);
-        }
-        let i = *self.index.get(&key)?;
-        self.last.set((key, i));
-        Some(i)
-    }
-
-    #[inline]
-    fn page_of_mut(&mut self, addr: u64) -> u32 {
-        let key = addr / PAGE_SLOTS;
-        if let Some(i) = self.cached(key) {
-            return i;
-        }
-        let i = match self.index.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let i = self.pages.len() as u32;
-                self.pages.push(vec![0; PAGE_SLOTS as usize * self.stride].into_boxed_slice());
-                self.pages_allocated += 1;
-                *e.insert(i)
-            }
-        };
-        self.last.set((key, i));
-        i
+    fn locate(&self, addr: u64) -> (usize, std::ops::Range<usize>) {
+        let base = (addr % PAGE_SLOTS) as usize * self.stride;
+        ((addr / PAGE_SLOTS) as usize, base..base + self.stride)
     }
 
     /// The times stored at `addr` that are valid under `tags` (see
-    /// [`ShadowRegs::read_run`]); empty for an unallocated page.
+    /// [`ShadowRegs::read_run`]); empty for a page never written.
     #[inline]
     pub fn read_run(&self, addr: u64, tags: &[u64]) -> &[u64] {
-        let Some(i) = self.page_of(addr) else { return &[] };
-        let base = (addr % PAGE_SLOTS) as usize * self.stride;
-        valid_times(&self.pages[i as usize][base..base + self.stride], tags)
+        let (page, run) = self.locate(addr);
+        match self.table.get(page) {
+            Some(&slot) if slot != 0 => valid_times(&self.pages[slot as usize - 1][run], tags),
+            _ => &[],
+        }
     }
 
     /// Stamps `addr` with `stamp` and returns its first `n` times for the
     /// caller to fill, allocating the page on first touch.
     #[inline]
     pub fn write_run(&mut self, addr: u64, stamp: u64, n: usize) -> &mut [u64] {
-        let i = self.page_of_mut(addr) as usize;
-        let base = (addr % PAGE_SLOTS) as usize * self.stride;
-        let run = &mut self.pages[i][base..base + self.stride];
+        let (page, run) = self.locate(addr);
+        if page >= self.table.len() {
+            self.table.resize(page + 1, 0);
+        }
+        let slot = &mut self.table[page];
+        if *slot == 0 {
+            self.pages.push(vec![0; PAGE_SLOTS as usize * self.stride].into_boxed_slice());
+            *slot = self.pages.len() as u32;
+        }
+        let run = &mut self.pages[*slot as usize - 1][run];
         run[0] = stamp;
         &mut run[1..1 + n]
     }
 
-    /// Number of distinct pages ever allocated (historical; never
-    /// decreases).
+    /// Number of pages allocated: the pages written so far, none ever
+    /// freed.
     pub fn pages_allocated(&self) -> u64 {
-        self.pages_allocated
-    }
-
-    /// Number of pages currently resident.
-    pub fn live_pages(&self) -> u64 {
         self.pages.len() as u64
     }
 
-    /// Current shadow-memory footprint in bytes of the live pages, derived
+    /// Shadow-memory footprint in bytes of the allocated pages, derived
     /// from the run layout (`window + 1` words per location).
     pub fn footprint_bytes(&self) -> u64 {
-        self.live_pages() * PAGE_SLOTS * (self.stride * std::mem::size_of::<u64>()) as u64
-    }
-
-    /// `(hits, misses)` of the last-page cache. Counts are collected only
-    /// while `kremlin_obs` metrics are enabled at construction time.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache_hits.get(), self.cache_misses.get())
+        self.pages_allocated() * PAGE_SLOTS * (self.stride * std::mem::size_of::<u64>()) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use kremlin_interp::MachineConfig;
+    use std::collections::{HashMap, HashSet};
 
     /// xorshift64*: deterministic, no external crates.
     struct Rng(u64);
@@ -357,13 +245,18 @@ mod tests {
     /// tags) and checks that every read agrees. The stack wanders below
     /// `min_depth` and past `min_depth + window`, so reads see every
     /// tracked depth, an empty tracked range and depths outside the
-    /// window; addresses cluster around page boundaries, reach
-    /// `u64::MAX - PAGE_SLOTS`, and include pages never written.
+    /// window; addresses cluster around page boundaries, span the largest
+    /// address space a compiled program has (the most globals, then the
+    /// default stack), and include pages never written, inside the page
+    /// table and past its end.
     fn check_stamp_rule_against_model(seed: u64, window: usize, min_depth: usize) {
         const VALUES: u64 = 12;
         let mut rng = Rng(seed);
-        let bases: [u64; 6] = [0, 1000, 1040, 1 << 30, 7 << 40, u64::MAX - PAGE_SLOTS];
-        let written_bases = &bases[..5]; // the `7 << 40` page is only ever read
+        let top = kremlin_ir::MAX_GLOBAL_SLOTS + MachineConfig::default().stack_slots;
+        let bases: [u64; 7] =
+            [0, 1000, 1040, 3 * PAGE_SLOTS - 32, top / 2, 10 * PAGE_SLOTS, top - 64];
+        let written_bases = &bases[..5];
+        let read_only = [bases[5] / PAGE_SLOTS, bases[6] / PAGE_SLOTS];
         let max_depth = (min_depth + window + 3) as u64;
 
         let mut stack: Vec<u64> = Vec::new();
@@ -383,7 +276,7 @@ mod tests {
             let addr = if rng.below(2) == 0 {
                 written_bases[rng.below(5) as usize] + rng.below(64)
             } else {
-                bases[rng.below(6) as usize] + rng.below(64)
+                bases[rng.below(7) as usize] + rng.below(64)
             };
             let value = rng.below(VALUES);
             match rng.below(16) {
@@ -400,7 +293,7 @@ mod tests {
                     regs_model = Model::default();
                     assert!(regs.read_run(value as usize, &tags).is_empty(), "step {step}");
                 }
-                7 | 8 if addr >> 40 != 7 => {
+                7 | 8 if !read_only.contains(&(addr / PAGE_SLOTS)) => {
                     mem.write_run(addr, stamp, tags.len()).copy_from_slice(&times);
                     mem_model.write(addr, &tags, &times);
                     pages.insert(addr / PAGE_SLOTS);
@@ -426,26 +319,18 @@ mod tests {
             }
         }
 
-        // Reads never allocate: only written pages exist, and the
-        // footprint follows the stamped run layout.
+        // Reads never allocate: only written pages exist, the table ends
+        // at the highest of them, and the footprint follows the stamped
+        // run layout.
         assert!(pages.len() >= 2, "the stream must write several pages");
         assert_eq!(mem.pages_allocated(), pages.len() as u64);
-        assert_eq!(mem.live_pages(), pages.len() as u64);
-        assert_eq!(mem.footprint_bytes(), mem.live_pages() * PAGE_SLOTS * (window as u64 + 1) * 8);
-        assert!(mem.read_run(7 << 40, &[1]).is_empty(), "unallocated page reads empty");
-    }
-
-    /// Keys that differ only in their high bits (far-apart pages) and
-    /// sequential keys (neighbouring pages) both spread over the bucket
-    /// bits, under any seed.
-    #[test]
-    fn page_hashing_spreads_high_and_low_key_bits() {
-        for hashing in [PageHashing::new(), PageHashing { seed: 0 }] {
-            for keys in [(0..4096u64).map(|i| i << 40).collect::<Vec<_>>(), (0..4096).collect()] {
-                let buckets: HashSet<u64> =
-                    keys.iter().map(|&k| hashing.hash_one(k) & 4095).collect();
-                assert!(buckets.len() > 2000, "{} of 4096 buckets used", buckets.len());
-            }
+        assert_eq!(mem.table.len() as u64, pages.iter().max().unwrap() + 1);
+        assert_eq!(
+            mem.footprint_bytes(),
+            pages.len() as u64 * PAGE_SLOTS * (window as u64 + 1) * 8
+        );
+        for never in [bases[5], bases[6]] {
+            assert!(mem.read_run(never, &[1]).is_empty(), "unwritten page {never} reads empty");
         }
     }
 

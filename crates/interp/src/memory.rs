@@ -1,5 +1,5 @@
-//! Flat slot-addressed memory: globals at the bottom, a downward-growing…
-//! no — an upward-growing frame stack above them.
+//! Flat slot-addressed memory: globals at the bottom, an upward-growing
+//! frame stack above them.
 //!
 //! Addresses are slot indices (one slot = one scalar). This mirrors the
 //! addressing granularity of Kremlin's shadow memory, which tracks one
@@ -9,22 +9,63 @@ use crate::error::InterpError;
 use kremlin_ir::module::{GlobalInit, Module};
 use kremlin_ir::FuncId;
 
+/// The live extent of a module's slot address space: its globals, then
+/// one frame per open activation. The interpreter's [`Memory`] keeps one,
+/// and so does trace replay's validator, so a replayed frame or address is
+/// one an execution could have produced.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StackTop {
+    top: u64,
+    limit: u64,
+}
+
+impl StackTop {
+    /// The empty stack of `module`: its top sits right above the globals,
+    /// and frames may take `stack_slots` slots beyond them.
+    pub fn for_module(module: &Module, stack_slots: u64) -> StackTop {
+        let globals_end = module.global_slots();
+        StackTop { top: globals_end, limit: globals_end + stack_slots }
+    }
+
+    /// Opens a frame of `slots` slots, returning its base address, or
+    /// `None` when it would take the top past the limit.
+    #[inline]
+    pub fn push(&mut self, slots: u32) -> Option<u64> {
+        let base = self.top;
+        let top = base + u64::from(slots);
+        if top > self.limit {
+            return None;
+        }
+        self.top = top;
+        Some(base)
+    }
+
+    /// Closes the most recent frame, of `slots` slots.
+    #[inline]
+    pub fn pop(&mut self, slots: u32) {
+        self.top -= u64::from(slots);
+    }
+
+    /// Whether `addr` is a slot of a global or of an open frame.
+    #[inline]
+    pub fn holds(&self, addr: u64) -> bool {
+        addr < self.top
+    }
+}
+
 /// Interpreter memory.
 #[derive(Debug)]
 pub struct Memory {
     slots: Vec<u64>,
-    globals_end: u64,
-    sp: u64,
-    limit: u64,
+    stack: StackTop,
 }
 
 impl Memory {
     /// Creates memory for a module: globals initialized, stack empty.
     ///
-    /// `stack_limit` bounds the total slot count (globals + stack).
+    /// Frames may take `stack_limit` slots beyond the globals.
     pub fn for_module(m: &Module, stack_limit: u64) -> Memory {
-        let globals_end = m.global_slots();
-        let mut slots = vec![0u64; globals_end as usize];
+        let mut slots = vec![0u64; m.global_slots() as usize];
         let mut off = 0usize;
         for g in &m.globals {
             match g.init {
@@ -34,17 +75,7 @@ impl Memory {
             }
             off += g.slots as usize;
         }
-        Memory { slots, globals_end, sp: globals_end, limit: globals_end + stack_limit }
-    }
-
-    /// Current stack pointer (next free slot).
-    pub fn sp(&self) -> u64 {
-        self.sp
-    }
-
-    /// First slot above the globals area.
-    pub fn globals_end(&self) -> u64 {
-        self.globals_end
+        Memory { slots, stack: StackTop::for_module(m, stack_limit) }
     }
 
     /// Pushes a zeroed frame of `slots` slots, returning its base address.
@@ -53,26 +84,19 @@ impl Memory {
     ///
     /// Returns [`InterpError::StackOverflow`] if the limit is exceeded.
     pub fn push_frame(&mut self, slots: u32) -> Result<u64, InterpError> {
-        let base = self.sp;
-        let new_sp = base + slots as u64;
-        if new_sp > self.limit {
-            return Err(InterpError::StackOverflow);
-        }
-        if new_sp as usize > self.slots.len() {
-            self.slots.resize(new_sp as usize, 0);
+        let base = self.stack.push(slots).ok_or(InterpError::StackOverflow)?;
+        let top = base as usize + slots as usize;
+        if top > self.slots.len() {
+            self.slots.resize(top, 0);
         } else {
-            for s in &mut self.slots[base as usize..new_sp as usize] {
-                *s = 0;
-            }
+            self.slots[base as usize..top].fill(0);
         }
-        self.sp = new_sp;
         Ok(base)
     }
 
     /// Pops the most recent frame of `slots` slots.
     pub fn pop_frame(&mut self, slots: u32) {
-        debug_assert!(self.sp >= self.globals_end + slots as u64);
-        self.sp -= slots as u64;
+        self.stack.pop(slots);
     }
 
     /// Reads raw bits.
@@ -82,7 +106,7 @@ impl Memory {
     /// Returns [`InterpError::OutOfBounds`] for addresses outside the live
     /// globals+stack area.
     pub fn load(&self, addr: u64, func: FuncId) -> Result<u64, InterpError> {
-        if addr >= self.sp {
+        if !self.stack.holds(addr) {
             return Err(InterpError::OutOfBounds { addr, func });
         }
         Ok(self.slots[addr as usize])
@@ -95,7 +119,7 @@ impl Memory {
     /// Returns [`InterpError::OutOfBounds`] for addresses outside the live
     /// globals+stack area.
     pub fn store(&mut self, addr: u64, bits: u64, func: FuncId) -> Result<(), InterpError> {
-        if addr >= self.sp {
+        if !self.stack.holds(addr) {
             return Err(InterpError::OutOfBounds { addr, func });
         }
         self.slots[addr as usize] = bits;
@@ -118,10 +142,10 @@ mod tests {
     #[test]
     fn globals_are_initialized() {
         let m = mem(16);
-        assert_eq!(m.globals_end(), 5);
         assert_eq!(m.load(0, FuncId(0)).unwrap(), 7);
         assert_eq!(f64::from_bits(m.load(1, FuncId(0)).unwrap()), 1.5);
         assert_eq!(m.load(2, FuncId(0)).unwrap(), 0); // array zeroed
+        assert!(m.load(4, FuncId(0)).is_ok()); // the globals take five slots
     }
 
     #[test]

@@ -49,6 +49,7 @@
 use crate::error::InterpError;
 use crate::hooks::{CallCtx, ExecHook, InstrCtx, RetCtx};
 use crate::machine::{run_with_hook, MachineConfig, RunResult};
+use crate::memory::StackTop;
 use kremlin_ir::{FuncId, Function, InstrKind, Module, RegionId, ValueId};
 use std::fmt;
 
@@ -463,15 +464,16 @@ struct Open {
 /// Every decoded id is validated against `module` and the region/function
 /// bracket structure is checked before each event fires, so a corrupt or
 /// adversarial trace yields a [`TraceError`], never a panicked hook. The
-/// structure must be one execution can produce, so nesting, and with it
-/// the hook's state, stays bounded: a function entry may not nest deeper
-/// than the interpreter's call-depth limit
-/// ([`MachineConfig::max_call_depth`], default configuration); a region
-/// is entered only inside its static parent; and a bracket closes with
-/// no control dependence it opened still open, having held at most as
-/// many open at once as its function has `CdPush` sites. Every event is
-/// validated, but only the instruction events the hook selects
-/// ([`ExecHook::selects_instr`]) are delivered.
+/// structure must be one execution can produce, so nesting and addresses,
+/// and with them the hook's state, stay bounded as the interpreter bounds
+/// them (default [`MachineConfig`]): a function entry may not nest deeper
+/// than the call-depth limit, nor push its frame past the stack limit
+/// (`memory::StackTop`); a load or store addresses a global or a slot of an open
+/// frame, below the stack top; a region is entered only inside its static
+/// parent; and a bracket closes with no control dependence it opened
+/// still open, having held at most as many open at once as its function
+/// has `CdPush` sites. Every event is validated, but only the instruction
+/// events the hook selects ([`ExecHook::selects_instr`]) are delivered.
 ///
 /// # Errors
 ///
@@ -503,7 +505,8 @@ fn replay_into<H: ExecHook>(
     }
     let corrupt = |offset: usize, message: String| TraceError::Corrupt { offset, message };
     let selected = selection(module, hook);
-    let max_call_depth = MachineConfig::default().max_call_depth;
+    let MachineConfig { max_call_depth, stack_slots, .. } = MachineConfig::default();
+    let mut stack = StackTop::for_module(module, stack_slots);
     // Between a bracket's open and its close, execution runs each static
     // `CdPush` site at most once (every loop iteration is a bracket).
     let cd_sites: Vec<usize> = module
@@ -590,6 +593,12 @@ fn replay_into<H: ExecHook>(
                         let delta = unzigzag(varint!());
                         let addr = last_addr.wrapping_add(delta as u64);
                         last_addr = addr;
+                        if !stack.holds(addr) {
+                            return Err(corrupt(
+                                at,
+                                format!("address {addr} at or above the stack top"),
+                            ));
+                        }
                         if deliver {
                             hook.on_instr(&InstrCtx {
                                 func,
@@ -651,7 +660,11 @@ fn replay_into<H: ExecHook>(
                     return Err(corrupt(at, format!("calls nest deeper than {max_call_depth}")));
                 }
                 let fid = FuncId::from_index(idx);
-                let region = module.func(fid).region;
+                let func = module.func(fid);
+                if stack.push(func.frame_slots).is_none() {
+                    return Err(corrupt(at, format!("frames overflow the stack at {fid}")));
+                }
+                let region = func.region;
                 funcs.push(fid);
                 open.push(Open { region, func: true, cd_depth });
                 hook.on_function_enter(fid, region);
@@ -676,6 +689,7 @@ fn replay_into<H: ExecHook>(
                     }
                 };
                 hook.on_return(&RetCtx { func: fid, region: func.region, returned });
+                stack.pop(func.frame_slots);
                 funcs.pop();
             }
             TAG_REGION_ENTER => {
@@ -1389,6 +1403,106 @@ mod tests {
             }
         });
         assert_refused_early(&cd_left_open, &unit.module, "a cd left open across a region exit");
+    }
+
+    #[test]
+    fn addresses_no_execution_produces_are_corrupt() {
+        let (unit, _) = recorded();
+        let module = &unit.module;
+        let main = module.main.unwrap();
+        let func = module.func(main);
+        let value_of = |load: bool| {
+            let at = func.values.iter().position(|v| match v.kind {
+                InstrKind::Load(_) => load,
+                InstrKind::Store { .. } => !load,
+                _ => false,
+            });
+            ValueId::from_index(at.unwrap())
+        };
+        let access = |value: ValueId, addr: u64| InstrCtx {
+            func,
+            value,
+            kind: &func.value(value).kind,
+            mem_addr: Some(addr),
+            phi_source: None,
+        };
+        let entered = forged(&unit, |rec| rec.on_function_enter(main, func.region));
+        // With only `main` open, the stack top sits right above its frame.
+        let top = module.global_slots() + u64::from(func.frame_slots);
+        for value in [value_of(true), value_of(false)] {
+            let at_top = forged(&unit, |rec| {
+                rec.on_function_enter(main, func.region);
+                rec.on_instr(&access(value, top));
+            });
+            let offset = assert_corrupt(&at_top, module, "an access at the stack top");
+            assert_eq!(offset, entered.encoded_len(), "refused at the access");
+            // One slot lower lies inside the live stack: the stream is
+            // refused only where it ends, with `main` still open.
+            let below = forged(&unit, |rec| {
+                rec.on_function_enter(main, func.region);
+                rec.on_instr(&access(value, top - 1));
+            });
+            assert_eq!(
+                assert_corrupt(&below, module, "an access below the top"),
+                below.encoded_len()
+            );
+        }
+        // 1,000 stores to distinct pages, once 1,000 pages of shadow
+        // memory: refused at the first.
+        let scattered = forged(&unit, |rec| {
+            rec.on_function_enter(main, func.region);
+            (0..1000u64).for_each(|k| rec.on_instr(&access(value_of(false), (k + 1) << 20)));
+        });
+        let offset = assert_corrupt(&scattered, module, "1,000 scattered stores");
+        assert_eq!(offset, entered.encoded_len(), "refused at the first store");
+    }
+
+    /// `f`'s frame takes a quarter of the default stack plus one slot, so
+    /// three activations fit and a fourth overflows.
+    const BIG_FRAME: &str = "float f(int n) { float pad[1048576]; pad[n] = 1.0;\n\
+        if (n == 0) { return pad[0]; } return f(n - 1) + pad[n]; }\n";
+
+    #[test]
+    fn frames_past_the_stack_limit_are_corrupt() {
+        let unit =
+            compile(&format!("{BIG_FRAME}int main() {{ return (int) f(0); }}"), "big.kc").unwrap();
+        let module = &unit.module;
+        let main = module.main.unwrap();
+        let f = module.func_by_name("f").unwrap();
+        let ret = RetCtx { func: f.id, region: f.region, returned: None };
+        let nested = |frames: usize| {
+            forged(&unit, |rec| {
+                rec.on_function_enter(main, module.func(main).region);
+                (0..frames).for_each(|_| rec.on_function_enter(f.id, f.region));
+            })
+        };
+        let offset = assert_corrupt(&nested(4), module, "four nested frames of f");
+        assert_eq!(offset, nested(3).encoded_len(), "refused at the fourth entry");
+        // Returns give the slots back: four activations one after another
+        // fit, so the stream is refused only where it ends.
+        let sequential = forged(&unit, |rec| {
+            rec.on_function_enter(main, module.func(main).region);
+            for _ in 0..4 {
+                rec.on_function_enter(f.id, f.region);
+                rec.on_return(&ret);
+            }
+        });
+        let offset = assert_corrupt(&sequential, module, "four sequential frames of f");
+        assert_eq!(offset, sequential.encoded_len());
+    }
+
+    #[test]
+    fn a_recursion_at_the_stack_limit_replays() {
+        // `main` plus `f(n)` down to `f(0)`: n + 1 frames of `f`.
+        let unit = |n: u32| {
+            compile(&format!("{BIG_FRAME}int main() {{ return (int) f({n}); }}"), "big.kc").unwrap()
+        };
+        let at_limit = unit(2);
+        let trace = record(&at_limit.module, MachineConfig::default()).unwrap();
+        replay(&trace, &at_limit.module, &mut crate::NullHook).unwrap();
+        DecodedTrace::decode(&trace, &at_limit.module).unwrap();
+        let over = record(&unit(3).module, MachineConfig::default()).unwrap_err();
+        assert!(matches!(over, InterpError::StackOverflow), "{over:?}");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use depend::{DepEvidence, DependenceInfo, LoopDependence, LoopVerdict};
 pub use func::Function;
 pub use ids::{AllocaId, BlockId, FuncId, GlobalId, LoopId, RegionId, ValueId};
 pub use instr::{BinOp, Cmp, InstrKind, Intrinsic, Terminator, Ty, UnOp};
-pub use module::Module;
+pub use module::{Module, MAX_GLOBAL_SLOTS};
 pub use regions::{RegionInfo, RegionKind, RegionTable};
 
 use std::fmt;
@@ -83,6 +83,11 @@ impl CompiledUnit {
 pub enum CompileError {
     /// The mini-C frontend rejected the source.
     Frontend(kremlin_minic::FrontendError),
+    /// The program declares more than [`MAX_GLOBAL_SLOTS`] global slots.
+    GlobalsTooLarge {
+        /// The slots its globals take together.
+        slots: u64,
+    },
     /// Internal invariant violation (a bug in lowering or a pass).
     Verify(verify::VerifyError),
 }
@@ -91,6 +96,10 @@ impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CompileError::Frontend(e) => write!(f, "{e}"),
+            CompileError::GlobalsTooLarge { slots } => write!(
+                f,
+                "globals take {slots} slots, more than the {MAX_GLOBAL_SLOTS} a program may declare"
+            ),
             CompileError::Verify(e) => write!(f, "{e}"),
         }
     }
@@ -100,6 +109,7 @@ impl std::error::Error for CompileError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CompileError::Frontend(e) => Some(e),
+            CompileError::GlobalsTooLarge { .. } => None,
             CompileError::Verify(e) => Some(e),
         }
     }
@@ -123,12 +133,18 @@ impl From<verify::VerifyError> for CompileError {
 ///
 /// # Errors
 ///
-/// Returns [`CompileError::Frontend`] for invalid source and
-/// [`CompileError::Verify`] if an internal pass produced malformed IR.
+/// Returns [`CompileError::Frontend`] for invalid source,
+/// [`CompileError::GlobalsTooLarge`] for a program whose globals take
+/// more than [`MAX_GLOBAL_SLOTS`] slots, and [`CompileError::Verify`] if
+/// an internal pass produced malformed IR.
 pub fn compile(src: &str, source_name: &str) -> Result<CompiledUnit, CompileError> {
     let prog = kremlin_minic::compile_frontend(src)?;
     let _span = kremlin_obs::span("lower");
     let mut module = lower::lower(&prog, source_name);
+    let slots = module.global_slots();
+    if slots > MAX_GLOBAL_SLOTS {
+        return Err(CompileError::GlobalsTooLarge { slots });
+    }
     module.source_fp = source_fingerprint(source_name, src);
     verify::verify_module(&module)?;
     let mut indvars = Vec::with_capacity(module.funcs.len());
@@ -192,6 +208,18 @@ mod tests {
         let e = compile("int main() { return x; }", "bad.kc").unwrap_err();
         assert!(matches!(e, CompileError::Frontend(_)));
         assert!(e.to_string().contains("undeclared"));
+    }
+
+    #[test]
+    fn globals_past_the_cap_are_refused() {
+        let at_cap =
+            format!("int n;\nfloat a[{}];\nint main() {{ return 0; }}", MAX_GLOBAL_SLOTS - 1);
+        assert_eq!(compile(&at_cap, "cap.kc").unwrap().module.global_slots(), MAX_GLOBAL_SLOTS);
+        let many: String = (0..1000).map(|k| format!("float g{k}[4294967295];\n")).collect();
+        let e = compile(&format!("{many}int main() {{ return 0; }}"), "many.kc").unwrap_err();
+        assert!(matches!(e, CompileError::GlobalsTooLarge { slots: 4_294_967_295_000 }), "{e}");
+        let e = compile("int n;\nfloat a[4194304];\nint main() { return 0; }", "over.kc");
+        assert!(e.unwrap_err().to_string().contains("4194305 slots, more than the 4194304"));
     }
 
     #[test]

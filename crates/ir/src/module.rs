@@ -29,6 +29,14 @@ pub struct Global {
     pub init: GlobalInit,
 }
 
+/// The most global slots a program may declare: 4,194,304, the
+/// interpreter's default stack. [`compile`](crate::compile) refuses a
+/// program that declares more, so a compiled program's address space
+/// (globals, then stack) spans at most 8,388,608 slots, and nothing sized
+/// from it, the interpreter's memory or the profiler's shadow page table,
+/// outgrows that.
+pub const MAX_GLOBAL_SLOTS: u64 = 1 << 22;
+
 /// A compiled module.
 #[derive(Debug, Clone)]
 pub struct Module {

@@ -160,6 +160,14 @@ impl Parser {
         if dims.is_empty() {
             return Ok(base);
         }
+        // Slot counts are `u32`: an array must fit one.
+        let elems = dims.iter().flatten().try_fold(1u32, |n, &d| n.checked_mul(d));
+        if elems.is_none() {
+            return Err(FrontendError::parse(
+                format!("array of more than {} elements", u32::MAX),
+                span,
+            ));
+        }
         match base {
             Type::Scalar(elem) => Ok(Type::Array { elem, dims }),
             _ => Err(FrontendError::parse("array of non-scalar type", span)),
@@ -715,6 +723,16 @@ mod tests {
         let p = parse_ok("void f() { while (1) { if (1) break; continue; } }");
         let Stmt::While { body, .. } = &p.funcs[0].body.stmts[0] else { panic!() };
         assert!(matches!(body.stmts[1], Stmt::Continue(_)));
+    }
+
+    #[test]
+    fn rejects_arrays_past_a_u32_slot_count() {
+        for src in ["float g[65536][65536];", "void f() { int t[2][2147483648]; }"] {
+            let e = parse(src).unwrap_err();
+            assert!(e.message.contains("more than 4294967295 elements"), "{src}: {e}");
+        }
+        let p = parse_ok("float g[65535][65537];\nvoid f(float a[][4294967295]) { }");
+        assert_eq!(p.globals[0].ty.slot_count(), u32::MAX);
     }
 
     #[test]
