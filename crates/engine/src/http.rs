@@ -13,8 +13,8 @@ use std::time::Duration;
 
 /// Maximum bytes of request line + headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
-/// Maximum request body (a `.ktrace` upload is ~2 bytes/event, so this
-/// admits traces of ~32M events).
+/// Maximum request body (a `.ktrace` upload is ~2.5 bytes per recorded
+/// event, so this admits traces of ~26M events).
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 /// Per-connection socket read timeout.
 pub const READ_TIMEOUT: Duration = Duration::from_secs(10);

@@ -82,8 +82,8 @@ pub struct EngineAnalysis {
     pub analysis: Analysis,
     /// Per-stage cache reuse for this request.
     pub reused: StageReuse,
-    /// The module fingerprint (the `kremlin-trace v2` identity, which
-    /// covers the source) reported on the wire.
+    /// The module fingerprint (the trace header's identity, which covers
+    /// the source since `kremlin-trace v2`) reported on the wire.
     pub module_fp: u64,
 }
 

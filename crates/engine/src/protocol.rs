@@ -3,7 +3,7 @@
 //! JSON over HTTP, built with the same zero-dependency
 //! [`kremlin_obs::json`] reader/writer the metrics schema uses. The
 //! version policy mirrors the trace layer's reject-unknown-versions
-//! rule (`kremlin-trace v2`): a request carrying any schema other than
+//! rule (`kremlin-trace v3`): a request carrying any schema other than
 //! [`SCHEMA`], or addressed to any `/vN/` prefix other than `/v1/`, is
 //! rejected with a message naming both the found and the supported
 //! version. Additive response fields do not bump the version; any

@@ -365,7 +365,7 @@ fn corrupt_and_truncated_traces_fail_cleanly() {
 /// line on stderr and exit 1, never an abort.
 #[test]
 fn forged_traces_fail_with_one_line() {
-    for (what, bytes) in forged::traces() {
+    for (what, why, bytes) in forged::traces() {
         let file = format!("forged-{}.ktrace", what.replace(|c: char| !c.is_alphanumeric(), "-"));
         let out =
             kremlin().arg("replay").arg(write_temp_bytes(&file, &bytes)).output().expect("runs");
@@ -373,6 +373,7 @@ fn forged_traces_fail_with_one_line() {
         assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{what}: {stderr}");
         assert!(stderr.contains("corrupt trace event stream"), "{what}: {stderr}");
+        assert!(stderr.contains(why), "{what}: {stderr}");
         assert!(out.stdout.is_empty(), "{what}");
     }
 }

@@ -303,10 +303,11 @@ fn an_upload_recorded_from_another_source_is_rejected() {
 #[test]
 fn forged_uploads_are_refused_alike_with_and_without_their_row() {
     let _guard = obs_guard();
-    for (what, bytes) in forged::traces() {
+    for (what, why, bytes) in forged::traces() {
         let trace = Trace::from_bytes(&bytes).unwrap();
         let cold = Engine::new(EngineConfig::default()).analyze_trace(&trace).unwrap_err();
         assert!(matches!(cold, KremlinError::Trace(TraceError::Corrupt { .. })), "{what}: {cold}");
+        assert!(cold.to_string().contains(why), "{what}: {cold}");
         let warm = Engine::new(EngineConfig::default());
         warm.analyze_source(&trace.source, &trace.source_name, 1).unwrap();
         let refused = warm.analyze_trace(&trace).unwrap_err();

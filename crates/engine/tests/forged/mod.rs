@@ -4,7 +4,7 @@
 
 use kremlin::interp::trace::TRACE_MAGIC;
 use kremlin::interp::{ExecHook, InstrCtx, Recorder, RetCtx, RunResult};
-use kremlin::ir::{CompiledUnit, InstrKind, ValueId, MAX_GLOBAL_SLOTS};
+use kremlin::ir::{segments, CompiledUnit, InstrKind, ValueId, MAX_GLOBAL_SLOTS};
 use kremlin::Kremlin;
 
 /// The program the forged traces claim to come from, but for the one
@@ -24,7 +24,9 @@ fn big_src() -> String {
 const LEVELS: usize = 20_000;
 
 /// `bytes` (a `.ktrace` file) with the header's event count set to
-/// `events` and the FNV-1a checksum trailer recomputed.
+/// `events` and the checksum trailer recomputed: FNV-1a's xor-multiply
+/// over each little-endian `u64` word of the body, the last one
+/// zero-padded, then over the body's byte length.
 fn with_event_count(bytes: &[u8], events: u64) -> Vec<u8> {
     let mut out = bytes.to_vec();
     // The header opens with the fingerprint, exit code, instruction
@@ -32,9 +34,13 @@ fn with_event_count(bytes: &[u8], events: u64) -> Vec<u8> {
     let at = TRACE_MAGIC.len() + 3 * 8;
     out[at..at + 8].copy_from_slice(&events.to_le_bytes());
     let body = out.len() - 8;
-    let checksum = out[..body]
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100_0000_01b3);
+    let words = out[..body].chunks(8).map(|w| {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        u64::from_le_bytes(word)
+    });
+    let checksum = fold(words.fold(0xcbf2_9ce4_8422_2325, fold), body as u64);
     out[body..].copy_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -42,11 +48,34 @@ fn with_event_count(bytes: &[u8], events: u64) -> Vec<u8> {
 /// `write`'s events as a `.ktrace` file claiming `unit`, compiled from
 /// `source`.
 fn forge_for(unit: &CompiledUnit, source: &str, write: &dyn Fn(&mut Recorder)) -> Vec<u8> {
-    let mut rec = Recorder::new();
+    let mut rec = Recorder::new(&unit.module);
     write(&mut rec);
     let mut trace = rec.into_trace(&unit.module, RunResult { exit: 0, instrs_executed: 0 });
     trace.source = source.to_owned();
     trace.to_bytes()
+}
+
+/// A run of `main` in `unit` that fires an instruction event for its
+/// first folded value: one no recording carries.
+fn main_firing_a_folded_value(rec: &mut Recorder, unit: &CompiledUnit) {
+    let main = unit.module.main.unwrap();
+    let func = unit.module.func(main);
+    let committed = segments::committed(func);
+    let folded = func
+        .values
+        .iter()
+        .enumerate()
+        .position(|(v, data)| !committed[v] && !segments::splits(&data.kind));
+    let folded = ValueId::from_index(folded.unwrap());
+    rec.on_function_enter(main, func.region);
+    rec.on_instr(&InstrCtx {
+        func,
+        value: folded,
+        kind: &func.value(folded).kind,
+        mem_addr: None,
+        phi_source: None,
+    });
+    rec.on_return(&RetCtx { func: main, region: func.region, returned: None });
 }
 
 /// A run of `main` in `unit` that executes its first store once for
@@ -69,13 +98,15 @@ fn main_storing_to(rec: &mut Recorder, unit: &CompiledUnit, addrs: impl Iterator
     rec.on_return(&RetCtx { func: main, region: func.region, returned: None });
 }
 
-/// The forged traces, each with a name for assertion messages: a header
-/// event count of 2^40, `main` nested 20,000 deep without and with its
-/// returns, a loop region entered inside itself 20,000 times, 20,000
-/// control-dependence pushes without a pop, and a run of `main` that
-/// stores to 1,000 distinct pages far above the stack, of its program and
-/// of [`big_src`]. Every one is refused as a corrupt event stream.
-pub fn traces() -> Vec<(&'static str, Vec<u8>)> {
+/// The forged traces, each with a name for assertion messages and the
+/// part of the refusal that names why: a header event count of 2^40,
+/// `main` nested 20,000 deep without and with its returns, a loop region
+/// entered inside itself 20,000 times, 20,000 control-dependence pushes
+/// without a pop, a run of `main` that stores to 1,000 distinct pages far
+/// above the stack, of its program and of [`big_src`], and an event for a
+/// value a recording folds. Every one is refused as a corrupt event
+/// stream.
+pub fn traces() -> Vec<(&'static str, &'static str, Vec<u8>)> {
     let unit = kremlin::ir::compile(SRC, NAME).unwrap();
     let main = unit.module.main.unwrap();
     let region = unit.module.func(main).region;
@@ -86,14 +117,18 @@ pub fn traces() -> Vec<(&'static str, Vec<u8>)> {
     let big = big_src();
     let big_unit = kremlin::ir::compile(&big, NAME).unwrap();
     let pages = || (0..1000u64).map(|k| (k + 1) << 20);
+    let nest = "calls nest deeper than 4096";
+    let above = "at or above the stack top";
     vec![
-        ("2^40 events", with_event_count(&recorded, 1 << 40)),
+        ("2^40 events", "event count mismatch", with_event_count(&recorded, 1 << 40)),
         (
             "unbalanced main nesting",
+            nest,
             forge(&|rec| (0..LEVELS).for_each(|_| rec.on_function_enter(main, region))),
         ),
         (
             "balanced main nesting",
+            nest,
             forge(&|rec| {
                 (0..LEVELS).for_each(|_| rec.on_function_enter(main, region));
                 (0..LEVELS).for_each(|_| rec.on_return(&ret));
@@ -101,6 +136,7 @@ pub fn traces() -> Vec<(&'static str, Vec<u8>)> {
         ),
         (
             "loop inside itself",
+            "entered outside its parent",
             forge(&|rec| {
                 rec.on_function_enter(main, region);
                 (0..LEVELS).for_each(|_| rec.on_region_enter(lp));
@@ -108,15 +144,26 @@ pub fn traces() -> Vec<(&'static str, Vec<u8>)> {
         ),
         (
             "cd pushes without pops",
+            "more cds open than",
             forge(&|rec| {
                 rec.on_function_enter(main, region);
                 (0..LEVELS).for_each(|_| rec.on_cd_push(ValueId::from_index(0)));
             }),
         ),
-        ("1,000 stores far above the stack", forge(&|rec| main_storing_to(rec, &unit, pages()))),
+        (
+            "1,000 stores far above the stack",
+            above,
+            forge(&|rec| main_storing_to(rec, &unit, pages())),
+        ),
         (
             "1,000 stores above the largest globals",
+            above,
             forge_for(&big_unit, &big, &|rec| main_storing_to(rec, &big_unit, pages())),
+        ),
+        (
+            "an event for a folded value",
+            "is folded: never recorded",
+            forge(&|rec| main_firing_a_folded_value(rec, &unit)),
         ),
     ]
 }

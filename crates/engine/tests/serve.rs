@@ -188,17 +188,18 @@ fn forged_uploads_answer_422_and_the_daemon_keeps_serving() {
     let addr = server.addr();
     let traces = forged::traces();
     let refuse_all = |when: &str| {
-        for (what, bytes) in &traces {
+        for (what, why, bytes) in &traces {
             let reply = roundtrip(addr, "POST", "/v1/trace", &[], bytes);
             let body = String::from_utf8_lossy(&reply.body);
             assert_eq!(reply.status, 422, "{what}, {when}: {body}");
             let error = body_json(&reply).get("error").and_then(Value::as_str).unwrap().to_string();
             assert!(error.contains("corrupt trace event stream"), "{what}, {when}: {error}");
+            assert!(error.contains(why), "{what}, {when}: {error}");
             assert_eq!(roundtrip(addr, "GET", "/healthz", &[], b"").status, 200, "{what}");
         }
     };
     refuse_all("no row resident");
-    let program = kremlin::interp::Trace::from_bytes(&traces[0].1).unwrap();
+    let program = kremlin::interp::Trace::from_bytes(&traces[0].2).unwrap();
     let request = Value::Obj(vec![
         ("schema".into(), Value::Str("kremlin-serve-v1".into())),
         ("source".into(), Value::Str(program.source.clone())),

@@ -107,11 +107,13 @@ impl Default for ParallelConfig {
 /// instruction's per-level availability update. Calibrated on the NPB
 /// workloads: measured decoded shard walls fit
 /// `wall ≈ fixed + s · (level_updates + W · instances)` for `W` in the
-/// 40–75 range, and the profiler's per-instance work (~hundreds of ns)
-/// over its per-level update (~6 ns) agrees. Only shifts planned
-/// boundaries; never affects correctness (stitching is bit-identical
-/// at any boundaries).
-pub const REGION_INSTANCE_WEIGHT: u64 = 64;
+/// 40–75 range when the histogram counted every instruction event. A
+/// recording carries only the committed ones, each doing the per-level
+/// work of its segment's folded values too; on their histogram 24
+/// plans the boundaries that 64 planned on the full one for bt, lu and
+/// cg. Only shifts planned boundaries; never affects correctness
+/// (stitching is bit-identical at any boundaries).
+pub const REGION_INSTANCE_WEIGHT: u64 = 24;
 
 /// Per-depth planning cost for weighted sharding: the decode-time
 /// instruction histogram ([`DecodedTrace::per_depth_cost`] — how many

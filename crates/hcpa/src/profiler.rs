@@ -37,13 +37,15 @@
 //!   load or store, if it is used outside its segment or by a phi, a
 //!   call, a `cd.push`, a branch or a return, or if nothing in its
 //!   segment reads it (a consumer that breaks its dependence on the value
-//!   does not read it). Every other value is **folded**: no shadow read,
-//!   no write, no per-depth loop, and no event at all — the profiler
-//!   selects only committed values ([`ExecHook::selects_instr`]), and
-//!   each committed value's event also counts the folded values run
-//!   since the previous committed value of its segment and accrues their
-//!   latency. The sink rule ends every segment in a committed value, so
-//!   the counts and the work stay exact. A committed value reads its
+//!   does not read it). The rule lives in [`kremlin_ir::segments`], which
+//!   the trace recorder and replay read too. Every other value is
+//!   **folded**: no shadow read, no write, no per-depth loop, and no
+//!   event at all — the profiler selects only committed values
+//!   ([`ExecHook::selects_instr`]), and each committed value's event also
+//!   counts the folded values run since the previous committed value of
+//!   its segment and accrues their latency. The sink rule ends every
+//!   segment in a committed value, so the counts and the work stay
+//!   exact. A committed value reads its
 //!   committed inputs instead, each with the longest static latency path
 //!   to the value through folded values (the value's own latency
 //!   included), and seeds its times with the control-dependence top plus
@@ -83,8 +85,8 @@ use crate::cost::CostModel;
 use crate::shadow::{ShadowMemory, ShadowRegs};
 use kremlin_compress::{Dictionary, EntryId};
 use kremlin_interp::{CallCtx, ExecHook, InstrCtx, RetCtx};
-use kremlin_ir::instr::{InstrKind, Terminator};
-use kremlin_ir::{FuncId, Function, Module, RegionId, ValueId};
+use kremlin_ir::instr::InstrKind;
+use kremlin_ir::{segments, FuncId, Function, Module, RegionId, ValueId};
 
 /// HCPA configuration.
 #[derive(Debug, Clone, Copy)]
@@ -265,96 +267,12 @@ fn merge_input(inputs: &mut Vec<Input>, value: ValueId, off: u64) {
 /// inputs to `inputs` (see "Segment folding" in the module docs).
 fn resolve_ops(f: &Function, config: &HcpaConfig, op_table: &mut Vec<Op>, inputs: &mut Vec<Input>) {
     let n = f.values.len();
-    let mut gathered = Vec::new();
-    // The operands whose times each value reads: distinct, the broken
-    // dependence removed. Parameters and phis read theirs at run time.
-    let reads: Vec<Vec<ValueId>> = f
-        .values
-        .iter()
-        .map(|v| {
-            let broken = if config.break_carried_deps { v.break_dep_on } else { None };
-            let mut reads = Vec::new();
-            if !matches!(v.kind, InstrKind::Param(_) | InstrKind::Phi { .. }) {
-                gathered.clear();
-                v.kind.operands(&mut gathered);
-                for &o in &gathered {
-                    if Some(o) != broken && !reads.contains(&o) {
-                        reads.push(o);
-                    }
-                }
-            }
-            reads
-        })
-        .collect();
-
-    // Segments: each block split at region and control-dependence markers
-    // and at calls. Lowered mini-C opens or closes a block at every cd
-    // marker, so splitting there changes no commit today; it keeps the
-    // rule exact on any IR at no cost. Markers, calls and values in no
-    // block belong to no segment (`NONE`).
-    const NONE: u32 = u32::MAX;
-    let mut segment = vec![NONE; n];
-    let mut next = 0;
-    for b in &f.blocks {
-        next += 1;
-        for &v in &b.instrs {
-            let kind = &f.values[v.index()].kind;
-            if kind.is_marker() || matches!(kind, InstrKind::Call { .. }) {
-                next += 1;
-            } else {
-                segment[v.index()] = next;
-            }
-        }
-    }
-
-    let mut committed: Vec<bool> = f
-        .values
-        .iter()
-        .zip(&segment)
-        .map(|(v, &seg)| {
-            seg == NONE
-                || matches!(
-                    v.kind,
-                    InstrKind::Param(_)
-                        | InstrKind::Phi { .. }
-                        | InstrKind::Load(_)
-                        | InstrKind::Store { .. }
-                )
-        })
-        .collect();
-    let mut read = vec![false; n];
-    for b in &f.blocks {
-        for &u in &b.instrs {
-            let kind = &f.values[u.index()].kind;
-            // A phi, a call and a `cd.push` read their operands' runs.
-            let boundary = matches!(
-                kind,
-                InstrKind::Phi { .. } | InstrKind::Call { .. } | InstrKind::CdPush(_)
-            );
-            gathered.clear();
-            kind.operands(&mut gathered);
-            for &o in &gathered {
-                if boundary || segment[o.index()] != segment[u.index()] {
-                    committed[o.index()] = true;
-                }
-            }
-            for &o in &reads[u.index()] {
-                read[o.index()] = true;
-            }
-        }
-        match b.term {
-            Some(Terminator::CondBr { cond: v, .. }) | Some(Terminator::Ret(Some(v))) => {
-                committed[v.index()] = true;
-            }
-            _ => {}
-        }
-    }
-    // The sink rule: a value nothing in its segment reads is committed.
-    // Every folded value then has a committed reader later in its
-    // segment, directly or through folded values.
-    for (c, &r) in committed.iter_mut().zip(&read) {
-        *c |= !r;
-    }
+    let reads: Vec<Vec<ValueId>> =
+        f.values.iter().map(|v| segments::reads(v, config.break_carried_deps)).collect();
+    // Without dependence breaking a value reads more, never less, so the
+    // committed set of `kremlin_ir` (the one a recording carries) still
+    // leaves every folded value a committed reader in its segment.
+    let committed = segments::committed(f);
 
     // Each value's seed offset and committed inputs, in block order so a
     // folded value is resolved before the values of its segment that
@@ -387,7 +305,7 @@ fn resolve_ops(f: &Function, config: &HcpaConfig, op_table: &mut Vec<Op>, inputs
         let mut folded = (0, 0);
         for &v in &b.instrs {
             let lat = config.cost.latency(&f.values[v.index()].kind);
-            if segment[v.index()] == NONE {
+            if segments::splits(&f.values[v.index()].kind) {
                 assert_eq!(folded, (0, 0), "a segment ends in a committed value");
             } else if committed[v.index()] {
                 credit[v.index()] = (folded.0 + 1, folded.1 + lat);

@@ -64,7 +64,10 @@ pub trait ExecHook {
     /// [`replay_decoded`](crate::trace::replay_decoded)) asks once per
     /// value before the first event and then delivers only the selected
     /// instruction events, in order; every other event is delivered. The
-    /// default selects every instruction event.
+    /// default selects every instruction event, which only a live run can
+    /// deliver: a recording carries the events of committed values alone
+    /// ([`kremlin_ir::segments::committed`]), and replay panics for a
+    /// hook that selects any other.
     ///
     /// [`run_with_hook`]: crate::machine::run_with_hook
     fn selects_instr(&self, _func: FuncId, _value: ValueId) -> bool {
@@ -103,7 +106,11 @@ pub trait ExecHook {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullHook;
 
-impl ExecHook for NullHook {}
+impl ExecHook for NullHook {
+    fn selects_instr(&self, _func: FuncId, _value: ValueId) -> bool {
+        false
+    }
+}
 
 /// A recording hook that captures the marker stream; used by tests to
 /// check that region events nest properly and that the control-dependence
@@ -132,6 +139,10 @@ pub enum TraceEvent {
 }
 
 impl ExecHook for TraceHook {
+    fn selects_instr(&self, _func: FuncId, _value: ValueId) -> bool {
+        false
+    }
+
     fn on_function_enter(&mut self, func: FuncId, _region: RegionId) {
         self.events.push(TraceEvent::FuncEnter(func));
     }

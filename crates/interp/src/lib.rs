@@ -91,6 +91,21 @@ mod tests {
     }
 
     #[test]
+    fn every_frame_starts_zeroed() {
+        // `g`'s frame reaches past the highest stack top seen so far and
+        // `h`'s does not; both reuse the slots `f` filled with 7.0.
+        assert_eq!(
+            run_src(
+                "void f() { float t[4]; for (int i = 0; i < 4; i++) { t[i] = 7.0; } }\n\
+                 float g() { float u[8]; float s = 0.0; for (int i = 0; i < 8; i++) { s += u[i]; } return s; }\n\
+                 float h() { float v[4]; float s = 0.0; for (int i = 0; i < 4; i++) { s += v[i]; } return s; }\n\
+                 int main() { f(); float b = g(); f(); float d = h(); return (int)(b * 100.0 + d); }"
+            ),
+            0
+        );
+    }
+
+    #[test]
     fn calls_and_recursion() {
         assert_eq!(
             run_src(

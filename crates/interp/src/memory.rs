@@ -86,10 +86,12 @@ impl Memory {
     pub fn push_frame(&mut self, slots: u32) -> Result<u64, InterpError> {
         let base = self.stack.push(slots).ok_or(InterpError::StackOverflow)?;
         let top = base as usize + slots as usize;
+        // The slots below the highest top seen so far may hold an earlier
+        // frame's values, whether or not this frame also grows memory.
+        let reused = top.min(self.slots.len());
+        self.slots[base as usize..reused].fill(0);
         if top > self.slots.len() {
             self.slots.resize(top, 0);
-        } else {
-            self.slots[base as usize..top].fill(0);
         }
         Ok(base)
     }
@@ -157,6 +159,18 @@ mod tests {
         m.pop_frame(4);
         // Reuse: frame must be zeroed again.
         let base2 = m.push_frame(4).unwrap();
+        assert_eq!(base2, base);
+        assert_eq!(m.load(base2 + 1, FuncId(0)).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_frame_that_grows_memory_is_zeroed_below_the_old_top_too() {
+        let mut m = mem(16);
+        let base = m.push_frame(4).unwrap();
+        m.store(base + 1, 99, FuncId(0)).unwrap();
+        m.pop_frame(4);
+        // Half of this frame reuses the first one's slots.
+        let base2 = m.push_frame(8).unwrap();
         assert_eq!(base2, base);
         assert_eq!(m.load(base2 + 1, FuncId(0)).unwrap(), 0);
     }

@@ -9,6 +9,18 @@
 //! byte-for-byte identical sequence of events, as many times as needed
 //! and from as many threads as needed (`&Trace` is `Sync`).
 //!
+//! # What a recording carries
+//!
+//! As the paper's instrumentation pass decides statically which
+//! instructions report to KremLib, a recording carries only the
+//! instruction events of **committed** values
+//! ([`kremlin_ir::segments::committed`]), the set the HCPA profiler
+//! selects, plus every call, return, region and control-dependence
+//! event. Replay rejects an instruction event for a folded value as
+//! [`TraceError::Corrupt`], and panics, naming the value, when its hook
+//! selects a folded value, an event no recording can carry: the contract
+//! is that a replayed hook selects a subset of the committed values.
+//!
 //! # Event encoding
 //!
 //! Events are packed into a byte stream of LEB128 varints. Every event
@@ -26,14 +38,16 @@
 //! # File format
 //!
 //! [`Trace::to_bytes`] follows the `core/persist.rs` conventions (magic,
-//! version, integrity check, graceful errors): a `kremlin-trace v2\n`
+//! version, integrity check, graceful errors): a `kremlin-trace v3\n`
 //! magic line, little-endian header fields, the embedded source (so a
 //! trace file is self-contained and replayable without the original
-//! `.kc` file), the event payload, and a trailing FNV-1a checksum over
-//! every preceding byte. [`Trace::from_bytes`] never panics on foreign
-//! input: truncation, bit flips, and version skew all surface as
-//! [`TraceError`]s, and [`replay`] re-validates every decoded id against
-//! the module before firing a hook method.
+//! `.kc` file), the event payload, and a trailing checksum over every
+//! preceding byte: FNV-1a's xor-multiply over each little-endian `u64`
+//! word (the last one zero-padded), then over the byte length.
+//! [`Trace::from_bytes`] never panics on foreign input: truncation, bit
+//! flips, and version skew all surface as [`TraceError`]s, and [`replay`]
+//! re-validates every decoded id against the module before firing a hook
+//! method.
 //!
 //! # Versioning policy
 //!
@@ -44,18 +58,19 @@
 //! fingerprint and its shapes, see [`module_fingerprint`]), so replaying
 //! against a different (or recompiled-and-changed) program fails fast
 //! instead of producing garbage. Version 2 folded the source into that
-//! fingerprint; v1 files are rejected.
+//! fingerprint; version 3 records only committed instruction events and
+//! checksums word by word. v1 and v2 files are rejected.
 
 use crate::error::InterpError;
 use crate::hooks::{CallCtx, ExecHook, InstrCtx, RetCtx};
 use crate::machine::{run_with_hook, MachineConfig, RunResult};
 use crate::memory::StackTop;
-use kremlin_ir::{FuncId, Function, InstrKind, Module, RegionId, ValueId};
+use kremlin_ir::{segments, FuncId, Function, InstrKind, Module, RegionId, ValueId};
 use std::fmt;
 
 /// Magic line opening every trace file; the trailing digit is the format
 /// version.
-pub const TRACE_MAGIC: &[u8] = b"kremlin-trace v2\n";
+pub const TRACE_MAGIC: &[u8] = b"kremlin-trace v3\n";
 
 // Event tags (low 4 bits of the head varint).
 const TAG_INSTR: u8 = 0;
@@ -101,7 +116,7 @@ impl fmt::Display for TraceError {
         match self {
             TraceError::BadMagic => write!(f, "not a kremlin trace (bad magic)"),
             TraceError::UnsupportedVersion => {
-                write!(f, "unsupported kremlin-trace version (this reader knows v2)")
+                write!(f, "unsupported kremlin-trace version (this reader knows v3)")
             }
             TraceError::Truncated { offset } => {
                 write!(f, "trace truncated at byte {offset}")
@@ -184,7 +199,7 @@ impl Trace {
         out.extend_from_slice(self.source.as_bytes());
         push_u64(&mut out, self.bytes.len() as u64);
         out.extend_from_slice(&self.bytes);
-        let checksum = fnv1a(&out);
+        let checksum = checksum(&out);
         push_u64(&mut out, checksum);
         out
     }
@@ -228,7 +243,7 @@ impl Trace {
         pos += payload_len;
         let body_end = pos;
         let checksum = read_u64(data, &mut pos)?;
-        if fnv1a(&data[..body_end]) != checksum {
+        if self::checksum(&data[..body_end]) != checksum {
             return Err(TraceError::ChecksumMismatch);
         }
         Ok(Trace {
@@ -244,14 +259,30 @@ impl Trace {
     }
 }
 
-/// FNV-1a 64-bit hash — the integrity check and fingerprint primitive.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64-bit hash, one byte at a time: the fingerprint primitive.
 fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    data.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// The integrity check of a trace file: FNV-1a's xor-multiply over each
+/// little-endian `u64` word of `data`, the last one zero-padded, then
+/// over the byte length (so trailing zero bytes still count). One
+/// multiply per eight bytes instead of per byte.
+fn checksum(data: &[u8]) -> u64 {
+    let words = data.chunks_exact(8);
+    let tail = words.remainder();
+    let mut h = words.fold(FNV_OFFSET, |h, w| {
+        (h ^ u64::from_le_bytes(w.try_into().expect("8-byte chunk"))).wrapping_mul(FNV_PRIME)
+    });
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = (h ^ u64::from_le_bytes(last)).wrapping_mul(FNV_PRIME);
     }
-    h
+    (h ^ data.len() as u64).wrapping_mul(FNV_PRIME)
 }
 
 /// The fingerprint of `module`: its source fingerprint
@@ -322,9 +353,11 @@ fn unzigzag(u: u64) -> i64 {
 
 /// An [`ExecHook`] that encodes the event stream; feed it to
 /// [`run_with_hook`] (or use the [`record`] convenience) and convert with
-/// [`Recorder::into_trace`].
-#[derive(Debug, Default)]
+/// [`Recorder::into_trace`]. It selects the committed instruction events
+/// of its module and encodes every event it is handed.
+#[derive(Debug)]
 pub struct Recorder {
+    committed: Vec<Vec<bool>>,
     bytes: Vec<u8>,
     events: u64,
     last_addr: u64,
@@ -332,10 +365,23 @@ pub struct Recorder {
     max_depth: usize,
 }
 
+/// [`segments::committed`] for every function of `module`, indexed by
+/// function and value.
+fn committed_sets(module: &Module) -> Vec<Vec<bool>> {
+    module.funcs.iter().map(segments::committed).collect()
+}
+
 impl Recorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Recorder::default()
+    /// Creates an empty recorder for an execution of `module`.
+    pub fn new(module: &Module) -> Self {
+        Recorder {
+            committed: committed_sets(module),
+            bytes: Vec::new(),
+            events: 0,
+            last_addr: 0,
+            depth: 0,
+            max_depth: 0,
+        }
     }
 
     #[inline]
@@ -367,6 +413,10 @@ impl Recorder {
 }
 
 impl ExecHook for Recorder {
+    fn selects_instr(&self, func: FuncId, value: ValueId) -> bool {
+        self.committed[func.index()][value.index()]
+    }
+
     fn on_instr(&mut self, ctx: &InstrCtx<'_>) {
         let idx = ctx.value.index() as u64;
         match (ctx.mem_addr, ctx.phi_source) {
@@ -418,7 +468,9 @@ impl ExecHook for Recorder {
     }
 }
 
-/// Executes `module` once while recording its full event stream.
+/// Executes `module` once while recording its event stream: every call,
+/// return, region and control-dependence event, and the instruction
+/// events of committed values.
 ///
 /// # Errors
 ///
@@ -426,7 +478,7 @@ impl ExecHook for Recorder {
 /// that complete.
 pub fn record(module: &Module, config: MachineConfig) -> Result<Trace, InterpError> {
     let _span = kremlin_obs::span("record");
-    let mut rec = Recorder::new();
+    let mut rec = Recorder::new(module);
     let run = run_with_hook(module, &mut rec, config)?;
     let trace = rec.into_trace(module, run);
     kremlin_obs::counter!("trace.record.runs").incr();
@@ -437,12 +489,29 @@ pub fn record(module: &Module, config: MachineConfig) -> Result<Trace, InterpErr
 
 /// `hook`'s [`ExecHook::selects_instr`] answer for every value of every
 /// function of `module`, asked once before a replay delivers any event.
-fn selection<H: ExecHook>(module: &Module, hook: &H) -> Vec<Vec<bool>> {
+///
+/// # Panics
+///
+/// Panics, naming the value, if the hook selects a value that is not
+/// `committed`: a recording carries no event for it.
+fn selection<H: ExecHook>(module: &Module, hook: &H, committed: &[Vec<bool>]) -> Vec<Vec<bool>> {
     module
         .funcs
         .iter()
-        .map(|f| {
-            (0..f.values.len()).map(|v| hook.selects_instr(f.id, ValueId::from_index(v))).collect()
+        .zip(committed)
+        .map(|(f, committed)| {
+            (0..f.values.len())
+                .map(|v| {
+                    let value = ValueId::from_index(v);
+                    let selected = hook.selects_instr(f.id, value);
+                    assert!(
+                        !selected || committed[v],
+                        "the hook selects {value} of {}, a folded value no recording carries",
+                        f.name
+                    );
+                    selected
+                })
+                .collect()
         })
         .collect()
 }
@@ -472,20 +541,27 @@ struct Open {
 /// frame, below the stack top; a region is entered only inside its static
 /// parent; and a bracket closes with no control dependence it opened
 /// still open, having held at most as many open at once as its function
-/// has `CdPush` sites. Every event is validated, but only the instruction
-/// events the hook selects ([`ExecHook::selects_instr`]) are delivered.
+/// has `CdPush` sites; and an instruction event is one of a committed
+/// value ([`kremlin_ir::segments::committed`]), the only ones a recording
+/// carries. Every event is validated, but only the instruction events
+/// the hook selects ([`ExecHook::selects_instr`]) are delivered.
 ///
 /// # Errors
 ///
 /// [`TraceError::ModuleMismatch`] when the trace was recorded from a
 /// different program; [`TraceError::Corrupt`] for any structural damage.
+///
+/// # Panics
+///
+/// Panics, naming the value, if `hook` selects a folded value: no
+/// recording carries its events.
 pub fn replay<H: ExecHook>(
     trace: &Trace,
     module: &Module,
     hook: &mut H,
 ) -> Result<RunResult, TraceError> {
     let _span = kremlin_obs::span("replay");
-    let run = replay_into(trace, module, hook)?;
+    let run = replay_into(trace, module, &committed_sets(module), hook)?;
     kremlin_obs::counter!("trace.replay.runs").incr();
     kremlin_obs::counter!("trace.replay.events").add(trace.events);
     Ok(run)
@@ -494,17 +570,18 @@ pub fn replay<H: ExecHook>(
 /// The shared decode-validate-dispatch loop behind [`replay`] and
 /// [`DecodedTrace::decode`]: everything except the span and the
 /// `trace.replay.*` counters, so decoding a trace is not misreported as
-/// replaying it.
+/// replaying it. `committed` holds [`committed_sets`] of `module`.
 fn replay_into<H: ExecHook>(
     trace: &Trace,
     module: &Module,
+    committed: &[Vec<bool>],
     hook: &mut H,
 ) -> Result<RunResult, TraceError> {
     if !trace.matches(module) {
         return Err(TraceError::ModuleMismatch);
     }
     let corrupt = |offset: usize, message: String| TraceError::Corrupt { offset, message };
-    let selected = selection(module, hook);
+    let selected = selection(module, hook, committed);
     let MachineConfig { max_call_depth, stack_slots, .. } = MachineConfig::default();
     let mut stack = StackTop::for_module(module, stack_slots);
     // Between a bracket's open and its close, execution runs each static
@@ -565,6 +642,11 @@ fn replay_into<H: ExecHook>(
                 let value = ValueId::from_index(idx);
                 let kind = &func.value(value).kind;
                 let deliver = selected[fid.index()][idx];
+                if matches!(tag, TAG_INSTR | TAG_INSTR_MEM | TAG_INSTR_PHI)
+                    && !committed[fid.index()][idx]
+                {
+                    return Err(corrupt(at, format!("{value} of {fid} is folded: never recorded")));
+                }
                 match tag {
                     TAG_INSTR => {
                         if matches!(
@@ -748,7 +830,7 @@ fn replay_into<H: ExecHook>(
 /// work per pass.
 ///
 /// This is an in-memory *representation*, not a format: the on-disk
-/// trace stays `kremlin-trace v2`, and [`DecodedTrace::decode`] accepts
+/// trace stays `kremlin-trace v3`, and [`DecodedTrace::decode`] accepts
 /// exactly the traces [`replay`] accepts (it runs the same validating
 /// decode loop). K depth-shard workers replaying a shared
 /// `&DecodedTrace` pay the LEB128/zigzag decode once instead of K times;
@@ -779,9 +861,11 @@ pub struct DecodedTrace {
 
 /// The [`ExecHook`] that builds a [`DecodedTrace`] while the validating
 /// replay loop drives it: the inverse of [`Recorder`], but into SoA
-/// buffers instead of varints.
+/// buffers instead of varints. Like the recorder, it selects the
+/// committed values.
 #[derive(Debug, Default)]
-struct ArenaBuilder {
+struct ArenaBuilder<'c> {
+    committed: &'c [Vec<bool>],
     tags: Vec<u8>,
     payloads: Vec<u32>,
     mem_addrs: Vec<u64>,
@@ -791,7 +875,7 @@ struct ArenaBuilder {
     depth: usize,
 }
 
-impl ArenaBuilder {
+impl ArenaBuilder<'_> {
     #[inline]
     fn event(&mut self, tag: u8, payload: u64) {
         self.tags.push(tag);
@@ -824,7 +908,11 @@ impl ArenaBuilder {
     }
 }
 
-impl ExecHook for ArenaBuilder {
+impl ExecHook for ArenaBuilder<'_> {
+    fn selects_instr(&self, func: FuncId, value: ValueId) -> bool {
+        self.committed[func.index()][value.index()]
+    }
+
     fn on_instr(&mut self, ctx: &InstrCtx<'_>) {
         let idx = ctx.value.index() as u64;
         match (ctx.mem_addr, ctx.phi_source) {
@@ -890,13 +978,14 @@ impl DecodedTrace {
     /// different program; [`TraceError::Corrupt`] for structural damage.
     pub fn decode(trace: &Trace, module: &Module) -> Result<DecodedTrace, TraceError> {
         let _span = kremlin_obs::span("decode");
-        let mut builder = ArenaBuilder::default();
+        let committed = committed_sets(module);
+        let mut builder = ArenaBuilder { committed: &committed, ..ArenaBuilder::default() };
         // The header's event count is unchecked until the stream ends;
         // every event takes at least one payload byte.
         let events = trace.events.min(trace.bytes.len() as u64) as usize;
         builder.tags.reserve(events);
         builder.payloads.reserve(events);
-        let run = replay_into(trace, module, &mut builder)?;
+        let run = replay_into(trace, module, &committed, &mut builder)?;
         let decoded = DecodedTrace {
             fingerprint: trace.fingerprint,
             exit: run.exit,
@@ -941,8 +1030,9 @@ impl DecodedTrace {
         self.fingerprint == module_fingerprint(module)
     }
 
-    /// Instruction events observed per nesting depth — the raw histogram
-    /// accumulated for free during [`decode`](DecodedTrace::decode).
+    /// Recorded (committed) instruction events per nesting depth — the
+    /// raw histogram accumulated for free during
+    /// [`decode`](DecodedTrace::decode).
     pub fn instr_depth_hist(&self) -> &[u64] {
         &self.instr_depth_hist
     }
@@ -1010,6 +1100,11 @@ impl DecodedTrace {
 ///
 /// [`TraceError::ModuleMismatch`] when `module` does not have the
 /// [`module_fingerprint`] of the module the trace was decoded against.
+///
+/// # Panics
+///
+/// Panics, naming the value, if `hook` selects a folded value: no
+/// recording carries its events.
 pub fn replay_decoded<H: ExecHook>(
     decoded: &DecodedTrace,
     module: &Module,
@@ -1021,7 +1116,7 @@ pub fn replay_decoded<H: ExecHook>(
     if !decoded.matches(module) {
         return Err(TraceError::ModuleMismatch);
     }
-    let selected = selection(module, hook);
+    let selected = selection(module, hook, &committed_sets(module));
     let mut funcs: Vec<(FuncId, &Function, &[bool])> = Vec::new();
     let mut mem = 0usize;
     let mut phi = 0usize;
@@ -1179,9 +1274,86 @@ mod tests {
     #[test]
     fn version_1_files_are_unsupported() {
         let (_, trace) = recorded();
-        let mut bytes = trace.to_bytes();
-        bytes[..TRACE_MAGIC.len()].copy_from_slice(b"kremlin-trace v1\n");
-        assert_eq!(Trace::from_bytes(&bytes).unwrap_err(), TraceError::UnsupportedVersion);
+        for old in [b"kremlin-trace v1\n", b"kremlin-trace v2\n"] {
+            let mut bytes = trace.to_bytes();
+            bytes[..TRACE_MAGIC.len()].copy_from_slice(old);
+            assert_eq!(Trace::from_bytes(&bytes).unwrap_err(), TraceError::UnsupportedVersion);
+        }
+    }
+
+    #[test]
+    fn the_checksum_folds_words_then_the_length() {
+        let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(FNV_PRIME);
+        assert_eq!(checksum(&[]), fold(FNV_OFFSET, 0));
+        let nine = [1u8, 2, 3, 4, 5, 6, 7, 8, 9];
+        let words = [u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]), 9, 9];
+        assert_eq!(checksum(&nine), words.into_iter().fold(FNV_OFFSET, fold));
+        // Zero padding does not hide a trailing zero byte.
+        assert_ne!(checksum(&[7]), checksum(&[7, 0]));
+    }
+
+    /// The first value of `func` whose instruction events a recording
+    /// folds away.
+    fn first_folded(module: &Module, func: FuncId) -> ValueId {
+        let f = module.func(func);
+        let committed = segments::committed(f);
+        let at = f
+            .values
+            .iter()
+            .enumerate()
+            .position(|(v, d)| !committed[v] && !segments::splits(&d.kind));
+        ValueId::from_index(at.expect("a folded value"))
+    }
+
+    /// Selects the instruction events of one value.
+    struct SelectsOne(FuncId, ValueId);
+
+    impl ExecHook for SelectsOne {
+        fn selects_instr(&self, func: FuncId, value: ValueId) -> bool {
+            (func, value) == (self.0, self.1)
+        }
+    }
+
+    #[test]
+    fn an_event_for_a_folded_value_is_corrupt() {
+        let (unit, _) = recorded();
+        let module = &unit.module;
+        let main = module.main.unwrap();
+        let func = module.func(main);
+        let folded = first_folded(module, main);
+        let entered = forged(&unit, |rec| rec.on_function_enter(main, func.region));
+        let at_folded = forged(&unit, |rec| {
+            rec.on_function_enter(main, func.region);
+            rec.on_instr(&InstrCtx {
+                func,
+                value: folded,
+                kind: &func.value(folded).kind,
+                mem_addr: None,
+                phi_source: None,
+            });
+        });
+        let offset = assert_corrupt(&at_folded, module, "an event for a folded value");
+        assert_eq!(offset, entered.encoded_len(), "refused at the folded value's event");
+        let Err(e) = replay(&at_folded, module, &mut crate::NullHook) else { unreachable!() };
+        assert!(e.to_string().contains(&format!("{folded} of {main} is folded")), "{e}");
+    }
+
+    #[test]
+    fn replaying_into_a_hook_that_selects_a_folded_value_panics_naming_it() {
+        let (unit, trace) = recorded();
+        let main = unit.module.main.unwrap();
+        let folded = first_folded(&unit.module, main);
+        let decoded = DecodedTrace::decode(&trace, &unit.module).unwrap();
+        let hook = || SelectsOne(main, folded);
+        let want = format!("the hook selects {folded} of main, a folded value");
+        for replayed in [
+            std::panic::catch_unwind(|| replay(&trace, &unit.module, &mut hook())),
+            std::panic::catch_unwind(|| replay_decoded(&decoded, &unit.module, &mut hook())),
+        ] {
+            let panic = replayed.unwrap_err();
+            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(message.contains(&want), "{message}");
+        }
     }
 
     #[test]
@@ -1228,17 +1400,28 @@ mod tests {
         assert_eq!(decoded.run_result(), trace.run_result());
     }
 
-    /// Per-depth counts taken during a live run: instruction events at
-    /// their nesting depth, function and region entries at the depth the
-    /// new instance lands on.
-    #[derive(Default)]
+    /// Per-depth counts taken during a live run: the instruction events
+    /// a recording carries at their nesting depth, function and region
+    /// entries at the depth the new instance lands on.
     struct DepthCounts {
+        committed: Vec<Vec<bool>>,
         depth: usize,
         instrs: Vec<u64>,
         enters: Vec<u64>,
     }
 
+    impl DepthCounts {
+        fn new(module: &Module) -> Self {
+            let committed = committed_sets(module);
+            DepthCounts { committed, depth: 0, instrs: Vec::new(), enters: Vec::new() }
+        }
+    }
+
     impl ExecHook for DepthCounts {
+        fn selects_instr(&self, func: FuncId, value: ValueId) -> bool {
+            self.committed[func.index()][value.index()]
+        }
+
         fn on_instr(&mut self, _ctx: &InstrCtx<'_>) {
             ArenaBuilder::bump(&mut self.instrs, self.depth);
         }
@@ -1270,7 +1453,7 @@ mod tests {
         assert_eq!(hist.first(), Some(&0), "no instruction fires outside main");
         assert!(hist.len() <= decoded.max_depth() + 1);
         // The decode pass counts what the live run did, depth by depth.
-        let mut live = DepthCounts::default();
+        let mut live = DepthCounts::new(&unit.module);
         run_with_hook(&unit.module, &mut live, MachineConfig::default()).unwrap();
         assert_eq!(hist, live.instrs);
         assert_eq!(decoded.region_enter_hist(), live.enters);
@@ -1320,7 +1503,7 @@ mod tests {
     /// A trace of `unit` whose events `write` hands a recorder directly,
     /// as no execution produced them.
     fn forged(unit: &kremlin_ir::CompiledUnit, write: impl FnOnce(&mut Recorder)) -> Trace {
-        let mut rec = Recorder::new();
+        let mut rec = Recorder::new(&unit.module);
         write(&mut rec);
         rec.into_trace(&unit.module, RunResult { exit: 0, instrs_executed: 0 })
     }

@@ -13,6 +13,8 @@
 //!   ([`controldep`]), and induction/reduction-variable detection
 //!   ([`indvar`]) whose results drive the profiler's dependence-breaking
 //!   rules;
+//! * the static event selection ([`segments`]): which instruction events
+//!   a profile needs, read by the profiler, the trace recorder and replay;
 //! * an IR verifier ([`verify`]) and printer ([`printer`]).
 //!
 //! The one-call entry point is [`compile`]:
@@ -42,6 +44,7 @@ pub mod mem2reg;
 pub mod module;
 pub mod printer;
 pub mod regions;
+pub mod segments;
 pub mod verify;
 
 pub use depend::{DepEvidence, DependenceInfo, LoopDependence, LoopVerdict};

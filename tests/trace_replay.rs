@@ -21,7 +21,7 @@ use kremlin_repro::interp::trace::{self, DecodedTrace, TRACE_MAGIC};
 use kremlin_repro::interp::{
     record, run_with_hook, ExecHook, InstrCtx, MachineConfig, Trace, TraceError,
 };
-use kremlin_repro::ir::{compile, FuncId, InstrKind, Module, ValueId};
+use kremlin_repro::ir::{compile, segments, CompiledUnit, FuncId, InstrKind, Module, ValueId};
 
 /// Seeds chosen arbitrarily but fixed, so failures reproduce exactly.
 const SEEDS: [u64; 8] = [3, 17, 99, 256, 1021, 4096, 70_001, 987_654_321];
@@ -81,9 +81,11 @@ fn randomized_programs_replay_identically_from_the_decoded_arena() {
         assert_eq!(arena.events(), trace.events(), "seed {seed}: decode changed event count");
         assert_eq!(arena.run_result(), trace.run_result(), "seed {seed}: run result differs");
         let instr_total: u64 = arena.instr_depth_hist().iter().sum();
+        let mut committed = CommittedEvents::new(&unit.module);
+        run_with_hook(&unit.module, &mut committed, MachineConfig::default()).unwrap();
         assert_eq!(
-            instr_total, live.stats.instr_events,
-            "seed {seed}: decode histogram misses instruction events"
+            instr_total, committed.events,
+            "seed {seed}: decode histogram misses committed instruction events"
         );
 
         let decoded = profile_decoded(&unit, &arena, HcpaConfig::default())
@@ -97,6 +99,94 @@ fn randomized_programs_replay_identically_from_the_decoded_arena() {
             decoded.stats.instr_events, live.stats.instr_events,
             "seed {seed}: decoded instruction-event count differs"
         );
+    }
+}
+
+/// Selects the committed values (`kremlin_ir::segments::committed`), the
+/// only instruction events a recording carries, and folds each delivered
+/// event, in order, into a count and a hash.
+struct CommittedEvents {
+    committed: Vec<Vec<bool>>,
+    events: u64,
+    hash: u64,
+}
+
+impl CommittedEvents {
+    fn new(module: &Module) -> Self {
+        let committed = module.funcs.iter().map(segments::committed).collect();
+        CommittedEvents { committed, events: 0, hash: 0xcbf2_9ce4_8422_2325 }
+    }
+}
+
+impl ExecHook for CommittedEvents {
+    fn selects_instr(&self, func: FuncId, value: ValueId) -> bool {
+        self.committed[func.index()][value.index()]
+    }
+
+    fn on_instr(&mut self, ctx: &InstrCtx<'_>) {
+        self.events += 1;
+        let phi = ctx.phi_source.map_or(u64::MAX, |v| u64::from(v.0));
+        let words =
+            [u64::from(ctx.func.id.0), u64::from(ctx.value.0), ctx.mem_addr.unwrap_or(0), phi];
+        for w in words {
+            self.hash = (self.hash ^ w).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// The committed instruction events of a live run of `unit` and of the
+/// replay of its recording, as (count, hash) pairs.
+fn live_and_recorded_committed_events(unit: &CompiledUnit) -> ((u64, u64), (u64, u64)) {
+    let machine = MachineConfig::default();
+    let mut live = CommittedEvents::new(&unit.module);
+    run_with_hook(&unit.module, &mut live, machine).expect("runs");
+    let trace = record(&unit.module, machine).expect("records");
+    let mut replayed = CommittedEvents::new(&unit.module);
+    trace::replay(&trace, &unit.module, &mut replayed).expect("replays");
+    ((live.events, live.hash), (replayed.events, replayed.hash))
+}
+
+/// A recording carries exactly the committed instruction events of a
+/// live run, in order, on the 12 workloads and 200 generated programs.
+#[test]
+fn recordings_carry_exactly_the_committed_events_of_a_live_run() {
+    for w in kremlin_repro::workloads::all() {
+        let unit = compile(w.source, &w.file_name()).unwrap();
+        let (live, recorded) = live_and_recorded_committed_events(&unit);
+        assert_eq!(recorded, live, "{}", w.name);
+    }
+    for seed in 0..200u64 {
+        let src = progen::program(&mut XorShift::new(seed), seed % 2 == 1);
+        let unit = compile(&src, &format!("progen_{seed}.kc")).unwrap();
+        let (live, recorded) = live_and_recorded_committed_events(&unit);
+        assert_eq!(recorded, live, "seed {seed}\n{src}");
+    }
+}
+
+/// A replayed recording gives each workload's live profile (dictionary,
+/// stats, every profiler counter and the run) whether or not the
+/// profiler breaks carried dependences and over a shifted depth range,
+/// though the recording carries the one committed set.
+#[test]
+fn replayed_recordings_profile_like_live_runs_in_every_config() {
+    let configs = [
+        HcpaConfig::default(),
+        HcpaConfig { break_carried_deps: false, ..HcpaConfig::default() },
+        HcpaConfig { window: 3, min_depth: 2, ..HcpaConfig::default() },
+    ];
+    for w in kremlin_repro::workloads::all() {
+        let unit = compile(w.source, &w.file_name()).unwrap();
+        let recorded = record(&unit.module, MachineConfig::default()).unwrap();
+        let trace = Trace::from_bytes(&recorded.to_bytes()).unwrap();
+        for config in configs {
+            let at = format!("{}, {config:?}", w.name);
+            let live = profile_unit(&unit, config).unwrap();
+            let replayed = profile_trace(&unit, &trace, config).unwrap();
+            assert!(replayed.profile.dict == live.profile.dict, "dictionaries differ ({at})");
+            assert!(replayed.profile.identical_stats(&live.profile), "profiles differ ({at})");
+            assert_eq!(format!("{:?}", replayed.stats), format!("{:?}", live.stats), "{at}");
+            assert_eq!(replayed.run, live.run, "{at}");
+        }
     }
 }
 
@@ -228,6 +318,19 @@ fn live_and_replayed_runs_deliver_exactly_the_selected_events() {
     assert_eq!(arena.seen, every.seen, "replay_decoded");
 }
 
+/// The `kremlin-trace v3` checksum of `body`: FNV-1a's xor-multiply over
+/// each little-endian `u64` word, the last one zero-padded, then over the
+/// byte length.
+fn checksum_v3(body: &[u8]) -> u64 {
+    let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100_0000_01b3);
+    let words = body.chunks(8).map(|w| {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        u64::from_le_bytes(word)
+    });
+    fold(words.fold(0xcbf2_9ce4_8422_2325, fold), body.len() as u64)
+}
+
 /// The bytes of `trace` with the first plain instruction event retagged
 /// as a phi event and the checksum recomputed: the file parses, and the
 /// damage is an event no memory-only hook selects.
@@ -252,9 +355,7 @@ fn retag_first_plain_instruction(trace: &Trace) -> Vec<u8> {
         if tag == 0 {
             bytes[pos] |= 2;
             let body = bytes.len() - 8;
-            let checksum = bytes[..body].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-            });
+            let checksum = checksum_v3(&bytes[..body]);
             bytes[body..].copy_from_slice(&checksum.to_le_bytes());
             return bytes;
         }

@@ -2,7 +2,8 @@
 //! deterministically, has a resolvable MANUAL plan, and profiles into a
 //! well-formed parallelism profile.
 
-use kremlin_repro::ir::RegionKind;
+use kremlin_repro::interp::{CallCtx, ExecHook, InstrCtx, RetCtx};
+use kremlin_repro::ir::{FuncId, RegionId, RegionKind, ValueId};
 use kremlin_repro::kremlin::Kremlin;
 
 #[test]
@@ -130,40 +131,127 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
+/// Selects every instruction event and folds every event of a run, in
+/// order and with all its fields, into one FNV-1a-style hash of words.
+struct EventStream {
+    events: u64,
+    hash: u64,
+}
+
+impl EventStream {
+    fn new() -> Self {
+        EventStream { events: 0, hash: 0xcbf2_9ce4_8422_2325 }
+    }
+
+    fn fold(&mut self, words: &[u64]) {
+        self.events += 1;
+        for &w in words {
+            self.hash = (self.hash ^ w).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+impl ExecHook for EventStream {
+    fn selects_instr(&self, _: FuncId, _: ValueId) -> bool {
+        true
+    }
+
+    fn on_instr(&mut self, ctx: &InstrCtx<'_>) {
+        let none = u64::MAX;
+        let phi = ctx.phi_source.map_or(none, |v| u64::from(v.0));
+        let value = u64::from(ctx.value.0);
+        self.fold(&[0, u64::from(ctx.func.id.0), value, ctx.mem_addr.unwrap_or(none), phi]);
+    }
+
+    fn on_call(&mut self, ctx: &CallCtx<'_>) {
+        let callee = u64::from(ctx.callee.0);
+        self.fold(&[1, u64::from(ctx.caller.id.0), callee, u64::from(ctx.call_value.0)]);
+    }
+
+    fn on_function_enter(&mut self, func: FuncId, region: RegionId) {
+        self.fold(&[2, u64::from(func.0), u64::from(region.0)]);
+    }
+
+    fn on_return(&mut self, ctx: &RetCtx) {
+        let returned = ctx.returned.map_or(u64::MAX, |v| u64::from(v.0));
+        self.fold(&[3, u64::from(ctx.func.0), u64::from(ctx.region.0), returned]);
+    }
+
+    fn on_region_enter(&mut self, region: RegionId) {
+        self.fold(&[4, u64::from(region.0)]);
+    }
+
+    fn on_region_exit(&mut self, region: RegionId) {
+        self.fold(&[5, u64::from(region.0)]);
+    }
+
+    fn on_cd_push(&mut self, cond: ValueId) {
+        self.fold(&[6, u64::from(cond.0)]);
+    }
+
+    fn on_cd_pop(&mut self) {
+        self.fold(&[7]);
+    }
+}
+
 #[test]
 fn interpreter_output_is_pinned_on_every_workload() {
-    // Each workload's result and recorded trace: exit code, instructions
-    // executed, trace events, `to_bytes()` length and its FNV-1a-64. Any
-    // change to what the interpreter computes, which events it fires or
-    // in what order shows up here.
-    use kremlin_repro::interp::{record, run, MachineConfig, RunResult};
-    const PINS: [(&str, i64, u64, u64, usize, u64); 12] = [
-        ("ammp", 91, 1_612_200, 1_612_252, 3_600_036, 0x6759_3cdc_793c_fa18),
-        ("art", 42, 2_107_716, 2_107_792, 4_735_247, 0xb452_1697_2a41_abc9),
-        ("equake", 13, 909_329, 909_423, 1_992_899, 0x160c_1e26_4c37_c781),
-        ("bt", 16, 2_737_289, 2_737_353, 5_961_838, 0x1900_19a1_5b95_be6f),
-        ("cg", 5, 1_321_446, 1_321_532, 2_939_226, 0x790c_518a_23e9_1934),
-        ("ep", 19, 309_409, 309_411, 688_306, 0x6f38_ad98_31de_8449),
-        ("ft", 60, 1_366_277, 1_366_313, 3_135_975, 0x6f65_b0eb_a954_4da0),
-        ("is", 24, 648_395, 648_415, 1_461_799, 0x8d2e_bfe9_39f6_1804),
-        ("lu", 39, 3_268_806, 3_268_898, 7_104_371, 0x4d72_3cef_a9a6_8404),
-        ("mg", 62, 659_953, 660_013, 1_391_039, 0x4932_9a7b_d343_92fd),
-        ("sp", 39, 2_210_951, 2_210_991, 4_795_404, 0x567b_1e87_f3e3_9ef3),
-        ("tracking", 10, 1_122_729, 1_122_753, 2_365_975, 0xe7b0_0d78_9bc4_1488),
+    // Each workload's result, its full event stream and its recording.
+    // `RUNS`: exit code, instructions executed, and the events of a run
+    // that selects every instruction with their order-sensitive hash
+    // (pinned before recordings dropped folded values, so the
+    // interpreter itself has not moved). `RECORDINGS`: the trace's
+    // events, `to_bytes()` length and FNV-1a-64. Any change to what the
+    // interpreter computes, which events it fires or in what order, or
+    // to what a recording carries shows up here.
+    use kremlin_repro::interp::{record, run, run_with_hook, MachineConfig, RunResult};
+    const RUNS: [(&str, i64, u64, u64, u64); 12] = [
+        ("ammp", 91, 1_612_200, 1_612_252, 0x1787_a091_001f_3597),
+        ("art", 42, 2_107_716, 2_107_792, 0xc6d4_141d_7327_ec89),
+        ("equake", 13, 909_329, 909_423, 0x0e42_868a_b912_1060),
+        ("bt", 16, 2_737_289, 2_737_353, 0x8229_078c_2a6f_b41e),
+        ("cg", 5, 1_321_446, 1_321_532, 0xcfcc_ff9d_3c4c_060b),
+        ("ep", 19, 309_409, 309_411, 0xe772_878d_7ea5_b22a),
+        ("ft", 60, 1_366_277, 1_366_313, 0xc7b5_457d_2406_d4fb),
+        ("is", 24, 648_395, 648_415, 0xf4c8_1859_5ab0_a3b1),
+        ("lu", 39, 3_268_806, 3_268_898, 0x5a30_d4ee_800d_14a3),
+        ("mg", 62, 659_953, 660_013, 0xf2cf_93b8_6de4_8365),
+        ("sp", 39, 2_210_951, 2_210_991, 0xc307_5ab1_13e5_14c3),
+        ("tracking", 10, 1_122_729, 1_122_753, 0xda51_09ba_f187_9f75),
     ];
-    assert_eq!(PINS.len(), kremlin_repro::workloads::all().len());
-    for (name, exit, instrs_executed, events, len, hash) in PINS {
+    const RECORDINGS: [(&str, u64, usize, u64); 12] = [
+        ("ammp", 882_062, 2_140_917, 0xcbb6_ad86_29cc_a12a),
+        ("art", 792_014, 2_128_810, 0x54cc_fa8f_028b_b59a),
+        ("equake", 341_726, 879_155, 0x107a_8b1b_cf89_7b02),
+        ("bt", 984_657, 2_457_792, 0x323d_1826_0b0b_8ade),
+        ("cg", 728_928, 1_754_794, 0x2ad8_fda0_8bd8_58eb),
+        ("ep", 132_591, 334_666, 0xa240_df42_56da_f2e8),
+        ("ft", 533_397, 1_470_637, 0x5973_27f2_b67a_c3e2),
+        ("is", 295_931, 756_911, 0x16df_4a54_f438_5d16),
+        ("lu", 1_123_315, 2_815_306, 0xa7be_d0ba_9980_5414),
+        ("mg", 269_318, 621_930, 0xc145_11e2_7c69_5ecd),
+        ("sp", 733_850, 1_842_119, 0xb0a7_408c_a818_8242),
+        ("tracking", 474_364, 1_069_472, 0x49ad_3a90_9d00_2719),
+    ];
+    assert_eq!(RUNS.len(), kremlin_repro::workloads::all().len());
+    for ((name, exit, instrs_executed, events, hash), recording) in RUNS.into_iter().zip(RECORDINGS)
+    {
+        assert_eq!(recording.0, name);
         let w = kremlin_repro::workloads::by_name(name).unwrap();
         let unit = kremlin_repro::ir::compile(w.source, &w.file_name()).unwrap();
         let pinned = RunResult { exit, instrs_executed };
         assert_eq!(run(&unit.module).unwrap(), pinned, "{name}");
+        let mut stream = EventStream::new();
+        let streamed = run_with_hook(&unit.module, &mut stream, MachineConfig::default());
+        assert_eq!(streamed.unwrap(), pinned, "{name}");
+        assert_eq!((stream.events, stream.hash), (events, hash), "{name}: every event, hashed");
         let trace = record(&unit.module, MachineConfig::default()).unwrap();
         assert_eq!(trace.run_result(), pinned, "{name}");
         let bytes = trace.to_bytes();
         assert_eq!(
-            (trace.events(), bytes.len(), fnv1a64(&bytes)),
-            (events, len, hash),
-            "{name}: events, bytes and FNV-1a-64 of the trace"
+            (name, trace.events(), bytes.len(), fnv1a64(&bytes)),
+            recording,
+            "{name}: events, bytes and FNV-1a-64 of the recording"
         );
     }
 }
